@@ -9,8 +9,8 @@ from .geometry import (Field, GeometryConfig, Mesh, RegionBox, build_mesh,
                        inner_product, relative_l2_error)
 from .materials import (CrossSectionSet, RegionXS, default_cross_sections,
                         map_alpha_to_mu, test_lattice, training_lattice)
-from .diffusion import (DiffusionSolution, ToleranceConfig,
-                        power_map_diffusion, solve_diffusion)
+from .eigen import ToleranceConfig
+from .diffusion import DiffusionSolution, power_map_diffusion, solve_diffusion
 from .transport import (AngularQuadrature, TransportSolution,
                         build_quadrature, power_map_transport,
                         solve_transport)

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import ToleranceConfig, power_map_diffusion, solve_diffusion
+from .diffusion import power_map_diffusion, solve_diffusion
+from .eigen import ToleranceConfig
 from .errors import ConfigurationError
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
 from .materials import (CrossSectionSet, default_cross_sections,

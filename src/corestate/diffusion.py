@@ -19,57 +19,18 @@ group 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (ConfigurationError, DegenerateProblemError,
-                     IterationLimitError)
+from .eigen import ToleranceConfig, power_iteration, save_solution
+from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
-from .materials import CellXS, CrossSectionSet, cell_arrays
+from .materials import CrossSectionSet, cell_arrays
 
 VACUUM_MODELS = ("robin", "zero_flux")
-
-
-def _save_solution(directory, fluxes, k_eff, iterations):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for g, flux in enumerate(fluxes, start=1):
-        flux.save(directory / f"flux_g{g}.csv")
-    mesh = fluxes[0].mesh
-    manifest = {"k_eff": k_eff, "iterations": iterations,
-                "nx": mesh.nx, "ny": mesh.ny,
-                "extent_x": mesh.extent_x, "extent_y": mesh.extent_y}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Outer-iteration tolerances of both eigensolvers."""
-
-    k_tol: float = 1e-8
-    flux_tol: float = 1e-7
-    max_outer: int = 2000
-
-    def __post_init__(self):
-        if self.k_tol <= 0 or self.flux_tol <= 0 or self.max_outer < 1:
-            raise ConfigurationError("tolerances must be positive")
-
-    @staticmethod
-    def from_dict(d: dict) -> "ToleranceConfig":
-        return ToleranceConfig(
-            k_tol=float(d.get("k_tol", 1e-8)),
-            flux_tol=float(d.get("flux_tol", 1e-7)),
-            max_outer=int(d.get("max_outer", 2000)))
-
-    def to_dict(self) -> dict:
-        return {"k_tol": self.k_tol, "flux_tol": self.flux_tol,
-                "max_outer": self.max_outer}
 
 
 @dataclass(frozen=True)
@@ -81,7 +42,7 @@ class DiffusionSolution:
 
     def save(self, directory):
         """Persist group fluxes as CSV plus a JSON manifest."""
-        _save_solution(directory, self.phi, self.k_eff, self.iterations)
+        save_solution(directory, self.phi, self.k_eff, self.iterations)
 
 
 def _group_matrix(mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
@@ -161,70 +122,23 @@ def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
 def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig | None = None,
                     vacuum_model: str = "robin") -> DiffusionSolution:
-    """Power iteration on the fission source.
+    """Power iteration on the fission source (`corestate.eigen`), each
+    group solved directly with its factorized finite-volume matrix.
 
-    Each outer step solves group 1 then group 2 with the fission source
-    frozen (repeating the group pass when upscatter couples them), then
-    rescales k by the fission-integral ratio.  Converged when both the
-    k increment and the max-relative flux change drop below tolerance.
+    Raises `IterationLimitError`, carrying the last iterate, when
+    `tol.max_outer` outer steps or the group-pass cap are exhausted.
     """
     tol = tol or ToleranceConfig()
     m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
         xs, mesh, vacuum_model)
-    if not (nusf1 > 0).any() and not (nusf2 > 0).any():
-        raise DegenerateProblemError("no fissile cell: not an eigenproblem")
-
     lu = [spla.splu(m1), spla.splu(m2)]
-    upscatter = bool((s21 > 0).any())
-    group_tol = max(0.01 * tol.flux_tol, 1e-13)
 
-    n = mesh.n_cells
-    phi = [np.ones(n), np.ones(n)]
-    fint = float(nusf1 @ phi[0] + nusf2 @ phi[1])
-    if fint <= 0:
-        raise DegenerateProblemError("initial fission source vanished")
-    phi[0] /= fint
-    phi[1] /= fint
-
-    k = 1.0
-    dk = np.inf
-    for it in range(1, tol.max_outer + 1):
-        fission = (nusf1 * phi[0] + nusf2 * phi[1]) / k
-        phi_old = (phi[0], phi[1])
-        for _ in range(200):
-            phi1 = lu[0].solve(chi1 * fission + s21 * phi[1])
-            phi2 = lu[1].solve(chi2 * fission + s12 * phi1)
-            change = np.max(np.abs(phi2 - phi[1])) / max(np.max(np.abs(phi2)),
-                                                         1e-300)
-            phi = [phi1, phi2]
-            if not upscatter or change < group_tol:
-                break
-
-        fint = float(nusf1 @ phi[0] + nusf2 @ phi[1])
-        if fint <= 0:
-            raise DegenerateProblemError("fission source vanished")
-        k_new = k * fint
-        phi[0] /= fint
-        phi[1] /= fint
-        flux_change = max(
-            np.max(np.abs(phi[g] - phi_old[g]))
-            / max(np.max(np.abs(phi[g])), 1e-300)
-            for g in range(2))
-        dk = abs(k_new - k)
-        k = k_new
-        if dk < tol.k_tol and flux_change < tol.flux_tol:
-            break
-    else:
-        raise IterationLimitError(
-            f"diffusion eigensolve: no convergence in {tol.max_outer} "
-            f"outer iterations (|dk| = {dk:.3e})",
-            last_solution=DiffusionSolution(
-                k_eff=k, phi=(Field(mesh, phi[0]), Field(mesh, phi[1])),
-                iterations=tol.max_outer, residual=dk))
-
-    return DiffusionSolution(
-        k_eff=k, phi=(Field(mesh, phi[0]), Field(mesh, phi[1])),
-        iterations=it, residual=dk)
+    return power_iteration(
+        lambda g, q, _: lu[g].solve(q), (nusf1, nusf2), (chi1, chi2),
+        (s21, s12), tol, "diffusion",
+        lambda k, phi, iterations, residual: DiffusionSolution(
+            k, (Field(mesh, phi[0]), Field(mesh, phi[1])), iterations,
+            residual))
 
 
 def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,

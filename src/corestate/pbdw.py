@@ -87,26 +87,12 @@ class Reconstruction:
         return float(np.linalg.norm(self.correction_coords))
 
 
-def _solve_coefficients(op: PbdwOperator, y: np.ndarray) -> np.ndarray:
-    u, s, vt = op._svd
-    if s[0] <= 0 or s[-1] < _SVD_RTOL * s[0]:
-        raise SingularOperatorError(
-            f"cross Gramian is numerically rank deficient "
-            f"(beta = {float(s[-1]):.3e}); reduce n or move sensors")
-    return vt.T @ ((u.T @ y) / s)
-
-
 def reconstruct(op: PbdwOperator, y: np.ndarray) -> Reconstruction:
     """Reconstruct a state from its observation vector (psi coordinates)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.m,):
-        raise ValueError(f"observation vector must have length {op.m}")
-    z = _solve_coefficients(op, y)
-    eta = y - op.cross_gramian @ z
-    values = op.basis.mode_matrix[:op.n].T @ z + op.sensors.psi_matrix.T @ eta
-    return Reconstruction(estimate=Field(op.basis.mesh, values),
-                          vn_coords=z, correction_coords=eta,
-                          residual=float(np.linalg.norm(eta)))
+    estimates, z, eta = reconstruct_batch(op, np.asarray(y, dtype=float)[None])
+    return Reconstruction(estimate=Field(op.basis.mesh, estimates[0]),
+                          vn_coords=z[0], correction_coords=eta[0],
+                          residual=float(np.linalg.norm(eta[0])))
 
 
 def reconstruct_batch(op: PbdwOperator, y_matrix: np.ndarray):
@@ -116,11 +102,13 @@ def reconstruct_batch(op: PbdwOperator, y_matrix: np.ndarray):
     eta (K, m)).
     """
     y_matrix = np.asarray(y_matrix, dtype=float)
+    if y_matrix.ndim != 2 or y_matrix.shape[1] != op.m:
+        raise ValueError(f"each observation vector must have length {op.m}")
     u, s, vt = op._svd
     if s[0] <= 0 or s[-1] < _SVD_RTOL * s[0]:
         raise SingularOperatorError(
             f"cross Gramian is numerically rank deficient "
-            f"(beta = {float(s[-1]):.3e})")
+            f"(beta = {float(s[-1]):.3e}); reduce n or move sensors")
     z = (y_matrix @ u / s) @ vt
     eta = y_matrix - z @ op.cross_gramian.T
     estimates = z @ op.basis.mode_matrix[:op.n] + eta @ op.sensors.psi_matrix

@@ -18,13 +18,13 @@ computed outgoing fluxes on the reflective sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .diffusion import ToleranceConfig, _save_solution
+from .eigen import ToleranceConfig, power_iteration, save_solution
 from .errors import (ConfigurationError, DegenerateProblemError,
                      IterationLimitError)
 from .geometry import Field, Mesh
@@ -122,8 +122,8 @@ class TransportSolution:
 
     def save(self, directory):
         """Persist group scalar fluxes as CSV plus a JSON manifest."""
-        _save_solution(directory, self.scalar_flux, self.k_eff,
-                       self.iterations)
+        save_solution(directory, self.scalar_flux, self.k_eff,
+                      self.iterations)
 
 
 def _direction_system(mesh: Mesh, sigt2d: np.ndarray, ox: float, oy: float):
@@ -164,6 +164,19 @@ def _direction_system(mesh: Mesh, sigt2d: np.ndarray, ox: float, oy: float):
     return mat, x_in_cells, a, y_in_cells, b
 
 
+def _step_solve(lu, system, emission_area: np.ndarray, inflow_x, inflow_y):
+    """Flat cell flux of one step-scheme direction: the factorized
+    `system` (from `_direction_system`) solved for the area-weighted
+    emission plus the boundary inflows (None for zero inflow)."""
+    _, x_cells, a, y_cells, b = system
+    rhs = emission_area.copy()
+    if inflow_x is not None:
+        rhs[x_cells] += a * inflow_x
+    if inflow_y is not None:
+        rhs[y_cells] += b * inflow_y
+    return lu.solve(rhs)
+
+
 def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
                     inflow_x=None, inflow_y=None) -> np.ndarray:
     """Solve one direction's step-scheme transport with a fixed angular
@@ -176,13 +189,12 @@ def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
     ox, oy = float(omega[0]), float(omega[1])
     if ox == 0.0 or oy == 0.0:
         raise ValueError("sweep directions must have nonzero components")
-    mat, x_cells, a, y_cells, b = _direction_system(mesh, sigma_t2d, ox, oy)
-    rhs = (np.asarray(emission2d, dtype=float) * mesh.cell_area).ravel().copy()
-    if inflow_x is not None:
-        rhs[x_cells] += a * np.asarray(inflow_x, dtype=float)
-    if inflow_y is not None:
-        rhs[y_cells] += b * np.asarray(inflow_y, dtype=float)
-    psi = spla.splu(mat).solve(rhs)
+    system = _direction_system(mesh, sigma_t2d, ox, oy)
+    emission_area = (np.asarray(emission2d, dtype=float)
+                     * mesh.cell_area).ravel()
+    inflows = [None if f is None else np.asarray(f, dtype=float)
+               for f in (inflow_x, inflow_y)]
+    psi = _step_solve(spla.splu(system[0]), system, emission_area, *inflows)
     return psi.reshape(mesh.ny, mesh.nx)
 
 
@@ -224,14 +236,9 @@ class _GroupSweeper:
         return inflow_x, inflow_y
 
     def _solve_direction_step(self, d: int, emission_area: np.ndarray):
-        _, x_cells, a, y_cells, b = self._systems[d]
-        rhs = emission_area.copy()
-        inflow_x, inflow_y = self._inflows(d)
-        if inflow_x is not None:
-            rhs[x_cells] += a * inflow_x
-        if inflow_y is not None:
-            rhs[y_cells] += b * inflow_y
-        psi = self._lu[d].solve(rhs).reshape(self.mesh.ny, self.mesh.nx)
+        mesh = self.mesh
+        psi = _step_solve(self._lu[d], self._systems[d], emission_area,
+                          *self._inflows(d)).reshape(mesh.ny, mesh.nx)
         out_x = psi[:, -1] if self.quad.omega_x[d] > 0 else psi[:, 0]
         out_y = psi[-1, :] if self.quad.omega_y[d] > 0 else psi[0, :]
         return psi, out_x, out_y
@@ -286,30 +293,22 @@ class _GroupSweeper:
         sides.  With commit=False the sweeper state is left untouched.
         """
         emission_area = (emission2d * self.mesh.cell_area).ravel()
-        psi_new = self.psi if commit else self.psi.copy()
-        out_x = self.out_x if commit else self.out_x.copy()
-        out_y = self.out_y if commit else self.out_y.copy()
+        solve = (self._solve_direction_step if self.scheme == "step"
+                 else self._solve_direction_diamond)
         nb = self.quad.n_directions // 4
         saved = (self.psi, self.out_x, self.out_y)
         if not commit:
-            self.psi, self.out_x, self.out_y = psi_new, out_x, out_y
+            self.psi, self.out_x, self.out_y = (a.copy() for a in saved)
         try:
             for q in _SWEEP_ORDER:
                 for d in range(q * nb, (q + 1) * nb):
-                    if self.scheme == "step":
-                        psi, ox_out, oy_out = self._solve_direction_step(
-                            d, emission_area)
-                    else:
-                        psi, ox_out, oy_out = self._solve_direction_diamond(
-                            d, emission_area)
-                    psi_new[d] = psi
-                    out_x[d] = ox_out
-                    out_y[d] = oy_out
+                    self.psi[d], self.out_x[d], self.out_y[d] = solve(
+                        d, emission_area)
+            phi = np.tensordot(self.quad.weight, self.psi, axes=(0, 0))
+            return phi, self.psi, self.out_x, self.out_y
         finally:
             if not commit:
                 self.psi, self.out_x, self.out_y = saved
-        phi = np.tensordot(self.quad.weight, psi_new, axes=(0, 0))
-        return phi, psi_new, out_x, out_y
 
     def scale(self, factor: float):
         self.psi *= factor
@@ -322,19 +321,15 @@ def _vacuum_leakage(mesh: Mesh, quad: AngularQuadrature, out_x: np.ndarray,
     """Net outflow through the sides tagged vacuum (inflow there is zero),
     from the per-direction outgoing boundary face fluxes."""
     leak = 0.0
-    ox, oy, w = quad.omega_x, quad.omega_y, quad.weight
-    if mesh.bc.xmax == "vacuum":
-        m = ox > 0
-        leak += mesh.dy * np.sum((w[m] * ox[m])[:, None] * out_x[m])
-    if mesh.bc.xmin == "vacuum":
-        m = ox < 0
-        leak += mesh.dy * np.sum((w[m] * -ox[m])[:, None] * out_x[m])
-    if mesh.bc.ymax == "vacuum":
-        m = oy > 0
-        leak += mesh.dx * np.sum((w[m] * oy[m])[:, None] * out_y[m])
-    if mesh.bc.ymin == "vacuum":
-        m = oy < 0
-        leak += mesh.dx * np.sum((w[m] * -oy[m])[:, None] * out_y[m])
+    w = quad.weight
+    for side, omega, out, face, sign in (
+            ("xmax", quad.omega_x, out_x, mesh.dy, 1.0),
+            ("xmin", quad.omega_x, out_x, mesh.dy, -1.0),
+            ("ymax", quad.omega_y, out_y, mesh.dx, 1.0),
+            ("ymin", quad.omega_y, out_y, mesh.dx, -1.0)):
+        if getattr(mesh.bc, side) == "vacuum":
+            m = sign * omega > 0
+            leak += face * np.sum((w[m] * (sign * omega[m]))[:, None] * out[m])
     return float(leak)
 
 
@@ -343,12 +338,14 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig | None = None,
                     scheme: str = "step",
                     retain_angular: bool = False) -> TransportSolution:
-    """Power iteration on the fission source; see the module docstring.
+    """Power iteration on the fission source (`corestate.eigen`); see
+    the module docstring.
 
-    Each outer step runs, per group, a source iteration on the
-    within-group scattering source (relative change below 1e-9, at most
-    500 inner sweeps), with the freshly updated group-1 flux feeding the
-    group-2 downscatter source.
+    Each group is solved by a source iteration on the within-group
+    scattering source (relative change below 1e-9), with the freshly
+    updated group-1 flux feeding the group-2 downscatter source.  Raises
+    `IterationLimitError` when `tol.max_outer` outer steps, the
+    group-pass cap or the `_MAX_INNER` = 500 inner sweeps are exhausted.
     """
     quad = quad or build_quadrature(4)
     tol = tol or ToleranceConfig()
@@ -359,82 +356,43 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
         raise ConfigurationError(
             f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
             "give void regions a small positive total")
-    if not (cx.nu_sigma_f > 0).any():
-        raise DegenerateProblemError("no fissile cell: not an eigenproblem")
 
     area = mesh.cell_area
     nusf = [cx.nu_sigma_f[g] for g in range(2)]
     chi = [cx.chi[g] for g in range(2)]
+    inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
     sig_within = [cx.sigma_s[g, g] for g in range(2)]
     sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme)
                 for g in range(2)]
-    upscatter = bool((cx.sigma_s[1, 0] > 0).any())
-    group_tol = max(0.01 * tol.flux_tol, 1e-13)
 
-    phi = [np.ones((mesh.ny, mesh.nx)), np.ones((mesh.ny, mesh.nx))]
-    fint = float((nusf[0] * phi[0] + nusf[1] * phi[1]).sum() * area)
-    if fint <= 0:
-        raise DegenerateProblemError("initial fission source vanished")
-    for g in range(2):
-        phi[g] /= fint
-        sweepers[g].scale(1.0 / fint)
-
-    def source_iteration(g: int, q_fixed: np.ndarray):
-        s_old = sig_within[g] * phi[g]
+    def source_iteration(g: int, q: np.ndarray, phi_g: np.ndarray):
+        q_fixed = q / FOUR_PI
+        s_old = sig_within[g] * phi_g
         for _ in range(_MAX_INNER):
-            emission = q_fixed + s_old / FOUR_PI
-            phi[g], _, _, _ = sweepers[g].sweep(emission)
-            s_new = sig_within[g] * phi[g]
+            phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)[0]
+            s_new = sig_within[g] * phi_g
             denom = max(float(np.max(np.abs(s_new))), 1e-300)
             change = float(np.max(np.abs(s_new - s_old))) / denom
             s_old = s_new
             if change < _INNER_TOL:
-                break
-
-    k = 1.0
-    dk = np.inf
-    for it in range(1, tol.max_outer + 1):
-        fission = nusf[0] * phi[0] + nusf[1] * phi[1]
-        phi_old = (phi[0].copy(), phi[1].copy())
-        for _ in range(50):
-            phi2_before = phi[1].copy()
-            for g in range(2):
-                other = 1 - g
-                q_fixed = (chi[g] * fission / k
-                           + cx.sigma_s[other, g] * phi[other]) / FOUR_PI
-                source_iteration(g, q_fixed)
-            if not upscatter:
-                break
-            change = np.max(np.abs(phi[1] - phi2_before)) \
-                / max(float(np.max(np.abs(phi[1]))), 1e-300)
-            if change < group_tol:
-                break
-
-        fint = float((nusf[0] * phi[0] + nusf[1] * phi[1]).sum() * area)
-        if fint <= 0:
-            raise DegenerateProblemError("fission source vanished")
-        k_new = k * fint
-        for g in range(2):
-            phi[g] /= fint
-            sweepers[g].scale(1.0 / fint)
-        flux_change = max(
-            float(np.max(np.abs(phi[g] - phi_old[g]))
-                  / max(np.max(np.abs(phi[g])), 1e-300))
-            for g in range(2))
-        dk = abs(k_new - k)
-        k = k_new
-        if dk < tol.k_tol and flux_change < tol.flux_tol:
-            break
-    else:
+                return phi_g
         raise IterationLimitError(
-            f"transport eigensolve: no convergence in {tol.max_outer} "
-            f"outer iterations (|dk| = {dk:.3e})",
-            last_solution=TransportSolution(
-                k_eff=k,
-                scalar_flux=(Field(mesh, phi[0].ravel()),
-                             Field(mesh, phi[1].ravel())),
-                iterations=tol.max_outer, residual=dk,
-                balance_residual=np.nan))
+            f"transport source iteration: group {g + 1} reached "
+            f"_MAX_INNER = {_MAX_INNER} sweeps (change = {change:.3e})")
+
+    def rescale(factor: float):
+        for sweeper in sweepers:
+            sweeper.scale(factor)
+
+    def solution(k_eff, phi, iterations, residual):
+        return TransportSolution(
+            k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
+            iterations, residual, balance_residual=np.nan)
+
+    sol = power_iteration(source_iteration, nusf, chi, inscatter, tol,
+                          "transport", solution, volume=area, rescale=rescale)
+    k = sol.k_eff
+    phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
 
     # Per-group neutron balance of the converged state: production
     # (fission/k + inter-group in-scatter) against removal plus vacuum
@@ -442,24 +400,17 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     balance = 0.0
     fission = nusf[0] * phi[0] + nusf[1] * phi[1]
     for g in range(2):
-        other = 1 - g
-        q_fixed = (chi[g] * fission / k
-                   + cx.sigma_s[other, g] * phi[other]) / FOUR_PI
-        emission = q_fixed + sig_within[g] * phi[g] / FOUR_PI
+        q = chi[g] * fission / k + inscatter[g] * phi[1 - g]
+        emission = q / FOUR_PI + sig_within[g] * phi[g] / FOUR_PI
         phi_bal, _, bal_out_x, bal_out_y = sweepers[g].sweep(
             emission, commit=False)
-        prod = float((chi[g] * fission / k
-                      + cx.sigma_s[other, g] * phi[other]
-                      + sig_within[g] * phi[g]).sum() * area)
+        prod = float((q + sig_within[g] * phi[g]).sum() * area)
         loss = float((cx.sigma_t[g] * phi_bal).sum() * area) \
             + _vacuum_leakage(mesh, quad, bal_out_x, bal_out_y)
         balance = max(balance, abs(prod - loss) / prod)
 
-    return TransportSolution(
-        k_eff=k,
-        scalar_flux=(Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
-        iterations=it, residual=dk, balance_residual=balance,
-        angular_flux=(sweepers[0].psi.copy(), sweepers[1].psi.copy())
+    return replace(sol, balance_residual=balance, angular_flux=(
+        sweepers[0].psi.copy(), sweepers[1].psi.copy())
         if retain_angular else None)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corestate import eigen
 from corestate.diffusion import (ToleranceConfig, eigen_residual,
                                  power_map_diffusion, solve_diffusion)
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
@@ -180,6 +181,14 @@ class TestErrors:
                                             max_outer=2))
         last = err.value.last_solution
         assert last is not None and last.k_eff > 0
+
+    def test_group_pass_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigen, "MAX_GROUP_PASSES", 1)
+        mesh, xs = homogeneous_problem(5, 4, sigma_s_21=0.004)
+        with pytest.raises(IterationLimitError,
+                           match="MAX_GROUP_PASSES = 1") as err:
+            solve_diffusion(xs, mesh)
+        assert err.value.last_solution.k_eff > 0
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -225,6 +225,8 @@ class TestReconstruct:
         op = assemble(basis, 3, sensors)
         with pytest.raises(ValueError, match="length"):
             reconstruct(op, np.zeros(5))
+        with pytest.raises(ValueError, match="length"):
+            reconstruct_batch(op, np.zeros((2, sensors.m - 1)))
 
 
 class TestErrorBound:

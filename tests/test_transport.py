@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corestate import eigen, transport
 from corestate.diffusion import ToleranceConfig
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
@@ -248,6 +249,20 @@ class TestErrors:
                             ToleranceConfig(k_tol=1e-14, flux_tol=1e-14,
                                             max_outer=2))
         assert err.value.last_solution.k_eff > 0
+
+    def test_group_pass_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(eigen, "MAX_GROUP_PASSES", 1)
+        mesh, xs = homogeneous_problem(5, 4, sigma_s_21=0.004)
+        with pytest.raises(IterationLimitError,
+                           match="MAX_GROUP_PASSES = 1") as err:
+            solve_transport(xs, mesh, build_quadrature(2))
+        assert err.value.last_solution.k_eff > 0
+
+    def test_inner_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_INNER", 1)
+        mesh, xs = homogeneous_problem(5, 4, sigma_s_21=0.004)
+        with pytest.raises(IterationLimitError, match="_MAX_INNER = 1"):
+            solve_transport(xs, mesh, build_quadrature(2))
 
     def test_axis_aligned_sweep_rejected(self):
         mesh = build_mesh(uniform_config(4, 4))
