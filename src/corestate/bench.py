@@ -49,6 +49,12 @@ BETA_FLOOR = 1e-8
 MODELS = ("transport", "diffusion")
 LATTICES = ("training", "test")
 
+#: Solver revision per model, part of every snapshot signature.  Bump a
+#: model's entry whenever a solver change can move its snapshot values,
+#: so caches written by the old solver are regenerated, not reused.
+#: Transport revision 2: inner iterations tied to the outer error.
+SOLVER_REVISION = {"transport": 2, "diffusion": 1}
+
 
 def _default_bench_geometry() -> GeometryConfig:
     # 45 x 30 is the coarsest grid on which both the region edges
@@ -125,6 +131,7 @@ class ExperimentConfig:
         """Everything a snapshot set depends on, for cache validation."""
         sig = {
             "model": model,
+            "solver_revision": SOLVER_REVISION[model],
             "lattice": lattice,
             "geometry": self.geometry.to_dict(),
             "cross_sections": self.cross_sections.to_dict(),

@@ -134,7 +134,7 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
     lu = [spla.splu(m1), spla.splu(m2)]
 
     return power_iteration(
-        lambda g, q, _: lu[g].solve(q), (nusf1, nusf2), (chi1, chi2),
+        lambda g, q, _phi, _tol: lu[g].solve(q), (nusf1, nusf2), (chi1, chi2),
         (s21, s12), tol, "diffusion",
         lambda k, phi, iterations, residual: DiffusionSolution(
             k, (Field(mesh, phi[0]), Field(mesh, phi[1])), iterations,

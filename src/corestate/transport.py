@@ -4,16 +4,22 @@ Angular discretization is a product quadrature (Gauss in the polar
 cosine, equally weighted azimuthal angles per polar level) on the upper
 hemisphere, folded for planar z-symmetry so the weights carry the full
 4*pi solid angle.  Spatially each direction is swept with the fully
-upwinded step scheme, written as a sparse triangular solve per
-direction and factorized once per problem; an optional diamond
-difference variant trades the positivity guarantee for second-order
-accuracy.
+upwinded step scheme, written as a sparse lower-triangular system per
+direction: its cells are numbered in the direction's upwind order, so
+the LU factorization (once per problem) adds no fill and a solve is one
+forward substitution.  The directions of one quadrant share a single
+block-diagonal system and solve.  An optional diamond difference
+variant trades the positivity guarantee for second-order accuracy.
 
 The eigenpair is found by power iteration on the fission source with a
-source iteration per group inside each outer step.  Vacuum sides impose
-zero inflow, reflective sides mirror the outgoing face flux of the
-opposite direction; quadrants are swept in an order that reuses freshly
-computed outgoing fluxes on the reflective sides.
+source iteration per group inside each outer step; the inner tolerance
+follows the outer flux change (`eigen.INNER_TOL_FACTOR`) down to 1e-9,
+so early outers cost a sweep or two per group.  `eigen_residual`
+certifies a returned eigenpair by one more exact outer step.
+
+Vacuum sides impose zero inflow, reflective sides mirror the outgoing
+face flux of the opposite direction; quadrants are swept in an order
+that reuses freshly computed outgoing fluxes on the reflective sides.
 """
 
 from __future__ import annotations
@@ -113,6 +119,15 @@ def build_quadrature(order: int) -> AngularQuadrature:
 
 @dataclass(frozen=True)
 class TransportSolution:
+    """A transport eigenpair.  `residual` is the last outer |dk|.
+
+    `balance_residual` compares production with removal plus vacuum
+    leakage after one sweep with frozen sources.  The step sweep
+    conserves neutrons for any source, so this is an identity of the
+    sweep: it stays near round-off whether or not the outer iteration
+    has converged.  `eigen_residual` is the convergence check.
+    """
+
     k_eff: float
     scalar_flux: tuple[Field, Field]
     iterations: int
@@ -127,54 +142,79 @@ class TransportSolution:
 
 
 def _direction_system(mesh: Mesh, sigt2d: np.ndarray, ox: float, oy: float):
-    """Sparse step-scheme system for one direction.
+    """Sparse step-scheme system for one direction, its cells numbered
+    in the direction's upwind order.
 
-    Returns (matrix, x_in_cells, x_in_coef, y_in_cells, y_in_coef) where
-    the *_in_* arrays describe how boundary inflow enters the RHS.
+    Counting i down when ox < 0 and j down when oy < 0 gives every
+    upstream neighbour a lower number than the cell it feeds, so the
+    matrix is lower triangular.  Returns (matrix, order, rank,
+    x_in_pos, a, y_in_pos, b): natural cell `order[p]` sits at upwind
+    position p and `rank` is the inverse; the *_in_pos arrays are the
+    upwind positions where boundary inflow, times a or b, enters the
+    right-hand side.
     """
     nx, ny, dx, dy = mesh.nx, mesh.ny, mesh.dx, mesh.dy
-    area = mesh.cell_area
+    n = nx * ny
     a = abs(ox) * dy
     b = abs(oy) * dx
-    idx = np.arange(nx * ny).reshape(ny, nx)
+    pos = np.arange(n).reshape(ny, nx)
+    order = pos[:, ::-1] if ox < 0 else pos
+    order = (order[::-1, :] if oy < 0 else order).ravel()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
 
-    n = nx * ny
-    diag = sigt2d.ravel() * area + a + b
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [diag]
-    if ox > 0:
-        rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel())
-        x_in_cells = idx[:, 0]
-    else:
-        rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel())
-        x_in_cells = idx[:, -1]
-    vals.append(np.full(ny * (nx - 1), -a))
-    if oy > 0:
-        rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel())
-        y_in_cells = idx[0, :]
-    else:
-        rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel())
-        y_in_cells = idx[-1, :]
-    vals.append(np.full((ny - 1) * nx, -b))
+    diag = sigt2d.ravel()[order] * mesh.cell_area + a + b
+    rows = np.concatenate([pos.ravel(), pos[:, 1:].ravel(),
+                           pos[1:, :].ravel()])
+    cols = np.concatenate([pos.ravel(), pos[:, :-1].ravel(),
+                           pos[:-1, :].ravel()])
+    vals = np.concatenate([diag, np.full(ny * (nx - 1), -a),
+                           np.full((ny - 1) * nx, -b)])
+    mat = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    # Inflow enters the upstream column (row) of the upwind frame; the
+    # inflow arrays are indexed by natural row j (column i).
+    x_in_pos = pos[:, 0] if oy > 0 else pos[::-1, 0]
+    y_in_pos = pos[0, :] if ox > 0 else pos[0, ::-1]
+    return mat, order, rank, x_in_pos, a, y_in_pos, b
 
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n)).tocsc()
-    return mat, x_in_cells, a, y_in_cells, b
+
+def _quadrant_system(systems):
+    """One block-diagonal system for direction systems of one quadrant,
+    whose sweeps do not feed each other, so one triangular solve covers
+    them all.  Same layout as `_direction_system`, with order, rank and
+    inflow positions offset per block, and a, b one row per direction.
+    (One factorization per quadrant also holds ~6x less SuperLU memory
+    than one per direction.)"""
+    n = systems[0][0].shape[0]
+    offset = [k * n for k in range(len(systems))]
+    return (sp.block_diag([s[0] for s in systems], format="csc"),
+            np.concatenate([s[1] for s in systems]),
+            np.concatenate([s[2] + o for s, o in zip(systems, offset)]),
+            np.stack([s[3] + o for s, o in zip(systems, offset)]),
+            np.array([[s[4]] for s in systems]),
+            np.stack([s[5] + o for s, o in zip(systems, offset)]),
+            np.array([[s[6]] for s in systems]))
+
+
+def _factorize(system):
+    """LU of a `_direction_system` or `_quadrant_system` matrix in its
+    own (upwind) order: no fill, L holds the matrix's nonzeros and U its
+    diagonal."""
+    return spla.splu(system[0], permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 def _step_solve(lu, system, emission_area: np.ndarray, inflow_x, inflow_y):
-    """Flat cell flux of one step-scheme direction: the factorized
-    `system` (from `_direction_system`) solved for the area-weighted
-    emission plus the boundary inflows (None for zero inflow)."""
-    _, x_cells, a, y_cells, b = system
-    rhs = emission_area.copy()
+    """Flat cell flux of the step-scheme direction(s) of `system` (from
+    `_direction_system` or `_quadrant_system`), factorized as `lu`,
+    solved for the area-weighted emission plus the boundary inflows
+    (None for zero inflow; one row per direction of a quadrant)."""
+    _, order, rank, x_pos, a, y_pos, b = system
+    rhs = emission_area[order]
     if inflow_x is not None:
-        rhs[x_cells] += a * inflow_x
+        rhs[x_pos] += a * inflow_x
     if inflow_y is not None:
-        rhs[y_cells] += b * inflow_y
-    return lu.solve(rhs)
+        rhs[y_pos] += b * inflow_y
+    return lu.solve(rhs)[rank]
 
 
 def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
@@ -194,13 +234,14 @@ def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
                      * mesh.cell_area).ravel()
     inflows = [None if f is None else np.asarray(f, dtype=float)
                for f in (inflow_x, inflow_y)]
-    psi = _step_solve(spla.splu(system[0]), system, emission_area, *inflows)
+    psi = _step_solve(_factorize(system), system, emission_area, *inflows)
     return psi.reshape(mesh.ny, mesh.nx)
 
 
 class _GroupSweeper:
-    """Per-group sweep machinery: factorized direction systems plus the
-    current angular flux and outgoing boundary face fluxes."""
+    """Per-group sweep machinery: one factorized step system per
+    quadrant plus the current angular flux and outgoing boundary face
+    fluxes."""
 
     def __init__(self, mesh: Mesh, quad: AngularQuadrature,
                  sigt2d: np.ndarray, scheme: str):
@@ -214,42 +255,57 @@ class _GroupSweeper:
         self.out_x = np.full((nd, mesh.ny), 1.0 / FOUR_PI)
         self.out_y = np.full((nd, mesh.nx), 1.0 / FOUR_PI)
         if scheme == "step":
-            self._systems = [
+            nb = nd // 4
+            self._systems = [_quadrant_system([
                 _direction_system(mesh, sigt2d, quad.omega_x[d],
                                   quad.omega_y[d])
-                for d in range(nd)]
-            self._lu = [spla.splu(sys[0]) for sys in self._systems]
+                for d in range(q * nb, (q + 1) * nb)]) for q in range(4)]
+            self._lu = [_factorize(sys) for sys in self._systems]
 
-    def _inflows(self, d: int):
-        """(inflow_x, inflow_y) for direction d, honoring boundary tags."""
+    def _inflows(self, ds: np.ndarray):
+        """(inflow_x, inflow_y) of the directions `ds`, all of one
+        quadrant, one row per direction; None on a vacuum side."""
         quad, mesh = self.quad, self.mesh
-        side_x = "xmin" if quad.omega_x[d] > 0 else "xmax"
-        side_y = "ymin" if quad.omega_y[d] > 0 else "ymax"
+        side_x = "xmin" if quad.omega_x[ds[0]] > 0 else "xmax"
+        side_y = "ymin" if quad.omega_y[ds[0]] > 0 else "ymax"
         if getattr(mesh.bc, side_x) == "reflective":
-            inflow_x = self.out_x[quad.mirror_x[d]]
+            inflow_x = self.out_x[quad.mirror_x[ds]]
         else:
             inflow_x = None
         if getattr(mesh.bc, side_y) == "reflective":
-            inflow_y = self.out_y[quad.mirror_y[d]]
+            inflow_y = self.out_y[quad.mirror_y[ds]]
         else:
             inflow_y = None
         return inflow_x, inflow_y
 
-    def _solve_direction_step(self, d: int, emission_area: np.ndarray):
+    def _solve_quadrant_step(self, q: int, ds: np.ndarray,
+                             emission_area: np.ndarray):
         mesh = self.mesh
-        psi = _step_solve(self._lu[d], self._systems[d], emission_area,
-                          *self._inflows(d)).reshape(mesh.ny, mesh.nx)
-        out_x = psi[:, -1] if self.quad.omega_x[d] > 0 else psi[:, 0]
-        out_y = psi[-1, :] if self.quad.omega_y[d] > 0 else psi[0, :]
+        psi = _step_solve(self._lu[q], self._systems[q], emission_area,
+                          *self._inflows(ds)).reshape(ds.size, mesh.ny,
+                                                      mesh.nx)
+        out_x = psi[:, :, -1] if self.quad.omega_x[ds[0]] > 0 \
+            else psi[:, :, 0]
+        out_y = psi[:, -1, :] if self.quad.omega_y[ds[0]] > 0 \
+            else psi[:, 0, :]
         return psi, out_x, out_y
 
-    def _solve_direction_diamond(self, d: int, emission_area: np.ndarray):
+    def _solve_quadrant_diamond(self, q: int, ds: np.ndarray,
+                                emission_area: np.ndarray):
+        inflow_x, inflow_y = self._inflows(ds)
+        rows = [self._solve_direction_diamond(
+            d, emission_area, None if inflow_x is None else inflow_x[k],
+            None if inflow_y is None else inflow_y[k])
+            for k, d in enumerate(ds)]
+        return tuple(np.stack(part) for part in zip(*rows))
+
+    def _solve_direction_diamond(self, d: int, emission_area: np.ndarray,
+                                 inflow_x, inflow_y):
         mesh, quad = self.mesh, self.quad
         nx, ny = mesh.nx, mesh.ny
         ox, oy = quad.omega_x[d], quad.omega_y[d]
         a = abs(ox) * mesh.dy
         b = abs(oy) * mesh.dx
-        inflow_x, inflow_y = self._inflows(d)
         # Work in the flipped frame where the direction moves +x, +y.
         flip_x, flip_y = ox < 0, oy < 0
         q = emission_area.reshape(ny, nx)
@@ -293,17 +349,17 @@ class _GroupSweeper:
         sides.  With commit=False the sweeper state is left untouched.
         """
         emission_area = (emission2d * self.mesh.cell_area).ravel()
-        solve = (self._solve_direction_step if self.scheme == "step"
-                 else self._solve_direction_diamond)
+        solve = (self._solve_quadrant_step if self.scheme == "step"
+                 else self._solve_quadrant_diamond)
         nb = self.quad.n_directions // 4
         saved = (self.psi, self.out_x, self.out_y)
         if not commit:
             self.psi, self.out_x, self.out_y = (a.copy() for a in saved)
         try:
             for q in _SWEEP_ORDER:
-                for d in range(q * nb, (q + 1) * nb):
-                    self.psi[d], self.out_x[d], self.out_y[d] = solve(
-                        d, emission_area)
+                ds = np.arange(q * nb, (q + 1) * nb)
+                self.psi[ds], self.out_x[ds], self.out_y[ds] = solve(
+                    q, ds, emission_area)
             phi = np.tensordot(self.quad.weight, self.psi, axes=(0, 0))
             return phi, self.psi, self.out_x, self.out_y
         finally:
@@ -333,6 +389,41 @@ def _vacuum_leakage(mesh: Mesh, quad: AngularQuadrature, out_x: np.ndarray,
     return float(leak)
 
 
+def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
+                   quad: AngularQuadrature, scheme: str):
+    """Validated cell cross sections, one sweeper per group, and the
+    within-group source iteration `solve(g, q, phi_g, inner_tol)` that
+    `power_iteration` calls."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"scheme must be one of {SCHEMES}")
+    cx = cell_arrays(xs, mesh)
+    if (cx.sigma_t < MIN_SIGMA_T).any():
+        raise ConfigurationError(
+            f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
+            "give void regions a small positive total")
+    sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme)
+                for g in range(2)]
+
+    def source_iteration(g: int, q: np.ndarray, phi_g: np.ndarray,
+                         inner_tol: float = _INNER_TOL):
+        stop = max(_INNER_TOL, inner_tol)
+        q_fixed = q / FOUR_PI
+        s_old = cx.sigma_s[g, g] * phi_g
+        for _ in range(_MAX_INNER):
+            phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)[0]
+            s_new = cx.sigma_s[g, g] * phi_g
+            denom = max(float(np.max(np.abs(s_new))), 1e-300)
+            change = float(np.max(np.abs(s_new - s_old))) / denom
+            s_old = s_new
+            if change < stop:
+                return phi_g
+        raise IterationLimitError(
+            f"transport source iteration: group {g + 1} reached "
+            f"_MAX_INNER = {_MAX_INNER} sweeps (change = {change:.3e})")
+
+    return cx, sweepers, source_iteration
+
+
 def solve_transport(xs: CrossSectionSet, mesh: Mesh,
                     quad: AngularQuadrature | None = None,
                     tol: ToleranceConfig | None = None,
@@ -342,43 +433,22 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     the module docstring.
 
     Each group is solved by a source iteration on the within-group
-    scattering source (relative change below 1e-9), with the freshly
-    updated group-1 flux feeding the group-2 downscatter source.  Raises
+    scattering source, with the freshly updated group-1 flux feeding the
+    group-2 downscatter source.  The source iteration stops once its
+    relative change falls below `eigen.INNER_TOL_FACTOR` times the last
+    outer flux change, and never before 1e-9.  Raises
     `IterationLimitError` when `tol.max_outer` outer steps, the
     group-pass cap or the `_MAX_INNER` = 500 inner sweeps are exhausted.
     """
     quad = quad or build_quadrature(4)
     tol = tol or ToleranceConfig()
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-    cx = cell_arrays(xs, mesh)
-    if (cx.sigma_t < MIN_SIGMA_T).any():
-        raise ConfigurationError(
-            f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
-            "give void regions a small positive total")
+    cx, sweepers, source_iteration = _group_solvers(xs, mesh, quad, scheme)
 
     area = mesh.cell_area
     nusf = [cx.nu_sigma_f[g] for g in range(2)]
     chi = [cx.chi[g] for g in range(2)]
     inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
     sig_within = [cx.sigma_s[g, g] for g in range(2)]
-    sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme)
-                for g in range(2)]
-
-    def source_iteration(g: int, q: np.ndarray, phi_g: np.ndarray):
-        q_fixed = q / FOUR_PI
-        s_old = sig_within[g] * phi_g
-        for _ in range(_MAX_INNER):
-            phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)[0]
-            s_new = sig_within[g] * phi_g
-            denom = max(float(np.max(np.abs(s_new))), 1e-300)
-            change = float(np.max(np.abs(s_new - s_old))) / denom
-            s_old = s_new
-            if change < _INNER_TOL:
-                return phi_g
-        raise IterationLimitError(
-            f"transport source iteration: group {g + 1} reached "
-            f"_MAX_INNER = {_MAX_INNER} sweeps (change = {change:.3e})")
 
     def rescale(factor: float):
         for sweeper in sweepers:
@@ -412,6 +482,43 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     return replace(sol, balance_residual=balance, angular_flux=(
         sweepers[0].psi.copy(), sweepers[1].psi.copy())
         if retain_angular else None)
+
+
+def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
+                   quad: AngularQuadrature | None = None,
+                   scheme: str = "step") -> float:
+    """Convergence certificate of a transport eigenpair: one more outer
+    step from `sol`'s scalar fluxes with k_eff frozen, each group's
+    source iteration run to 1e-9.  Returns the larger of the relative
+    change of k_eff and the largest change of the fission source (new
+    source scaled to the old integral, over the old source's maximum).
+
+    It is of the order of the outer changes a solve still had to make,
+    so a solve stopped early scores well above its tolerances.  It
+    factorizes and sweeps afresh, which is why `solve_transport` does
+    not compute it.  `quad` and `scheme` must be those of the solve.
+    """
+    mesh = sol.scalar_flux[0].mesh
+    quad = quad or build_quadrature(4)
+    cx, sweepers, source_iteration = _group_solvers(xs, mesh, quad, scheme)
+    inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
+    phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
+    # Reflective inflows start from the isotropic estimate phi / 4 pi
+    # of the exit-side cells rather than the sweepers' flat guess.
+    for sweeper, p in zip(sweepers, phi):
+        sweeper.out_x[:] = np.where(quad.omega_x[:, None] > 0,
+                                    p[:, -1], p[:, 0]) / FOUR_PI
+        sweeper.out_y[:] = np.where(quad.omega_y[:, None] > 0,
+                                    p[-1, :], p[0, :]) / FOUR_PI
+    fission = cx.nu_sigma_f[0] * phi[0] + cx.nu_sigma_f[1] * phi[1]
+    for g in range(2):
+        q = cx.chi[g] * fission / sol.k_eff + inscatter[g] * phi[1 - g]
+        phi[g] = source_iteration(g, q, phi[g])
+    new = cx.nu_sigma_f[0] * phi[0] + cx.nu_sigma_f[1] * phi[1]
+    ratio = float(new.sum() / fission.sum())
+    source_change = float(np.max(np.abs(new / ratio - fission))
+                          / np.max(np.abs(fission)))
+    return max(source_change, abs(ratio - 1.0))
 
 
 def power_map_transport(sol: TransportSolution,

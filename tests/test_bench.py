@@ -11,7 +11,7 @@ from corestate.diffusion import ToleranceConfig
 from corestate.errors import ConfigurationError
 from corestate.geometry import GeometryConfig, build_mesh
 from corestate.materials import default_cross_sections
-from corestate import cli
+from corestate import bench, cli
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -95,6 +95,18 @@ class TestSnapshots:
                             tolerances=ToleranceConfig(k_tol=1e-9))
         _, m2 = generate_snapshots(cfg2, "diffusion", "test")
         assert m1["signature"] != m2["signature"]
+
+    def test_cache_invalidated_by_solver_revision(self, tmp_path,
+                                                  monkeypatch, capsys):
+        cfg = small_config(tmp_path, progress=True)
+        _, m1 = generate_snapshots(cfg, "diffusion", "test")
+        revision = m1["signature"]["solver_revision"]
+        monkeypatch.setitem(bench.SOLVER_REVISION, "diffusion", revision + 1)
+        capsys.readouterr()
+        _, m2 = generate_snapshots(cfg, "diffusion", "test")
+        err = capsys.readouterr().err
+        assert "solving" in err and "reusing" not in err
+        assert m2["signature"]["solver_revision"] == revision + 1
 
     def test_threads_do_not_change_results(self, tmp_path):
         cfg1 = small_config(tmp_path / "a", threads=1)
