@@ -52,8 +52,9 @@ LATTICES = ("training", "test")
 #: Solver revision per model, part of every snapshot signature.  Bump a
 #: model's entry whenever a solver change can move its snapshot values,
 #: so caches written by the old solver are regenerated, not reused.
-#: Transport revision 2: inner iterations tied to the outer error.
-SOLVER_REVISION = {"transport": 2, "diffusion": 1}
+#: Transport revision 2: inner iterations tied to the outer error;
+#: revision 3: diffusion synthetic acceleration of the inner iterations.
+SOLVER_REVISION = {"transport": 3, "diffusion": 1}
 
 
 def _default_bench_geometry() -> GeometryConfig:

@@ -17,6 +17,18 @@ follows the outer flux change (`eigen.INNER_TOL_FACTOR`) down to 1e-9,
 so early outers cost a sweep or two per group.  `eigen_residual`
 certifies a returned eigenpair by one more exact outer step.
 
+The source iteration is diffusion-synthetic accelerated (Adams & Larsen,
+Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
+(-div D grad + sigma_t - sigma_s,gg) delta = sigma_s,gg (phi_swept -
+phi_old), D = 1/(3 sigma_t), is solved on the diffusion solver's
+finite-volume matrix, factorized once per group, and phi_swept + delta
+is the new iterate; delta/4pi also enters the outgoing face fluxes, so
+reflected inflows carry the correction.  On the default layout this
+takes the contraction per sweep from 0.63-0.72 to 0.18-0.19.  The
+correction is inconsistent with the step (and diamond) sweep in thick
+cells and diverges there, so a group whose thickest cell exceeds
+`_DSA_MAX_MFP` mean free paths runs plain source iteration.
+
 Vacuum sides impose zero inflow, reflective sides mirror the outgoing
 face flux of the opposite direction; quadrants are swept in an order
 that reuses freshly computed outgoing fluxes on the reflective sides.
@@ -30,6 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .diffusion import _group_matrix
 from .eigen import ToleranceConfig, power_iteration, save_solution
 from .errors import (ConfigurationError, DegenerateProblemError,
                      IterationLimitError)
@@ -53,6 +66,16 @@ _MIRROR_Y_QUAD = (3, 2, 1, 0)
 
 _INNER_TOL = 1e-9
 _MAX_INNER = 500
+
+#: Thickest cell, sigma_t * max(dx, dy) in mean free paths, on which a
+#: group's source iteration is diffusion-accelerated.  Contraction per
+#: sweep on a homogeneous 20 x 20 S4 problem with scattering ratio 0.99
+#: (plain source iteration 0.81-0.99 throughout), by cell thickness:
+#:
+#:     mfp       0.1   0.3   0.5   1.0   1.25  1.5   2.0   4.0
+#:     step      0.21  0.18  0.23  0.52  0.66  0.79  1.04  1.95
+#:     diamond   0.24  0.24  0.21  0.73  1.13  1.61  2.80  9.65
+_DSA_MAX_MFP = 1.0
 
 
 @dataclass(frozen=True)
@@ -119,7 +142,10 @@ def build_quadrature(order: int) -> AngularQuadrature:
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """A transport eigenpair.  `residual` is the last outer |dk|.
+    """A transport eigenpair.  `residual` is the last outer |dk|;
+    `iterations` counts the outer steps and `sweeps` all sweeps of
+    both groups, the two of the balance check included.
+    `quadrature_order` and `scheme` are those of the solve.
 
     `balance_residual` compares production with removal plus vacuum
     leakage after one sweep with frozen sources.  The step sweep
@@ -131,8 +157,11 @@ class TransportSolution:
     k_eff: float
     scalar_flux: tuple[Field, Field]
     iterations: int
+    sweeps: int
     residual: float
     balance_residual: float
+    quadrature_order: int
+    scheme: str
     angular_flux: tuple[np.ndarray, np.ndarray] | None = None
 
     def save(self, directory):
@@ -184,10 +213,18 @@ def _quadrant_system(systems):
     them all.  Same layout as `_direction_system`, with order, rank and
     inflow positions offset per block, and a, b one row per direction.
     (One factorization per quadrant also holds ~6x less SuperLU memory
-    than one per direction.)"""
-    n = systems[0][0].shape[0]
+    than one per direction.)  The CSC arrays are concatenated directly,
+    which takes a sixth of the time of `scipy.sparse.block_diag`."""
+    mats = [s[0] for s in systems]
+    n = mats[0].shape[0]
     offset = [k * n for k in range(len(systems))]
-    return (sp.block_diag([s[0] for s in systems], format="csc"),
+    nnz = np.cumsum([0] + [m.nnz for m in mats])
+    block = sp.csc_matrix((
+        np.concatenate([m.data for m in mats]),
+        np.concatenate([m.indices + o for m, o in zip(mats, offset)]),
+        np.concatenate([[0]] + [m.indptr[1:] + o for m, o in zip(mats, nnz)])),
+        shape=(n * len(mats), n * len(mats)))
+    return (block,
             np.concatenate([s[1] for s in systems]),
             np.concatenate([s[2] + o for s, o in zip(systems, offset)]),
             np.stack([s[3] + o for s, o in zip(systems, offset)]),
@@ -199,8 +236,10 @@ def _quadrant_system(systems):
 def _factorize(system):
     """LU of a `_direction_system` or `_quadrant_system` matrix in its
     own (upwind) order: no fill, L holds the matrix's nonzeros and U its
-    diagonal."""
-    return spla.splu(system[0], permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    diagonal.  Without fill, supernodes gain nothing; panel size and
+    relaxation 1 halve the factorization time."""
+    return spla.splu(system[0], permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     panel_size=1, relax=1)
 
 
 def _step_solve(lu, system, emission_area: np.ndarray, inflow_x, inflow_y):
@@ -241,7 +280,7 @@ def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
 class _GroupSweeper:
     """Per-group sweep machinery: one factorized step system per
     quadrant plus the current angular flux and outgoing boundary face
-    fluxes."""
+    fluxes.  `sweeps` counts the calls of `sweep`."""
 
     def __init__(self, mesh: Mesh, quad: AngularQuadrature,
                  sigt2d: np.ndarray, scheme: str):
@@ -249,54 +288,52 @@ class _GroupSweeper:
         self.quad = quad
         self.scheme = scheme
         self.sigt2d = sigt2d
+        self.sweeps = 0
         nd = quad.n_directions
         self.psi = np.full((nd, mesh.ny, mesh.nx), 1.0 / FOUR_PI)
         # Outgoing face flux per direction on its exit sides.
         self.out_x = np.full((nd, mesh.ny), 1.0 / FOUR_PI)
         self.out_y = np.full((nd, mesh.nx), 1.0 / FOUR_PI)
+        # Exit column (row) of each direction, whose cells give out_x
+        # (out_y).
+        self._exit_col = np.where(quad.omega_x > 0, mesh.nx - 1, 0)
+        self._exit_row = np.where(quad.omega_y > 0, mesh.ny - 1, 0)
+        nb = nd // 4
+        # Per quadrant in sweep order: its directions, and the mirror
+        # directions feeding its reflective inflow sides (None on a
+        # vacuum side).
+        self._quadrants = []
+        for q in _SWEEP_ORDER:
+            ds = slice(q * nb, (q + 1) * nb)
+            side_x = "xmin" if quad.omega_x[ds.start] > 0 else "xmax"
+            side_y = "ymin" if quad.omega_y[ds.start] > 0 else "ymax"
+            mirror_x = (quad.mirror_x[ds]
+                        if getattr(mesh.bc, side_x) == "reflective" else None)
+            mirror_y = (quad.mirror_y[ds]
+                        if getattr(mesh.bc, side_y) == "reflective" else None)
+            self._quadrants.append((q, ds, mirror_x, mirror_y))
         if scheme == "step":
-            nb = nd // 4
             self._systems = [_quadrant_system([
                 _direction_system(mesh, sigt2d, quad.omega_x[d],
                                   quad.omega_y[d])
                 for d in range(q * nb, (q + 1) * nb)]) for q in range(4)]
             self._lu = [_factorize(sys) for sys in self._systems]
 
-    def _inflows(self, ds: np.ndarray):
-        """(inflow_x, inflow_y) of the directions `ds`, all of one
-        quadrant, one row per direction; None on a vacuum side."""
-        quad, mesh = self.quad, self.mesh
-        side_x = "xmin" if quad.omega_x[ds[0]] > 0 else "xmax"
-        side_y = "ymin" if quad.omega_y[ds[0]] > 0 else "ymax"
-        if getattr(mesh.bc, side_x) == "reflective":
-            inflow_x = self.out_x[quad.mirror_x[ds]]
-        else:
-            inflow_x = None
-        if getattr(mesh.bc, side_y) == "reflective":
-            inflow_y = self.out_y[quad.mirror_y[ds]]
-        else:
-            inflow_y = None
-        return inflow_x, inflow_y
-
-    def _solve_quadrant_step(self, q: int, ds: np.ndarray,
-                             emission_area: np.ndarray):
-        mesh = self.mesh
+    def _solve_quadrant_step(self, q: int, ds: slice,
+                             emission_area: np.ndarray, inflow_x, inflow_y):
         psi = _step_solve(self._lu[q], self._systems[q], emission_area,
-                          *self._inflows(ds)).reshape(ds.size, mesh.ny,
-                                                      mesh.nx)
-        out_x = psi[:, :, -1] if self.quad.omega_x[ds[0]] > 0 \
-            else psi[:, :, 0]
-        out_y = psi[:, -1, :] if self.quad.omega_y[ds[0]] > 0 \
-            else psi[:, 0, :]
-        return psi, out_x, out_y
+                          inflow_x, inflow_y).reshape(
+                              -1, self.mesh.ny, self.mesh.nx)
+        return (psi, psi[:, :, self._exit_col[ds.start]],
+                psi[:, self._exit_row[ds.start], :])
 
-    def _solve_quadrant_diamond(self, q: int, ds: np.ndarray,
-                                emission_area: np.ndarray):
-        inflow_x, inflow_y = self._inflows(ds)
+    def _solve_quadrant_diamond(self, q: int, ds: slice,
+                                emission_area: np.ndarray, inflow_x,
+                                inflow_y):
         rows = [self._solve_direction_diamond(
             d, emission_area, None if inflow_x is None else inflow_x[k],
             None if inflow_y is None else inflow_y[k])
-            for k, d in enumerate(ds)]
+            for k, d in enumerate(range(ds.start, ds.stop))]
         return tuple(np.stack(part) for part in zip(*rows))
 
     def _solve_direction_diamond(self, d: int, emission_area: np.ndarray,
@@ -348,23 +385,34 @@ class _GroupSweeper:
         hold each direction's outgoing boundary face flux on its exit
         sides.  With commit=False the sweeper state is left untouched.
         """
-        emission_area = (emission2d * self.mesh.cell_area).ravel()
+        mesh = self.mesh
+        emission_area = (emission2d * mesh.cell_area).ravel()
         solve = (self._solve_quadrant_step if self.scheme == "step"
                  else self._solve_quadrant_diamond)
-        nb = self.quad.n_directions // 4
+        self.sweeps += 1
         saved = (self.psi, self.out_x, self.out_y)
         if not commit:
             self.psi, self.out_x, self.out_y = (a.copy() for a in saved)
         try:
-            for q in _SWEEP_ORDER:
-                ds = np.arange(q * nb, (q + 1) * nb)
+            for q, ds, mirror_x, mirror_y in self._quadrants:
                 self.psi[ds], self.out_x[ds], self.out_y[ds] = solve(
-                    q, ds, emission_area)
-            phi = np.tensordot(self.quad.weight, self.psi, axes=(0, 0))
+                    q, ds, emission_area,
+                    None if mirror_x is None else self.out_x[mirror_x],
+                    None if mirror_y is None else self.out_y[mirror_y])
+            phi = (self.quad.weight @ self.psi.reshape(len(self.psi), -1)
+                   ).reshape(mesh.ny, mesh.nx)
             return phi, self.psi, self.out_x, self.out_y
         finally:
             if not commit:
                 self.psi, self.out_x, self.out_y = saved
+
+    def correct(self, delta: np.ndarray):
+        """Add the isotropic flux correction `delta` (ny, nx) / 4 pi to
+        every direction's outgoing face fluxes, so the inflows mirrored
+        on reflective sides carry it into the next sweep."""
+        corr = delta / FOUR_PI
+        self.out_x += corr[:, self._exit_col].T
+        self.out_y += corr[self._exit_row, :]
 
     def scale(self, factor: float):
         self.psi *= factor
@@ -389,11 +437,31 @@ def _vacuum_leakage(mesh: Mesh, quad: AngularQuadrature, out_x: np.ndarray,
     return float(leak)
 
 
+def _dsa_factor(mesh: Mesh, sigt2d: np.ndarray, sigs2d: np.ndarray):
+    """Factorized diffusion operator of one group's DSA correction, or
+    None when the group's thickest cell exceeds `_DSA_MAX_MFP`.
+
+    The operator is -div D grad + (sigma_t - sigma_s,gg) with
+    D = 1 / (3 sigma_t), Robin on vacuum sides and natural on reflective
+    ones (`diffusion._group_matrix`), area-scaled like that matrix.  It
+    is symmetric and diagonally dominant, so the LU takes a symmetric
+    fill-reducing order and no pivoting: on the default 45 x 30 mesh
+    L+U holds 33k nonzeros against 51k under the default ordering,
+    which halves the factorization and the solve time."""
+    if float(sigt2d.max()) * max(mesh.dx, mesh.dy) > _DSA_MAX_MFP:
+        return None
+    return spla.splu(_group_matrix(mesh, 1.0 / (3.0 * sigt2d),
+                                   sigt2d - sigs2d, "robin"),
+                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}, panel_size=1, relax=1)
+
+
 def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
                    quad: AngularQuadrature, scheme: str):
     """Validated cell cross sections, one sweeper per group, and the
     within-group source iteration `solve(g, q, phi_g, inner_tol)` that
-    `power_iteration` calls."""
+    `power_iteration` calls, with each group's DSA factorization
+    (`_dsa_factor`) bound in."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}")
     cx = cell_arrays(xs, mesh)
@@ -403,15 +471,25 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
             "give void regions a small positive total")
     sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme)
                 for g in range(2)]
+    dsa = [_dsa_factor(mesh, cx.sigma_t[g], cx.sigma_s[g, g])
+           for g in range(2)]
+    area = mesh.cell_area
 
     def source_iteration(g: int, q: np.ndarray, phi_g: np.ndarray,
                          inner_tol: float = _INNER_TOL):
         stop = max(_INNER_TOL, inner_tol)
         q_fixed = q / FOUR_PI
-        s_old = cx.sigma_s[g, g] * phi_g
+        sigma_s = cx.sigma_s[g, g]
+        s_old = sigma_s * phi_g
         for _ in range(_MAX_INNER):
             phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)[0]
-            s_new = cx.sigma_s[g, g] * phi_g
+            if dsa[g] is not None:
+                delta = dsa[g].solve(
+                    ((sigma_s * phi_g - s_old) * area).ravel()
+                ).reshape(phi_g.shape)
+                phi_g = phi_g + delta
+                sweepers[g].correct(delta)
+            s_new = sigma_s * phi_g
             denom = max(float(np.max(np.abs(s_new))), 1e-300)
             change = float(np.max(np.abs(s_new - s_old))) / denom
             s_old = s_new
@@ -434,9 +512,10 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
 
     Each group is solved by a source iteration on the within-group
     scattering source, with the freshly updated group-1 flux feeding the
-    group-2 downscatter source.  The source iteration stops once its
-    relative change falls below `eigen.INNER_TOL_FACTOR` times the last
-    outer flux change, and never before 1e-9.  Raises
+    group-2 downscatter source, and diffusion-accelerated unless the
+    group has a cell thicker than `_DSA_MAX_MFP`.  The source iteration
+    stops once its relative change falls below `eigen.INNER_TOL_FACTOR`
+    times the last outer flux change, and never before 1e-9.  Raises
     `IterationLimitError` when `tol.max_outer` outer steps, the
     group-pass cap or the `_MAX_INNER` = 500 inner sweeps are exhausted.
     """
@@ -457,7 +536,9 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     def solution(k_eff, phi, iterations, residual):
         return TransportSolution(
             k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
-            iterations, residual, balance_residual=np.nan)
+            iterations, sum(s.sweeps for s in sweepers), residual,
+            balance_residual=np.nan, quadrature_order=quad.order,
+            scheme=scheme)
 
     sol = power_iteration(source_iteration, nusf, chi, inscatter, tol,
                           "transport", solution, volume=area, rescale=rescale)
@@ -479,14 +560,15 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
             + _vacuum_leakage(mesh, quad, bal_out_x, bal_out_y)
         balance = max(balance, abs(prod - loss) / prod)
 
-    return replace(sol, balance_residual=balance, angular_flux=(
-        sweepers[0].psi.copy(), sweepers[1].psi.copy())
-        if retain_angular else None)
+    return replace(sol, sweeps=sum(s.sweeps for s in sweepers),
+                   balance_residual=balance, angular_flux=(
+                       sweepers[0].psi.copy(), sweepers[1].psi.copy())
+                   if retain_angular else None)
 
 
 def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
                    quad: AngularQuadrature | None = None,
-                   scheme: str = "step") -> float:
+                   scheme: str | None = None) -> float:
     """Convergence certificate of a transport eigenpair: one more outer
     step from `sol`'s scalar fluxes with k_eff frozen, each group's
     source iteration run to 1e-9.  Returns the larger of the relative
@@ -496,20 +578,30 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
     It is of the order of the outer changes a solve still had to make,
     so a solve stopped early scores well above its tolerances.  It
     factorizes and sweeps afresh, which is why `solve_transport` does
-    not compute it.  `quad` and `scheme` must be those of the solve.
+    not compute it.  `quad` and `scheme` default to those of the solve;
+    others raise `ConfigurationError`, since they certify a different
+    discrete problem.
     """
+    if quad is not None and quad.order != sol.quadrature_order:
+        raise ConfigurationError(
+            f"eigen_residual: S{quad.order} quadrature given for an "
+            f"S{sol.quadrature_order} solve")
+    if scheme is not None and scheme != sol.scheme:
+        raise ConfigurationError(
+            f"eigen_residual: scheme {scheme!r} given for a "
+            f"{sol.scheme!r} solve")
     mesh = sol.scalar_flux[0].mesh
-    quad = quad or build_quadrature(4)
-    cx, sweepers, source_iteration = _group_solvers(xs, mesh, quad, scheme)
+    quad = quad or build_quadrature(sol.quadrature_order)
+    cx, sweepers, source_iteration = _group_solvers(xs, mesh, quad,
+                                                    sol.scheme)
     inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
     phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
     # Reflective inflows start from the isotropic estimate phi / 4 pi
     # of the exit-side cells rather than the sweepers' flat guess.
     for sweeper, p in zip(sweepers, phi):
-        sweeper.out_x[:] = np.where(quad.omega_x[:, None] > 0,
-                                    p[:, -1], p[:, 0]) / FOUR_PI
-        sweeper.out_y[:] = np.where(quad.omega_y[:, None] > 0,
-                                    p[-1, :], p[0, :]) / FOUR_PI
+        sweeper.out_x[:] = 0.0
+        sweeper.out_y[:] = 0.0
+        sweeper.correct(p)
     fission = cx.nu_sigma_f[0] * phi[0] + cx.nu_sigma_f[1] * phi[1]
     for g in range(2):
         q = cx.chi[g] * fission / sol.k_eff + inscatter[g] * phi[1 - g]
