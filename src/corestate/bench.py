@@ -52,9 +52,9 @@ LATTICES = ("training", "test")
 #: Solver revision per model, part of every snapshot signature.  Bump a
 #: model's entry whenever a solver change can move its snapshot values,
 #: so caches written by the old solver are regenerated, not reused.
-#: Transport revision 2: inner iterations tied to the outer error;
-#: revision 3: diffusion synthetic acceleration of the inner iterations.
-SOLVER_REVISION = {"transport": 3, "diffusion": 1}
+#: Transport 2: inner iterations tied to the outer error; 3: diffusion
+#: synthetic acceleration; 4 (diffusion 2): band-Cholesky group solves.
+SOLVER_REVISION = {"transport": 4, "diffusion": 2}
 
 
 def _default_bench_geometry() -> GeometryConfig:
@@ -201,8 +201,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
             for i in range(manifest["count"]):
                 text = (directory / f"snapshot_{i:03d}.csv").read_text()
                 hasher.update(text.encode())
-                fields.append(Field(
-                    mesh, np.array([float(v) for v in text.split()])))
+                fields.append(Field(mesh, np.array(text.split(), dtype=float)))
             if hasher.hexdigest() != manifest["content_hash"]:
                 raise RuntimeError(
                     f"snapshot files under {directory} do not match their "

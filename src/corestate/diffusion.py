@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .eigen import ToleranceConfig, power_iteration, save_solution
 from .errors import ConfigurationError, DegenerateProblemError
@@ -45,58 +45,70 @@ class DiffusionSolution:
         save_solution(directory, self.phi, self.k_eff, self.iterations)
 
 
-def _group_matrix(mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
-                  vacuum_model: str) -> sp.csc_matrix:
-    """5-point finite-volume matrix for one group: face transmissibilities
-    with harmonic-mean interface D, boundary losses, and Sa * area."""
-    nx, ny, dx, dy = mesh.nx, mesh.ny, mesh.dx, mesh.dy
-    area = mesh.cell_area
-    idx = np.arange(nx * ny).reshape(ny, nx)
+class GroupOperator:
+    """5-point finite-volume matrix of one group (face transmissibilities
+    with harmonic-mean interface D, boundary losses, Sa * area) in LAPACK
+    upper band storage, `band[w + i - j, j] = A[i, j]`.  Cells are
+    numbered along the shorter mesh side (row-major when nx <= ny,
+    column-major otherwise), so the half-bandwidth w is min(nx, ny)."""
 
-    diag = sigma_a2d.ravel() * area
+    def __init__(self, mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
+                 vacuum_model: str):
+        dx, dy = mesh.dx, mesh.dy
+        dl, dr, db, dt = d2d[:, :-1], d2d[:, 1:], d2d[:-1, :], d2d[1:, :]
+        tx = dy * 2.0 * dl * dr / ((dl + dr) * dx)
+        ty = dx * 2.0 * db * dt / ((db + dt) * dy)
+        diag = sigma_a2d * mesh.cell_area
+        diag[:, :-1] += tx
+        diag[:, 1:] += tx
+        diag[:-1, :] += ty
+        diag[1:, :] += ty
+        self.closed = not sigma_a2d.any()  # until a vacuum side opens it
+        for side, cells, delta, face_len in (
+                ("xmin", np.s_[:, 0], dx, dy), ("xmax", np.s_[:, -1], dx, dy),
+                ("ymin", np.s_[0, :], dy, dx), ("ymax", np.s_[-1, :], dy, dx)):
+            if getattr(mesh.bc, side) == "vacuum":  # Robin or zero flux
+                self.closed, dv = False, d2d[cells]
+                diag[cells] += face_len * 2.0 * dv / (
+                    (4.0 * dv if vacuum_model == "robin" else 0.0) + delta)
+        self.shape, self.transposed = (mesh.ny, mesh.nx), mesh.nx > mesh.ny
+        if self.transposed:  # the axis along the band rows goes first
+            diag, tx, ty = diag.T, ty.T, tx.T
+        w = diag.shape[1]
+        self.band = np.zeros((w + 1, diag.size))
+        self.band[w] = diag.ravel()
+        self.band[w - 1].reshape(diag.shape)[:, 1:] = -tx
+        self.band[0].reshape(diag.shape)[1:, :] = -ty
 
-    rows, cols, vals = [], [], []
+    def _permute(self, x: np.ndarray, shape) -> np.ndarray:
+        """Natural to band cell order, or back with `shape` reversed."""
+        return x.reshape(shape).T.ravel() if self.transposed else x
 
-    def couple(r, c, t):
-        rows.append(r.ravel()); cols.append(c.ravel()); vals.append(-t.ravel())
-        rows.append(c.ravel()); cols.append(r.ravel()); vals.append(-t.ravel())
-        np.add.at(diag, r.ravel(), t.ravel())
-        np.add.at(diag, c.ravel(), t.ravel())
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x (BLAS dsbmv) for a flat natural-order cell vector."""
+        y = dsbmv(len(self.band) - 1, 1.0, self.band,
+                  self._permute(x, self.shape))
+        return self._permute(y, self.shape[::-1])
 
-    dl, dr = d2d[:, :-1], d2d[:, 1:]
-    tx = dy * 2.0 * dl * dr / ((dl + dr) * dx)
-    couple(idx[:, :-1], idx[:, 1:], tx)
-
-    db, dt = d2d[:-1, :], d2d[1:, :]
-    ty = dx * 2.0 * db * dt / ((db + dt) * dy)
-    couple(idx[:-1, :], idx[1:, :], ty)
-
-    def boundary(side, cells, dvals, delta, face_len):
-        if getattr(mesh.bc, side) != "vacuum":
-            return
-        if vacuum_model == "robin":
-            coef = face_len * 2.0 * dvals / (4.0 * dvals + delta)
-        else:  # zero-flux Dirichlet at the boundary face
-            coef = face_len * 2.0 * dvals / delta
-        np.add.at(diag, cells, coef)
-
-    boundary("xmin", idx[:, 0], d2d[:, 0], dx, dy)
-    boundary("xmax", idx[:, -1], d2d[:, -1], dx, dy)
-    boundary("ymin", idx[0, :], d2d[0, :], dy, dx)
-    boundary("ymax", idx[-1, :], d2d[-1, :], dy, dx)
-
-    n = nx * ny
-    mat = sp.coo_matrix(
-        (np.concatenate(vals + [diag]),
-         (np.concatenate(rows + [np.arange(n)]),
-          np.concatenate(cols + [np.arange(n)]))),
-        shape=(n, n))
-    return mat.tocsc()
+    def factorize(self, group: int):
+        """Band Cholesky (LAPACK dpbtrf); returns `solve(q)` (dpbtrs) for
+        flat natural-order vectors.  Raises `DegenerateProblemError`
+        naming `group` when the matrix is singular or indefinite."""
+        factor, info = dpbtrf(self.band)
+        # A closed matrix is singular, but round-off can pass its pivots.
+        if self.closed or info:
+            why = ("singular: no absorption and no vacuum side"
+                   if self.closed else f"leading minor {info}")
+            raise DegenerateProblemError(
+                f"group {group} diffusion operator is not positive "
+                f"definite ({why})")
+        return lambda q: self._permute(
+            dpbtrs(factor, self._permute(q, self.shape))[0], self.shape[::-1])
 
 
 def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
                               vacuum_model: str = "robin"):
-    """Group matrices plus coupling/fission vectors (all area-scaled).
+    """Group operators plus coupling/fission vectors (all area-scaled).
 
     Returns (M1, M2, s21, s12, nusf1, nusf2, chi1, chi2) where the
     vectors are flat per-cell arrays; the two-group operator acts as
@@ -110,8 +122,8 @@ def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
     if (cx.d <= 0).any():
         raise ConfigurationError("diffusion needs D > 0 in every region")
     area = mesh.cell_area
-    m1 = _group_matrix(mesh, cx.d[0], cx.sigma_a[0], vacuum_model)
-    m2 = _group_matrix(mesh, cx.d[1], cx.sigma_a[1], vacuum_model)
+    m1 = GroupOperator(mesh, cx.d[0], cx.sigma_a[0], vacuum_model)
+    m2 = GroupOperator(mesh, cx.d[1], cx.sigma_a[1], vacuum_model)
     s12 = cx.sigma_s[0, 1].ravel() * area
     s21 = cx.sigma_s[1, 0].ravel() * area
     nusf1 = cx.nu_sigma_f[0].ravel() * area
@@ -123,18 +135,19 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig | None = None,
                     vacuum_model: str = "robin") -> DiffusionSolution:
     """Power iteration on the fission source (`corestate.eigen`), each
-    group solved directly with its factorized finite-volume matrix.
+    group solved directly by band Cholesky of its `GroupOperator`.
 
     Raises `IterationLimitError`, carrying the last iterate, when
-    `tol.max_outer` outer steps or the group-pass cap are exhausted.
+    `tol.max_outer` outer steps or the group-pass cap are exhausted, and
+    `DegenerateProblemError` when a group operator is singular.
     """
     tol = tol or ToleranceConfig()
     m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
         xs, mesh, vacuum_model)
-    lu = [spla.splu(m1), spla.splu(m2)]
+    solves = [m1.factorize(1), m2.factorize(2)]
 
     return power_iteration(
-        lambda g, q, _phi, _tol: lu[g].solve(q), (nusf1, nusf2), (chi1, chi2),
+        lambda g, q, _phi, _tol: solves[g](q), (nusf1, nusf2), (chi1, chi2),
         (s21, s12), tol, "diffusion",
         lambda k, phi, iterations, residual: DiffusionSolution(
             k, (Field(mesh, phi[0]), Field(mesh, phi[1])), iterations,
@@ -144,13 +157,12 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
 def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,
                    vacuum_model: str = "robin") -> float:
     """||A phi - (1/k) F phi|| / ||F phi|| of the converged discrete pair."""
-    mesh = sol.phi[0].mesh
     m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
-        xs, mesh, vacuum_model)
+        xs, sol.phi[0].mesh, vacuum_model)
     p1, p2 = sol.phi[0].values, sol.phi[1].values
     fission = nusf1 * p1 + nusf2 * p2
-    r1 = m1 @ p1 - s21 * p2 - chi1 * fission / sol.k_eff
-    r2 = m2 @ p2 - s12 * p1 - chi2 * fission / sol.k_eff
+    r1 = m1.matvec(p1) - s21 * p2 - chi1 * fission / sol.k_eff
+    r2 = m2.matvec(p2) - s12 * p1 - chi2 * fission / sol.k_eff
     fnorm = np.sqrt(np.sum((chi1 * fission) ** 2 + (chi2 * fission) ** 2))
     return float(np.sqrt(np.sum(r1**2 + r2**2)) / fnorm)
 

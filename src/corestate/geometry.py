@@ -268,10 +268,6 @@ def inner_product(f: Field, g: Field) -> float:
     return float(np.dot(f.values, g.values) * f.mesh.cell_area)
 
 
-def norm_l2(f: Field) -> float:
-    return f.norm()
-
-
 def relative_l2_error(u: Field, v: Field) -> float:
     """||u - v|| / ||u|| in the mesh-induced L2 norm."""
     if not u.mesh.same_geometry(v.mesh):

@@ -73,6 +73,14 @@ class TestSnapshots:
         assert path.read_bytes() == first
         assert m1["content_hash"] == m2["content_hash"]
 
+    def test_cache_read_is_bit_identical(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, progress=True)
+        solved, _ = generate_snapshots(cfg, "diffusion", "test")
+        read, _ = generate_snapshots(cfg, "diffusion", "test")
+        assert "reusing" in capsys.readouterr().err
+        for a, b in zip(solved.fields, read.fields, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
     def test_cache_reused_when_signature_matches(self, workdir, capsys):
         cfg = small_config(workdir, progress=True)
         generate_snapshots(cfg, "diffusion", "test")

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from corestate import eigen
-from corestate.diffusion import (ToleranceConfig, eigen_residual,
-                                 power_map_diffusion, solve_diffusion)
+from corestate.diffusion import (GroupOperator, ToleranceConfig,
+                                 eigen_residual, power_map_diffusion,
+                                 solve_diffusion)
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
-from corestate.geometry import Field, GeometryConfig, build_mesh
+from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
+                                RegionBox, build_mesh)
 from corestate.materials import CrossSectionSet, default_cross_sections
 
 from helpers import (fuel_xs, homogeneous_problem, make_region_xs,
@@ -71,6 +73,95 @@ class TestGridRefinement:
             ks[n] = solve_diffusion(xs, build_mesh(config)).k_eff
         richardson = (16.0 / 3.0) * abs(ks[50] - ks[100])
         assert abs(ks[25] - ks[50]) < richardson + 1e-7
+
+
+def finite_volume_oracle(mesh, d, sigma_a, vacuum_model):
+    """Dense 5-point matrix in natural cell order, built cell by cell:
+    each face conducts face_length / (series resistance), where a half
+    cell contributes h / (2 D), and a vacuum face adds the Marshak
+    resistance 2 (Robin, J = phi_b / 2) or nothing (phi_b = 0)."""
+    nx, ny, dx, dy = mesh.nx, mesh.ny, mesh.dx, mesh.dy
+    a = np.zeros((mesh.n_cells, mesh.n_cells))
+    faces = ((1, 0, "xmax", dx, dy), (-1, 0, "xmin", dx, dy),
+             (0, 1, "ymax", dy, dx), (0, -1, "ymin", dy, dx))
+    for j in range(ny):
+        for i in range(nx):
+            c = j * nx + i
+            a[c, c] += sigma_a[j, i] * dx * dy
+            for di, dj, side, h, face in faces:
+                ii, jj = i + di, j + dj
+                if 0 <= ii < nx and 0 <= jj < ny:
+                    t = face / (h / (2 * d[j, i]) + h / (2 * d[jj, ii]))
+                    a[c, c] += t
+                    a[c, jj * nx + ii] -= t
+                elif getattr(mesh.bc, side) == "vacuum":
+                    marshak = 2.0 if vacuum_model == "robin" else 0.0
+                    a[c, c] += face / (h / (2 * d[j, i]) + marshak)
+    return a
+
+
+def band_to_dense(op, mesh):
+    """Expand upper band storage to a dense matrix in natural cell
+    order; band rows number the cells along the shorter mesh side."""
+    w, n = op.band.shape[0] - 1, op.band.shape[1]
+    banded = np.zeros((n, n))
+    for k in range(w + 1):
+        banded[np.arange(n - k), np.arange(k, n)] = op.band[w - k, k:]
+    banded = banded + np.triu(banded, 1).T
+    natural = np.arange(n).reshape(mesh.ny, mesh.nx)
+    order = (natural.T if mesh.nx > mesh.ny else natural).ravel()
+    dense = np.zeros((n, n))
+    dense[np.ix_(order, order)] = banded
+    return dense
+
+
+class TestGroupOperator:
+    @pytest.mark.parametrize("nx, ny", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("vacuum_model", ["robin", "zero_flux"])
+    @pytest.mark.parametrize("bc", [
+        BoundaryTags(xmin="vacuum", xmax="reflective",
+                     ymin="reflective", ymax="vacuum"),
+        BoundaryTags(xmin="reflective", xmax="vacuum",
+                     ymin="vacuum", ymax="reflective")])
+    def test_band_matches_dense_oracle(self, nx, ny, vacuum_model, bc):
+        mesh = build_mesh(uniform_config(nx, ny, lx=3.0, ly=5.0, bc=bc))
+        rng = np.random.default_rng(nx * 10 + ny)
+        d = rng.uniform(0.3, 2.0, (ny, nx))
+        sigma_a = rng.uniform(0.01, 0.2, (ny, nx))
+        op = GroupOperator(mesh, d, sigma_a, vacuum_model)
+        oracle = finite_volume_oracle(mesh, d, sigma_a, vacuum_model)
+        assert op.band.shape == (min(nx, ny) + 1, nx * ny)
+        np.testing.assert_allclose(band_to_dense(op, mesh), oracle,
+                                   rtol=1e-14, atol=1e-15)
+        columns = np.column_stack([op.matvec(e) for e in np.eye(nx * ny)])
+        np.testing.assert_allclose(columns, oracle, rtol=1e-14, atol=1e-15)
+        q = rng.standard_normal(nx * ny)
+        np.testing.assert_allclose(op.factorize(1)(q),
+                                   np.linalg.solve(oracle, q), rtol=1e-12)
+
+    def test_transposed_layout_gives_same_k(self):
+        # A non-square two-region layout and its x <-> y mirror image
+        # are the same problem; one is numbered row-major, the other
+        # column-major, so a band-ordering slip shows up in k.
+        xs = CrossSectionSet({"Fuel": make_region_xs(),
+                              "Reflector": make_region_xs(
+                                  nu_sigma_f=(0.0, 0.0),
+                                  kappa_sigma_f=(0.0, 0.0))})
+        bc = BoundaryTags(xmin="reflective", xmax="vacuum",
+                          ymin="vacuum", ymax="reflective")
+        config = GeometryConfig(
+            extent_x=18.0, extent_y=10.0, nx=9, ny=5,
+            regions=(RegionBox("Fuel", (0.0, 12.0, 0.0, 6.0)),
+                     RegionBox("Reflector", (0.0, 18.0, 0.0, 10.0))), bc=bc)
+        mirrored = GeometryConfig(
+            extent_x=10.0, extent_y=18.0, nx=5, ny=9,
+            regions=(RegionBox("Fuel", (0.0, 6.0, 0.0, 12.0)),
+                     RegionBox("Reflector", (0.0, 10.0, 0.0, 18.0))),
+            bc=BoundaryTags(xmin=bc.ymin, xmax=bc.ymax,
+                            ymin=bc.xmin, ymax=bc.xmax))
+        k = solve_diffusion(xs, build_mesh(config)).k_eff
+        k_mirrored = solve_diffusion(xs, build_mesh(mirrored)).k_eff
+        assert k_mirrored == pytest.approx(k, rel=1e-12)
 
 
 class TestConvergedState:
@@ -189,6 +280,22 @@ class TestErrors:
                            match="MAX_GROUP_PASSES = 1") as err:
             solve_diffusion(xs, mesh)
         assert err.value.last_solution.k_eff > 0
+
+    @pytest.mark.parametrize("nx, ny", [(6, 4), (5, 5)])
+    def test_singular_group_operator_rejected(self, nx, ny):
+        # No group-2 absorption on a closed domain: the group-2 matrix
+        # is singular (on 5 x 5 its Cholesky pivots all stay positive).
+        mesh, xs = homogeneous_problem(nx, ny, sigma_a=(0.012, 0.0))
+        with pytest.raises(DegenerateProblemError, match="group 2"):
+            solve_diffusion(xs, mesh)
+
+    def test_indefinite_group_operator_rejected(self):
+        mesh = build_mesh(uniform_config(4, 3))
+        op = GroupOperator(mesh, np.ones((3, 4)), np.full((3, 4), -1.0),
+                           "robin")
+        with pytest.raises(DegenerateProblemError,
+                           match="group 1 .* not positive definite"):
+            op.factorize(1)
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ConfigurationError):

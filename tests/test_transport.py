@@ -399,6 +399,15 @@ class TestErrors:
             solve_transport(fuel_xs(nu_sigma_f=(0.0, 0.0)), mesh,
                             build_quadrature(2))
 
+    @pytest.mark.parametrize("nx, ny", [(6, 4), (5, 5)])
+    def test_zero_dsa_removal_on_closed_domain_rejected(self, nx, ny):
+        # Group 2 neither absorbs nor scatters out and nothing leaks:
+        # its DSA operator is singular.  Round-off can let a
+        # factorization through, and the solve then returns k ~ 1e15.
+        mesh, xs = homogeneous_problem(nx, ny, sigma_a=(0.012, 0.0))
+        with pytest.raises(DegenerateProblemError, match="group 2"):
+            solve_transport(xs, mesh, build_quadrature(2))
+
     def test_unknown_scheme_rejected(self):
         mesh = build_mesh(uniform_config(4, 4))
         with pytest.raises(ConfigurationError, match="scheme"):
