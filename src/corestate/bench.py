@@ -27,7 +27,7 @@ import numpy as np
 
 from .diffusion import power_map_diffusion, solve_diffusion
 from .eigen import ToleranceConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
 from .materials import (CrossSectionSet, default_cross_sections,
                         map_alpha_to_mu, test_lattice, training_lattice)
@@ -53,8 +53,14 @@ LATTICES = ("training", "test")
 #: model's entry whenever a solver change can move its snapshot values,
 #: so caches written by the old solver are regenerated, not reused.
 #: Transport 2: inner iterations tied to the outer error; 3: diffusion
-#: synthetic acceleration; 4 (diffusion 2): band-Cholesky group solves.
-SOLVER_REVISION = {"transport": 4, "diffusion": 2}
+#: synthetic acceleration; 4 (diffusion 2): band-Cholesky group solves;
+#: 5 (diffusion 3): every lattice point warm-started from PARENT_ALPHA.
+SOLVER_REVISION = {"transport": 5, "diffusion": 3}
+
+#: The lattice centre, solved once per snapshot set; every lattice point
+#: starts from its solution.  One fixed parent, rather than a chain of
+#: neighbours, keeps each result independent of the worker count.
+PARENT_ALPHA = (0.9,) * 5
 
 
 def _default_bench_geometry() -> GeometryConfig:
@@ -148,6 +154,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _field_text(values: np.ndarray) -> str:
+    """Snapshot CSV text: one shortest round-trip repr per line, the
+    same text as `_fmt` per value at two thirds of its cost."""
+    return "\n".join(map(repr, values.tolist())) + "\n"
+
+
 def _log(cfg: ExperimentConfig, msg: str):
     if cfg.progress:
         print(msg, file=sys.stderr, flush=True)
@@ -155,31 +167,74 @@ def _log(cfg: ExperimentConfig, msg: str):
 
 def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig, sn_order: int = 4,
-                    scheme: str = "step"):
-    """Solve one criticality problem and return (k_eff, unit-norm power)."""
+                    scheme: str = "step", start=None):
+    """Solve one criticality problem and return (k_eff, unit-norm power),
+    starting from the solution `start` of a nearby problem when given
+    (see `solve_transport` and `solve_diffusion`)."""
     if model == "diffusion":
-        sol = solve_diffusion(xs, mesh, tol)
+        sol = solve_diffusion(xs, mesh, tol, start=start)
         return sol.k_eff, power_map_diffusion(sol, xs)
     sol = solve_transport(xs, mesh, build_quadrature(sn_order), tol,
-                          scheme=scheme)
+                          scheme=scheme, start=start)
     return sol.k_eff, power_map_transport(sol, xs)
 
 
-def _snapshot_worker(task):
+def _solve_parent(cfg: ExperimentConfig, model: str, mesh: Mesh):
+    """The `PARENT_ALPHA` solution the lattice points start from.
+
+    A parent that reaches an iteration cap is still a usable start: its
+    last iterate is taken, with a warning.  Any other failure raises
+    `RuntimeError` naming the parent alpha."""
+    try:
+        xs = map_alpha_to_mu(PARENT_ALPHA, cfg.cross_sections)
+        if model == "diffusion":
+            return solve_diffusion(xs, mesh, cfg.tolerances)
+        return solve_transport(xs, mesh, build_quadrature(cfg.sn_order),
+                               cfg.tolerances, scheme=cfg.scheme,
+                               retain_angular=True)
+    except IterationLimitError as exc:  # always carries the last iterate
+        warnings.warn(
+            f"{model} parent solve at alpha = {PARENT_ALPHA} did not "
+            f"converge ({exc}); the lattice starts from its last iterate",
+            RuntimeWarning, stacklevel=3)
+        return exc.last_solution
+    except Exception as exc:
+        raise RuntimeError(
+            f"{model} parent solve failed at alpha = {PARENT_ALPHA}: "
+            f"{type(exc).__name__}: {exc}") from exc
+
+
+def _snapshot_worker(task, start):
     index, model, alpha, base_xs, mesh, tol, sn_order, scheme = task
     try:
         xs = map_alpha_to_mu(alpha, base_xs)
-        k_eff, power = solve_power_map(model, xs, mesh, tol, sn_order, scheme)
+        k_eff, power = solve_power_map(model, xs, mesh, tol, sn_order, scheme,
+                                       start=start)
         return index, k_eff, power.values, None
     except Exception as exc:  # surfaced with the failing alpha by the caller
         return index, None, None, f"{type(exc).__name__}: {exc}"
+
+
+#: The parent solution in a pool worker process, set once by its
+#: initializer rather than sent with every task.
+_POOL_START = None
+
+
+def _init_pool_worker(start):
+    global _POOL_START
+    _POOL_START = start
+
+
+def _pool_worker(task):
+    return _snapshot_worker(task, _POOL_START)
 
 
 def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                        force: bool = False) -> tuple[SnapshotSet, dict]:
     """Solve the chosen model over a parameter lattice and persist the
     power maps with a manifest; reuse an existing set when its manifest
-    matches the current configuration.
+    matches the current configuration.  Every point's solve starts from
+    the `PARENT_ALPHA` solution (`_solve_parent`), solved first.
 
     Returns (snapshots, manifest).
     """
@@ -214,13 +269,15 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     _log(cfg, f"[snapshots] solving {model}/{lattice}: {len(alphas)} "
               f"problems on {cfg.threads} worker(s)")
     t0 = time.perf_counter()
+    parent = _solve_parent(cfg, model, mesh)
     tasks = [(i, model, alpha, cfg.cross_sections, mesh, cfg.tolerances,
               cfg.sn_order, cfg.scheme) for i, alpha in enumerate(alphas)]
     if cfg.threads > 1:
-        with Pool(cfg.threads) as pool:
-            results = pool.map(_snapshot_worker, tasks)
+        with Pool(cfg.threads, initializer=_init_pool_worker,
+                  initargs=(parent,)) as pool:
+            results = pool.map(_pool_worker, tasks)
     else:
-        results = [_snapshot_worker(t) for t in tasks]
+        results = [_snapshot_worker(t, parent) for t in tasks]
 
     fields, keffs = [], []
     for (index, k_eff, values, error), alpha in zip(results, alphas):
@@ -233,7 +290,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     directory.mkdir(parents=True, exist_ok=True)
     hasher = hashlib.sha256()
     for i, f in enumerate(fields):
-        text = "\n".join(_fmt(v) for v in f.values) + "\n"
+        text = _field_text(f.values)
         hasher.update(text.encode())
         (directory / f"snapshot_{i:03d}.csv").write_text(text)
     manifest = {

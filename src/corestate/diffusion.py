@@ -133,15 +133,25 @@ def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
 
 def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig | None = None,
-                    vacuum_model: str = "robin") -> DiffusionSolution:
+                    vacuum_model: str = "robin",
+                    start: DiffusionSolution | None = None
+                    ) -> DiffusionSolution:
     """Power iteration on the fission source (`corestate.eigen`), each
     group solved directly by band Cholesky of its `GroupOperator`.
+    `start`, the solution of a nearby problem on a mesh of the same
+    shape (else `ConfigurationError`), replaces the flat start.
 
     Raises `IterationLimitError`, carrying the last iterate, when
     `tol.max_outer` outer steps or the group-pass cap are exhausted, and
     `DegenerateProblemError` when a group operator is singular.
     """
     tol = tol or ToleranceConfig()
+    if start is not None:
+        shape = (start.phi[0].mesh.nx, start.phi[0].mesh.ny)
+        if shape != (mesh.nx, mesh.ny):
+            raise ConfigurationError(
+                f"solve_diffusion: a start on a {shape[0]} x {shape[1]} "
+                f"mesh given for a {mesh.nx} x {mesh.ny} one")
     m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
         xs, mesh, vacuum_model)
     solves = [m1.factorize(1), m2.factorize(2)]
@@ -151,7 +161,9 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
         (s21, s12), tol, "diffusion",
         lambda k, phi, iterations, residual: DiffusionSolution(
             k, (Field(mesh, phi[0]), Field(mesh, phi[1])), iterations,
-            residual))
+            residual),
+        start=None if start is None else (
+            start.k_eff, [f.values for f in start.phi]))
 
 
 def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,

@@ -7,16 +7,16 @@ Both solvers seek the fundamental pair (k_eff, phi) of
 
 for g = 1, 2 (g' the other group, S_g the in-scatter from it) and differ
 only in how one group's equation L_g phi_g = q is solved for a frozen
-source q.  The iteration starts from a flat flux, keeps the fission
-integral at one, and updates k by that integral's ratio after each outer
-step.  Within an outer step the groups are solved Gauss-Seidel style,
-group 1 then group 2, repeating the pass only when upscatter couples
-them.  A group solver that iterates may stop its inner iteration at
-`INNER_TOL_FACTOR` times the last outer flux change: early outers then
-cost a sweep or two, and the inner tolerance tightens as the outer
-iteration converges.  Exhausting the outer budget, the group-pass cap or
-a group solver's own cap raises `IterationLimitError` carrying the last
-iterate.
+source q.  The iteration starts from a flat flux, or from the eigenpair
+of a nearby problem (a warm start), keeps the fission integral at one,
+and updates k by that integral's ratio after each outer step.  Within
+an outer step the groups are solved Gauss-Seidel style, group 1 then
+group 2, repeating the pass only when upscatter couples them.  A group
+solver that iterates may stop its inner iteration at `INNER_TOL_FACTOR`
+times the last outer flux change: early outers then cost a sweep or
+two, and the inner tolerance tightens as the outer iteration converges.
+Exhausting the outer budget, the group-pass cap or a group solver's own
+cap raises `IterationLimitError` carrying the last iterate.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
                     chi: Sequence[np.ndarray],
                     inscatter: Sequence[np.ndarray], tol: ToleranceConfig,
                     label: str, make_solution: Callable, volume: float = 1.0,
-                    rescale: Callable | None = None):
+                    rescale: Callable | None = None, start=None):
     """Return `make_solution(k_eff, phi, iterations, residual)` of the
     converged iterate, `residual` being the last |dk|; an
     `IterationLimitError` carries the same for the last iterate.
@@ -102,7 +102,8 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
     scatter into g from the other group.  The fission integral is the
     cell sum times `volume`.  `rescale(factor)` runs whenever the
     fluxes are scaled, so a solver can scale state of its own along
-    with them.
+    with them.  `start = (k, phi)` replaces the flat start with the
+    eigenpair of a nearby problem; phi is renormalized first.
     """
     if not any((f > 0).any() for f in nusf):
         raise DegenerateProblemError("no fissile cell: not an eigenproblem")
@@ -117,9 +118,9 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
             rescale(1.0 / fint)
         return [p / fint for p in phi], fint
 
-    phi, _ = normalize([np.ones_like(f) for f in nusf],
-                       "initial fission source vanished")
-    k = 1.0
+    k, phi = (1.0, [np.ones_like(f) for f in nusf]) if start is None \
+        else (float(start[0]), list(start[1]))
+    phi, _ = normalize(phi, "initial fission source vanished")
     dk = flux_change = np.inf
     for it in range(1, tol.max_outer + 1):
         fission = nusf[0] * phi[0] + nusf[1] * phi[1]

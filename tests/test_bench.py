@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,10 +9,17 @@ from corestate.bench import (BETA_FLOOR, ExperimentConfig, NOISE_COLUMNS,
                              REPORT_COLUMNS, generate_snapshots, prepare_case,
                              run_case, solve_power_map, sweep_noise)
 from corestate.diffusion import ToleranceConfig
-from corestate.errors import ConfigurationError
+from corestate.diffusion import eigen_residual as diffusion_residual
+from corestate.diffusion import power_map_diffusion, solve_diffusion
+from corestate.errors import ConfigurationError, DegenerateProblemError
 from corestate.geometry import GeometryConfig, build_mesh
-from corestate.materials import default_cross_sections
-from corestate import bench, cli
+from corestate.materials import (default_cross_sections, map_alpha_to_mu,
+                                 training_lattice)
+from corestate.sensing import build_sensors, observe
+from corestate.transport import eigen_residual as transport_residual
+from corestate.transport import (build_quadrature, power_map_transport,
+                                 solve_transport)
+from corestate import bench, cli, materials
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -116,12 +124,29 @@ class TestSnapshots:
         assert "solving" in err and "reusing" not in err
         assert m2["signature"]["solver_revision"] == revision + 1
 
-    def test_threads_do_not_change_results(self, tmp_path):
+    @pytest.mark.parametrize("model", ["diffusion", "transport"])
+    def test_threads_do_not_change_results(self, tmp_path, model):
+        # One and two workers write what warm solves from the fixed
+        # parent, made here one by one, give.
         cfg1 = small_config(tmp_path / "a", threads=1)
         cfg2 = small_config(tmp_path / "b", threads=2)
-        _, m1 = generate_snapshots(cfg1, "diffusion", "test")
-        _, m2 = generate_snapshots(cfg2, "diffusion", "test")
-        assert m1["content_hash"] == m2["content_hash"]
+        _, m1 = generate_snapshots(cfg1, model, "test")
+        _, m2 = generate_snapshots(cfg2, model, "test")
+        mesh = build_mesh(cfg1.geometry)
+        parent = bench._solve_parent(cfg1, model, mesh)
+        warm = hashlib.sha256()
+        for alpha in materials.test_lattice():
+            _, power = solve_power_map(
+                model, map_alpha_to_mu(alpha, cfg1.cross_sections), mesh,
+                cfg1.tolerances, cfg1.sn_order, cfg1.scheme, start=parent)
+            warm.update(bench._field_text(power.values).encode())
+        assert m1["content_hash"] == m2["content_hash"] == warm.hexdigest()
+
+    def test_field_text_matches_per_value_repr(self):
+        values = np.array([-1.5, 5e-324, 2.2250738585072014e-308 / 3, 3.0,
+                           -7.0, 1e-300, -1e-300, 0.1 + 0.2, -0.0, 1e300])
+        assert bench._field_text(values) == "".join(
+            repr(float(x)) + "\n" for x in values)
 
     def test_solver_failure_identifies_alpha(self, tmp_path):
         bad = small_config(
@@ -130,12 +155,72 @@ class TestSnapshots:
         with pytest.raises(RuntimeError, match=r"alpha = \(0\.8"):
             generate_snapshots(bad, "diffusion", "test")
 
+    def test_unconverged_parent_starts_the_lattice_with_a_warning(
+            self, tmp_path, monkeypatch):
+        # The parent stops at 3 outers; the lattice still converges
+        # from its last iterate.
+        solve = bench.solve_diffusion
+
+        def capped_parent(xs, mesh, tol, start=None):
+            if start is None:
+                tol = ToleranceConfig(max_outer=3)
+            return solve(xs, mesh, tol, start=start)
+
+        monkeypatch.setattr(bench, "solve_diffusion", capped_parent)
+        cfg = small_config(tmp_path)
+        with pytest.warns(RuntimeWarning,
+                          match=r"parent .* alpha = \(0\.9, 0\.9"):
+            snaps, _ = generate_snapshots(cfg, "diffusion", "test")
+        assert len(snaps) == 32
+
+    def test_parent_failure_identifies_parent_alpha(self, tmp_path,
+                                                    monkeypatch):
+        def broken(*args, **kwargs):
+            raise DegenerateProblemError("no fissile cell")
+
+        monkeypatch.setattr(bench, "solve_diffusion", broken)
+        with pytest.raises(RuntimeError,
+                           match=r"parent solve failed at alpha = \(0\.9"):
+            generate_snapshots(small_config(tmp_path), "diffusion", "test")
+
     def test_bad_model_or_lattice_rejected(self, workdir):
         cfg = small_config(workdir)
         with pytest.raises(ConfigurationError):
             generate_snapshots(cfg, "montecarlo", "test")
         with pytest.raises(ConfigurationError):
             generate_snapshots(cfg, "diffusion", "validation")
+
+
+@pytest.mark.parametrize("model", ["transport", "diffusion"])
+def test_warm_start_matches_cold_with_less_work(model):
+    # Default 45 x 30 S4 setup, training points 0, 121 (the parent
+    # itself) and 242: a warm solve agrees with the cold one within the
+    # tolerances, is certified, and takes fewer sweeps (transport) or
+    # outers (diffusion), so a warm start that is silently dropped fails.
+    cfg = ExperimentConfig.default()
+    tol = cfg.tolerances
+    mesh = build_mesh(cfg.geometry)
+    sensors = build_sensors(mesh, cfg.sensor_grid)
+    quad = build_quadrature(cfg.sn_order)
+    parent = bench._solve_parent(cfg, model, mesh)
+    for index in (0, 121, 242):
+        xs = map_alpha_to_mu(training_lattice()[index], cfg.cross_sections)
+        if model == "transport":
+            cold, warm = (solve_transport(xs, mesh, quad, tol, start=s)
+                          for s in (None, parent))
+            maps = [power_map_transport(s, xs) for s in (cold, warm)]
+            assert warm.sweeps < cold.sweeps
+            assert transport_residual(warm, xs) <= tol.flux_tol
+        else:
+            cold, warm = (solve_diffusion(xs, mesh, tol, start=s)
+                          for s in (None, parent))
+            maps = [power_map_diffusion(s, xs) for s in (cold, warm)]
+            assert warm.iterations < cold.iterations
+            assert diffusion_residual(warm, xs) <= tol.flux_tol
+        assert abs(warm.k_eff - cold.k_eff) <= tol.k_tol
+        obs = [observe(m, sensors) for m in maps]
+        assert (np.max(np.abs(obs[1] - obs[0]))
+                <= tol.flux_tol * np.max(np.abs(obs[0])))
 
 
 class TestRunCase:

@@ -305,3 +305,9 @@ class TestErrors:
         mesh = build_mesh(uniform_config(4, 4))
         with pytest.raises(ConfigurationError, match="vacuum_model"):
             solve_diffusion(fuel_xs(), mesh, vacuum_model="albedo")
+
+    def test_start_on_another_mesh_rejected(self):
+        start = solve_diffusion(fuel_xs(), build_mesh(uniform_config(5, 4)))
+        with pytest.raises(ConfigurationError, match="5 x 4 mesh"):
+            solve_diffusion(fuel_xs(), build_mesh(uniform_config(4, 5)),
+                            start=start)

@@ -149,19 +149,81 @@ class TestAttenuation:
     def test_direction_factors_have_no_fill(self):
         # Upwind numbering makes each direction system, and the
         # block-diagonal system of a quadrant, lower triangular: L keeps
-        # exactly the matrix's nonzeros and U is its diagonal.
+        # exactly the matrix's nonzeros and U is its diagonal.  The
+        # same holds for the cached plan's blocks refilled with another
+        # group's (here spatially varying) totals.
         mesh = small_default_mesh(1)
         sig = np.full((mesh.ny, mesh.nx), 0.5)
+        varied = 0.2 + np.random.default_rng(1).random((mesh.ny, mesh.nx))
         quad = build_quadrature(4)
-        sweeper = transport._GroupSweeper(mesh, quad, sig, "step")
-        systems = sweeper._systems + [
-            transport._direction_system(mesh, sig, quad.omega_x[d],
-                                        quad.omega_y[d])
-            for d in range(quad.n_directions)]
-        for system in systems:
-            lu = transport._factorize(system)
-            assert lu.L.nnz == system[0].nnz
-            assert lu.U.nnz == system[0].shape[0]
+        sweepers = [transport._GroupSweeper(mesh, quad, s, "step")
+                    for s in (sig, varied)]
+        assert sweepers[0]._blocks is sweepers[1]._blocks
+        directions = [transport._sweep_block(
+            mesh.nx, mesh.ny, mesh.dx, mesh.dy, [quad.omega_x[d]],
+            [quad.omega_y[d]]) for d in range(quad.n_directions)]
+        factors = [(block, lu) for sweeper in sweepers
+                   for block, lu in zip(sweeper._blocks, sweeper._lu)]
+        factors += [(block, block.factorize(sig, mesh.cell_area))
+                    for block in directions]
+        for block, lu in factors:
+            assert lu.L.nnz == block.indices.size
+            assert lu.U.nnz == block.diag_pos.size
+
+
+def assembled_step_solve(mesh, sig, ox, oy, emission_area, inflow_x,
+                         inflow_y):
+    """Step-scheme flux of one direction from a dense system assembled
+    cell by cell in natural order: (sigma_t A + a + b) psi - a psi_x,up
+    - b psi_y,up = q A, the upstream flux being the inflow on the
+    boundary."""
+    nx, ny = mesh.nx, mesh.ny
+    a, b = abs(ox) * mesh.dy, abs(oy) * mesh.dx
+    mat = np.zeros((nx * ny, nx * ny))
+    rhs = emission_area.copy()
+    for j in range(ny):
+        for i in range(nx):
+            c = j * nx + i
+            mat[c, c] = sig[j, i] * mesh.cell_area + a + b
+            iu, ju = i - int(np.sign(ox)), j - int(np.sign(oy))
+            if 0 <= iu < nx:
+                mat[c, j * nx + iu] = -a
+            else:
+                rhs[c] += a * inflow_x[j]
+            if 0 <= ju < ny:
+                mat[c, ju * nx + i] = -b
+            else:
+                rhs[c] += b * inflow_y[i]
+    return np.linalg.solve(mat, rhs).reshape(ny, nx)
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 4), (4, 7)])
+def test_planned_sweep_matches_assembled_system(nx, ny):
+    # Non-square mesh and cells, varied totals, emission and inflows:
+    # each quadrant solve of a sweeper refilled from the cached plan,
+    # and `sweep_direction`, match a system assembled cell by cell.
+    mesh = build_mesh(uniform_config(nx, ny, lx=7.0, ly=3.0))
+    rng = np.random.default_rng(nx)
+    sig = 0.3 + rng.random((ny, nx))
+    quad = build_quadrature(4)
+    sweeper = transport._GroupSweeper(mesh, quad, sig, "step")
+    emission_area = rng.random(nx * ny) * mesh.cell_area
+    inflow_x = rng.random((quad.n_directions, ny))
+    inflow_y = rng.random((quad.n_directions, nx))
+    for q, ds, _, _ in sweeper._quadrants:
+        psi = sweeper._solve_quadrant_step(q, ds, emission_area,
+                                           inflow_x[ds], inflow_y[ds])[0]
+        for k, d in enumerate(range(ds.start, ds.stop)):
+            ox, oy = quad.omega_x[d], quad.omega_y[d]
+            expected = assembled_step_solve(mesh, sig, ox, oy, emission_area,
+                                            inflow_x[d], inflow_y[d])
+            direct = sweep_direction(mesh, sig, (ox, oy),
+                                     emission_area.reshape(ny, nx)
+                                     / mesh.cell_area,
+                                     inflow_x[d], inflow_y[d])
+            for got in (psi[k], direct):
+                assert (np.max(np.abs(got - expected))
+                        <= 1e-14 * np.max(np.abs(expected)))
 
 
 def default_lattice_problem(index=6):
@@ -415,12 +477,34 @@ class TestErrors:
                             scheme="characteristics")
 
     def test_iteration_limit_carries_last_iterate(self):
+        # With retain_angular the last iterate carries the angular flux,
+        # so it can start another solve.
         mesh = build_mesh(uniform_config(5, 5))
+        quad = build_quadrature(2)
         with pytest.raises(IterationLimitError) as err:
-            solve_transport(fuel_xs(), mesh, build_quadrature(2),
+            solve_transport(fuel_xs(), mesh, quad,
                             ToleranceConfig(k_tol=1e-14, flux_tol=1e-14,
-                                            max_outer=2))
-        assert err.value.last_solution.k_eff > 0
+                                            max_outer=2),
+                            retain_angular=True)
+        last = err.value.last_solution
+        assert last.k_eff > 0
+        sol = solve_transport(fuel_xs(), mesh, quad, start=last)
+        assert eigen_residual(sol, fuel_xs()) < ToleranceConfig().flux_tol
+
+    def test_unusable_start_rejected(self):
+        mesh = build_mesh(uniform_config(5, 4))
+        xs, quad = fuel_xs(), build_quadrature(2)
+        start = solve_transport(xs, mesh, quad, retain_angular=True)
+        with pytest.raises(ConfigurationError, match="angular"):
+            solve_transport(xs, mesh, quad,
+                            start=solve_transport(xs, mesh, quad))
+        with pytest.raises(ConfigurationError, match="5 x 4 mesh"):
+            solve_transport(xs, build_mesh(uniform_config(4, 5)), quad,
+                            start=start)
+        with pytest.raises(ConfigurationError, match="S4"):
+            solve_transport(xs, mesh, build_quadrature(4), start=start)
+        with pytest.raises(ConfigurationError, match="diamond"):
+            solve_transport(xs, mesh, quad, scheme="diamond", start=start)
 
     def test_group_pass_cap_raises(self, monkeypatch):
         monkeypatch.setattr(eigen, "MAX_GROUP_PASSES", 1)
