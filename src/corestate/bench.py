@@ -54,8 +54,9 @@ LATTICES = ("training", "test")
 #: so caches written by the old solver are regenerated, not reused.
 #: Transport 2: inner iterations tied to the outer error; 3: diffusion
 #: synthetic acceleration; 4 (diffusion 2): band-Cholesky group solves;
-#: 5 (diffusion 3): every lattice point warm-started from PARENT_ALPHA.
-SOLVER_REVISION = {"transport": 5, "diffusion": 3}
+#: 5 (diffusion 3): every lattice point warm-started from PARENT_ALPHA;
+#: 6: inner iterations stopped on their estimated error.
+SOLVER_REVISION = {"transport": 6, "diffusion": 3}
 
 #: The lattice centre, solved once per snapshot set; every lattice point
 #: starts from its solution.  One fixed parent, rather than a chain of
@@ -220,9 +221,42 @@ def _snapshot_worker(task, start):
 _POOL_START = None
 
 
+#: Thread-count setters of the OpenBLAS copies numpy (64-bit integer
+#: interface) and scipy ship, and of a plain OpenBLAS.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads")
+
+
+def _one_blas_thread():
+    """Set one thread on every OpenBLAS library mapped into this process.
+
+    A forked pool worker inherits the parent's multi-threaded BLAS, so
+    two workers on two cores run four busy BLAS threads: default
+    transport/training snapshots took 25-106 s on 2 workers against
+    8.8 s on one (2-vCPU machine), and 4.1-5.0 s with this.  Libraries
+    other than OpenBLAS, and systems without /proc, are left alone."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file replaced since it loaded
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+
+
 def _init_pool_worker(start):
     global _POOL_START
     _POOL_START = start
+    _one_blas_thread()
 
 
 def _pool_worker(task):

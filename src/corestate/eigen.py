@@ -15,6 +15,8 @@ group 2, repeating the pass only when upscatter couples them.  A group
 solver that iterates may stop its inner iteration at `INNER_TOL_FACTOR`
 times the last outer flux change: early outers then cost a sweep or
 two, and the inner tolerance tightens as the outer iteration converges.
+Transport's source iteration holds its estimated error, not just its
+last change, to this tolerance.
 Exhausting the outer budget, the group-pass cap or a group solver's own
 cap raises `IterationLimitError` carrying the last iterate.
 """
@@ -35,8 +37,11 @@ from .errors import (ConfigurationError, DegenerateProblemError,
 MAX_GROUP_PASSES = 200
 
 #: Inner tolerance handed to `solve_group`, relative to the last outer
-#: flux change.  At 0.1 the transport k_eff of some default-lattice
-#: points drifts by 3e-8 from a tol/100 solve, past k_tol.
+#: flux change: transport's source iteration stops once its estimated
+#: error falls below it.  The value was set for a stop on the last
+#: change, where 0.1 let the k_eff of some default-lattice points drift
+#: by 3e-8 from a tol/100 solve, past k_tol; with the error estimate,
+#: 0.1 has been checked on single solves only.
 INNER_TOL_FACTOR = 0.01
 
 
@@ -94,8 +99,9 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
 
     `solve_group(g, q, phi_g, inner_tol)` returns group g's flux for the
     frozen source `q` (fission plus in-scatter), starting from its
-    current flux `phi_g`; an iterative solver may stop once its relative
-    change falls below `inner_tol` (infinite on the first outer step).
+    current flux `phi_g`; an iterative solver may stop once its error
+    relative to the flux falls below `inner_tol` (infinite on the first
+    outer step).
     An `IterationLimitError` it raises without a last iterate leaves
     here with the current one attached.  `nusf`, `chi` and `inscatter`
     are per-cell arrays shaped like the fluxes; `inscatter[g]` is the

@@ -15,10 +15,16 @@ factorizes.  An optional diamond difference
 variant trades the positivity guarantee for second-order accuracy.
 
 The eigenpair is found by power iteration on the fission source with a
-source iteration per group inside each outer step; the inner tolerance
-follows the outer flux change (`eigen.INNER_TOL_FACTOR`) down to 1e-9,
-so early outers cost a sweep or two per group.  `eigen_residual`
-certifies a returned eigenpair by one more exact outer step.
+source iteration per group inside each outer step.  The inner stops on
+its estimated error: its last change times rho / (1 - rho), rho being
+the group's contraction per sweep, measured as the ratio of two
+successive changes and carried over to the group's next inner.  The
+inner tolerance follows the outer flux change (`eigen.INNER_TOL_FACTOR`)
+down to 1e-9, and a change below 1e-9 always stops.  Accelerated groups
+(rho ~ 0.2) then take one sweep per outer, while slowly contracting
+ones iterate until their error, not just their last change, is small.
+`eigen_residual` certifies a returned eigenpair by one more exact outer
+step.
 
 The source iteration is diffusion-synthetic accelerated (Adams & Larsen,
 Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
@@ -72,6 +78,9 @@ _MIRROR_Y_QUAD = (3, 2, 1, 0)
 
 _INNER_TOL = 1e-9
 _MAX_INNER = 500
+#: Clamp of a measured inner contraction, so a ratio of successive
+#: changes at or above one still gives a finite error estimate.
+_MAX_RHO = 0.99
 
 #: Thickest cell, sigma_t * max(dx, dy) in mean free paths, on which a
 #: group's source iteration is diffusion-accelerated.  Contraction per
@@ -522,6 +531,8 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
     dsa = [_dsa_factor(mesh, cx.sigma_t[g], cx.sigma_s[g, g], g + 1)
            for g in range(2)]
     area = mesh.cell_area
+    # Each group's measured contraction per sweep, kept across calls.
+    rho = [None, None]
 
     def source_iteration(g: int, q: np.ndarray, phi_g: np.ndarray,
                          inner_tol: float = _INNER_TOL):
@@ -529,6 +540,7 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
         q_fixed = q / FOUR_PI
         sigma_s = cx.sigma_s[g, g]
         s_old = sigma_s * phi_g
+        last = None
         for _ in range(_MAX_INNER):
             phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)[0]
             if dsa[g] is not None:
@@ -540,7 +552,14 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
             denom = max(float(np.max(np.abs(s_new))), 1e-300)
             change = float(np.max(np.abs(s_new - s_old))) / denom
             s_old = s_new
-            if change < stop:
+            if change < _INNER_TOL:
+                return phi_g
+            if last is not None:
+                rho[g] = min(change / last, _MAX_RHO)
+            last = change
+            # A contraction rho leaves an error of about
+            # change * rho / (1 - rho) after this sweep.
+            if rho[g] is not None and change * rho[g] / (1.0 - rho[g]) < stop:
                 return phi_g
         raise IterationLimitError(
             f"transport source iteration: group {g + 1} reached "
@@ -598,8 +617,9 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     scattering source, with the freshly updated group-1 flux feeding the
     group-2 downscatter source, and diffusion-accelerated unless the
     group has a cell thicker than `_DSA_MAX_MFP`.  The source iteration
-    stops once its relative change falls below `eigen.INNER_TOL_FACTOR`
-    times the last outer flux change, and never before 1e-9.  Raises
+    stops once its estimated error (see the module docstring) falls
+    below `eigen.INNER_TOL_FACTOR` times the last outer flux change, or
+    its relative change below 1e-9.  Raises
     `IterationLimitError` when `tol.max_outer` outer steps, the
     group-pass cap or the `_MAX_INNER` = 500 inner sweeps are exhausted;
     with `retain_angular` its last iterate carries the angular flux.
@@ -669,14 +689,16 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
                    scheme: str | None = None) -> float:
     """Convergence certificate of a transport eigenpair: one more outer
     step from `sol`'s scalar fluxes with k_eff frozen, each group's
-    source iteration run to 1e-9.  Returns the larger of the relative
-    change of k_eff and the largest change of the fission source (new
-    source scaled to the old integral, over the old source's maximum).
+    source iteration run to an estimated error of 1e-9.  Returns the
+    larger of the relative change of k_eff and the largest change of
+    the fission source (new source scaled to the old integral, over the
+    old source's maximum).
 
     It is of the order of the outer changes a solve still had to make,
     so a solve stopped early scores well above its tolerances.  It
     builds its own sweepers from the cached sweep plan (refilled and
-    factorized, not reassembled) and sweeps to 1e-9: ~13 ms on the
+    factorized, not reassembled) and sweeps its inners to 1e-9 (two
+    sweeps per group on converged default solves): ~13 ms on the
     default 45 x 30 S4 problem (2-vCPU machine, BLAS on one thread;
     ~24 ms with per-solve assembly), which is why `solve_transport`
     does not compute it.  `quad` and `scheme` default to those of the

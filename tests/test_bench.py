@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import json
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,29 @@ def small_config(out_dir, **overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def openblas_thread_controls():
+    """(get, set) of the thread count of each OpenBLAS library mapped
+    into this process; none without /proc."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in bench._OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                controls.append((getattr(lib, name.replace("set", "get")),
+                                 getattr(lib, name)))
+    return controls
+
+
+def openblas_threads(_=None):
+    return [get() for get, _ in openblas_thread_controls()]
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +166,24 @@ class TestSnapshots:
                 cfg1.tolerances, cfg1.sn_order, cfg1.scheme, start=parent)
             warm.update(bench._field_text(power.values).encode())
         assert m1["content_hash"] == m2["content_hash"] == warm.hexdigest()
+
+    def test_pool_worker_runs_one_blas_thread(self):
+        # A forked worker inherits the parent's BLAS threads, so two
+        # workers oversubscribed a 2-core machine: 2-worker snapshots
+        # were slower than serial ones.
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded")
+        before = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(2)
+        try:
+            with Pool(1, initializer=bench._init_pool_worker,
+                      initargs=(None,)) as pool:
+                assert pool.map(openblas_threads, [0]) == [[1] * len(before)]
+        finally:
+            for (_, set_threads), n in zip(controls, before):
+                set_threads(n)
 
     def test_field_text_matches_per_value_repr(self):
         values = np.array([-1.5, 5e-324, 2.2250738585072014e-308 / 3, 3.0,
