@@ -55,8 +55,9 @@ LATTICES = ("training", "test")
 #: Transport 2: inner iterations tied to the outer error; 3: diffusion
 #: synthetic acceleration; 4 (diffusion 2): band-Cholesky group solves;
 #: 5 (diffusion 3): every lattice point warm-started from PARENT_ALPHA;
-#: 6: inner iterations stopped on their estimated error.
-SOLVER_REVISION = {"transport": 6, "diffusion": 3}
+#: 6: inner iterations stopped on their estimated error; 7: diamond on
+#: the upwind-ordered sweep system.
+SOLVER_REVISION = {"transport": 7, "diffusion": 3}
 
 #: The lattice centre, solved once per snapshot set; every lattice point
 #: starts from its solution.  One fixed parent, rather than a chain of
@@ -222,14 +223,16 @@ _POOL_START = None
 
 
 #: Thread-count setters of the OpenBLAS copies numpy (64-bit integer
-#: interface) and scipy ship, and of a plain OpenBLAS.
+#: interface) and scipy ship, and of a plain OpenBLAS; each has a getter
+#: named with "get" for "set".
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads")
 
 
-def _one_blas_thread():
-    """Set one thread on every OpenBLAS library mapped into this process.
+def _one_blas_thread() -> list:
+    """Set one thread on every OpenBLAS library mapped into this process
+    and return (setter, previous count) per library, for restoring.
 
     A forked pool worker inherits the parent's multi-threaded BLAS, so
     two workers on two cores run four busy BLAS threads: default
@@ -242,7 +245,8 @@ def _one_blas_thread():
             paths = {line.split()[-1] for line in maps
                      if "openblas" in line}
     except OSError:
-        return
+        return []
+    previous = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
@@ -250,7 +254,11 @@ def _one_blas_thread():
             continue
         for name in _OPENBLAS_SETTERS:
             if hasattr(lib, name):
-                getattr(lib, name)(1)
+                set_threads = getattr(lib, name)
+                previous.append((set_threads, getattr(
+                    lib, name.replace("_set_", "_get_"))()))
+                set_threads(1)
+    return previous
 
 
 def _init_pool_worker(start):
@@ -303,15 +311,22 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     _log(cfg, f"[snapshots] solving {model}/{lattice}: {len(alphas)} "
               f"problems on {cfg.threads} worker(s)")
     t0 = time.perf_counter()
-    parent = _solve_parent(cfg, model, mesh)
     tasks = [(i, model, alpha, cfg.cross_sections, mesh, cfg.tolerances,
               cfg.sn_order, cfg.scheme) for i, alpha in enumerate(alphas)]
-    if cfg.threads > 1:
-        with Pool(cfg.threads, initializer=_init_pool_worker,
-                  initargs=(parent,)) as pool:
-            results = pool.map(_pool_worker, tasks)
-    else:
-        results = [_snapshot_worker(t, parent) for t in tasks]
+    # The solves made here, like those of the pool workers, run BLAS on
+    # one thread: the caller's count is restored afterwards.
+    previous = _one_blas_thread()
+    try:
+        parent = _solve_parent(cfg, model, mesh)
+        if cfg.threads > 1:
+            with Pool(cfg.threads, initializer=_init_pool_worker,
+                      initargs=(parent,)) as pool:
+                results = pool.map(_pool_worker, tasks)
+        else:
+            results = [_snapshot_worker(t, parent) for t in tasks]
+    finally:
+        for set_threads, count in previous:
+            set_threads(count)
 
     fields, keffs = [], []
     for (index, k_eff, values, error), alpha in zip(results, alphas):

@@ -4,15 +4,18 @@ Angular discretization is a product quadrature (Gauss in the polar
 cosine, equally weighted azimuthal angles per polar level) on the upper
 hemisphere, folded for planar z-symmetry so the weights carry the full
 4*pi solid angle.  Spatially each direction is swept with the fully
-upwinded step scheme, written as a sparse lower-triangular system per
-direction: its cells are numbered in the direction's upwind order, so
-the LU factorization (once per problem) adds no fill and a solve is one
-forward substitution.  The directions of one quadrant share a single
-block-diagonal system and solve.  Orders and sparsity patterns depend
-only on the mesh and the quadrature, so they are built once
-(`_sweep_plan`) and each problem only writes its diagonal and
-factorizes.  An optional diamond difference
-variant trades the positivity guarantee for second-order accuracy.
+upwinded step scheme or with diamond difference (Lewis & Miller,
+Computational Methods of Neutron Transport, 1984, ch. 4), which trades
+the step scheme's positivity guarantee for second-order accuracy.
+Either is written as a sparse lower-triangular system per direction:
+its cells are numbered in the direction's upwind order, and diamond
+adds each cell's outgoing x and y face fluxes as unknowns after its
+flux, so the LU factorization (once per problem) adds no fill and a
+solve is one forward substitution.  The directions of one quadrant
+share a single block-diagonal system and solve.  Orders and sparsity
+patterns depend only on the mesh, the quadrature and the scheme, so
+they are built once (`_sweep_plan`) and each problem only writes its
+diagonal and factorizes.
 
 The eigenpair is found by power iteration on the fission source with a
 source iteration per group inside each outer step.  The inner stops on
@@ -165,10 +168,11 @@ class TransportSolution:
     flux, shaped (directions, ny, nx).
 
     `balance_residual` compares production with removal plus vacuum
-    leakage after one sweep with frozen sources.  The step sweep
-    conserves neutrons for any source, so this is an identity of the
-    sweep: it stays near round-off whether or not the outer iteration
-    has converged.  `eigen_residual` is the convergence check.
+    leakage after one sweep with frozen sources.  The step and diamond
+    sweeps both conserve neutrons for any source, so this is an
+    identity of the sweep: it stays near round-off whether or not the
+    outer iteration has converged.  `eigen_residual` is the convergence
+    check.
     """
 
     k_eff: float
@@ -188,35 +192,45 @@ class TransportSolution:
 
 
 class _SweepBlock(NamedTuple):
-    """Step-scheme system of directions that do not feed each other (one
-    direction, or the directions of one quadrant), everything but its
-    diagonal values, as read-only arrays.
+    """Step or diamond sweep system of directions that do not feed each
+    other (one direction, or the directions of one quadrant), everything
+    but its diagonal values, as read-only arrays.
 
     Each direction's cells are numbered in its upwind order: counting i
     down when ox < 0 and j down when oy < 0 gives every upstream
-    neighbour a lower number than the cell it feeds, so the matrix is
-    lower triangular and its `NATURAL` LU adds no fill (L holds the
-    matrix's nonzeros, U its diagonal).  The directions are stacked
+    neighbour a lower number than the cell it feeds.  With a = |ox| dy,
+    b = |oy| dx, a step cell has one unknown, psi, also the flux it
+    sends downstream: (sigma_t A + a + b) psi - a psi_x,up - b psi_y,up
+    = q A.  A diamond cell has psi, then its outgoing x and y face
+    fluxes: (sigma_t A + 2a + 2b) psi - 2a f_x,in - 2b f_y,in = q A and
+    f_out - 2 psi + f_in = 0, f_in being the upstream cell's f_out.
+    Every entry refers to an earlier unknown, so the matrix is lower
+    triangular and its `NATURAL` LU adds no fill (L holds the matrix's
+    nonzeros, U its diagonal).  The directions are stacked
     block-diagonally, so one factorization and one triangular solve
     cover them all; one factorization per quadrant also holds ~6x less
     SuperLU memory than one per direction.
 
-    `order` holds the natural cell at each upwind position, per
-    direction, and `rank` the inverse, offset per direction;
-    `x_in_pos` (`y_in_pos`) are the upwind positions where the boundary
-    inflow, one row per direction indexed by natural row j (column i),
-    enters the right-hand side times `a` = |ox| dy (`b` = |oy| dx).
-    `indices`, `indptr` and `data` are the CSC matrix with the
-    off-diagonals -a, -b in place and zeros at `diag_pos`, whose values
-    are sigma_t A + `diag_add` (a + b per row).
+    `src` is each unknown's natural cell, or n = nx ny for a face: the
+    right-hand side gathers the area-weighted emission, a zero appended
+    at n, and the diagonal sigma_t A (likewise) + `diag_add`.  The
+    boundary inflow, one row per direction indexed by natural row j
+    (column i), enters it at `x_in_pos` (`y_in_pos`) times
+    `x_in_weight` (`y_in_weight`), one layer per kind of row it enters.
+    `rank` is psi's unknown per direction and natural cell, `x_out_pos`
+    (`y_out_pos`) that of the exit-side outgoing face flux per natural
+    row (column).  `indices`, `indptr` and `data` are the CSC matrix
+    with the off-diagonals in place and zeros at `diag_pos`.
     """
 
-    order: np.ndarray
+    src: np.ndarray
     rank: np.ndarray
     x_in_pos: np.ndarray
-    a: np.ndarray
+    x_in_weight: np.ndarray
     y_in_pos: np.ndarray
-    b: np.ndarray
+    y_in_weight: np.ndarray
+    x_out_pos: np.ndarray
+    y_out_pos: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     data: np.ndarray
@@ -229,85 +243,118 @@ class _SweepBlock(NamedTuple):
         nothing; panel size and relaxation 1 halve the factorization
         time."""
         data = self.data.copy()
-        data[self.diag_pos] = (sigt2d.ravel()[self.order] * cell_area
-                               + self.diag_add)
+        data[self.diag_pos] = (np.append(sigt2d.ravel(), 0.0)[self.src]
+                               * cell_area + self.diag_add)
         n = self.diag_pos.size
         return spla.splu(sp.csc_matrix((data, self.indices, self.indptr),
                                        shape=(n, n)),
                          permc_spec="NATURAL", diag_pivot_thresh=0.0,
                          panel_size=1, relax=1)
 
+    def solve(self, lu, emission_area: np.ndarray, inflow_x, inflow_y):
+        """(cell flux (directions, ny, nx), outgoing x and y face fluxes)
+        of the system factorized as `lu` for the area-weighted emission
+        `emission_area` (flat, a zero appended) plus the boundary
+        inflows (None for zero inflow; one row per direction)."""
+        rhs = emission_area[self.src]
+        if inflow_x is not None:
+            rhs[self.x_in_pos] += self.x_in_weight * inflow_x
+        if inflow_y is not None:
+            rhs[self.y_in_pos] += self.y_in_weight * inflow_y
+        x = lu.solve(rhs)
+        return x[self.rank], x[self.x_out_pos], x[self.y_out_pos]
+
 
 def _sweep_block(nx: int, ny: int, dx: float, dy: float, omega_x,
-                 omega_y) -> _SweepBlock:
+                 omega_y, scheme: str = "step") -> _SweepBlock:
     """`_SweepBlock` of the directions (omega_x[k], omega_y[k])."""
     n, nd = nx * ny, len(omega_x)
+    diamond = scheme == "diamond"
+    m = 3 if diamond else 1            # unknowns per cell
+    # Weight of the inflow face flux in the cell balance, and the
+    # unknowns holding a cell's outgoing x and y face fluxes.
+    w, fx, fy = (2.0, 1, 2) if diamond else (1.0, 0, 0)
     pos = np.arange(n).reshape(ny, nx)
-    off = n * np.arange(nd)[:, None]
-    a = np.abs(np.asarray(omega_x, dtype=float)) * dy
-    b = np.abs(np.asarray(omega_y, dtype=float)) * dx
+    a = np.abs(np.asarray(omega_x, dtype=float))[:, None] * dy
+    b = np.abs(np.asarray(omega_y, dtype=float))[:, None] * dx
     steps = [(-1 if oy < 0 else 1, -1 if ox < 0 else 1)
              for ox, oy in zip(omega_x, omega_y)]
+
+    def at(p, c=0):
+        """Unknown c at the upwind positions p (flat, or one row per
+        direction), per direction."""
+        return m * (p + n * np.arange(nd)[:, None]) + c
+
+    # Natural cell at each upwind position; flipping axes is its own
+    # inverse, so this is also the position of each natural cell.
     order = np.stack([pos[::sy, ::sx].ravel() for sy, sx in steps])
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n) + off, axis=1)
-    # Diagonal (placeholder ones), then each position fed by its
-    # upstream x and y neighbours.
-    rows = np.concatenate([pos.ravel(), pos[:, 1:].ravel(),
-                           pos[1:, :].ravel()]) + off
-    cols = np.concatenate([pos.ravel(), pos[:, :-1].ravel(),
-                           pos[:-1, :].ravel()]) + off
-    vals = np.concatenate([np.ones((nd, n)),
-                           np.repeat(-a[:, None], ny * (nx - 1), axis=1),
-                           np.repeat(-b[:, None], (ny - 1) * nx, axis=1)],
-                          axis=1)
-    mat = sp.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(nd * n, nd * n))
+    cell = pos.ravel()
+    # Cells fed through an x (y) face, and their upstream neighbours.
+    x_down, x_up = pos[:, 1:].ravel(), pos[:, :-1].ravel()
+    y_down, y_up = pos[1:, :].ravel(), pos[:-1, :].ravel()
+    rows, cols, vals = [], [], []
+
+    def couple(row, col, val):
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(np.broadcast_to(val, row.shape).ravel())
+
+    # Diagonal (placeholder ones), then each cell fed through its
+    # upstream x and y faces.
+    for c in range(m):
+        couple(at(cell, c), at(cell, c), 1.0)
+    couple(at(x_down), at(x_up, fx), -w * a)
+    couple(at(y_down), at(y_up, fy), -w * b)
+    if diamond:
+        for c, up, down in ((fx, x_up, x_down), (fy, y_up, y_down)):
+            couple(at(cell, c), at(cell), -2.0)
+            couple(at(down, c), at(up, c), 1.0)
+    size = m * n * nd
+    mat = sp.csc_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(size, size))
     mat.sort_indices()
     # Lower triangular: each column starts at its diagonal.
     diag_pos = mat.indptr[:-1].copy()
-    assert (mat.indices[diag_pos] == np.arange(nd * n)).all()
+    assert (mat.indices[diag_pos] == np.arange(size)).all()
     mat.data[diag_pos] = 0.0
+    src = np.full((nd, n, m), n)
+    src[:, :, 0] = order
+    diag_add = np.ones((nd, n, m))
+    diag_add[:, :, 0] = w * (a + b)
+    # The inflow enters the cell rows times w a (w b) and, as -f_in,
+    # diamond's face rows.
+    layer = np.arange(2 if diamond else 1)[:, None, None]
+    x_in = at(np.stack([pos[::sy, 0] for sy, _ in steps])) + fx * layer
+    y_in = at(np.stack([pos[0, ::sx] for _, sx in steps])) + fy * layer
     block = _SweepBlock(
-        order=order.ravel(), rank=rank.ravel(),
-        x_in_pos=np.stack([pos[::sy, 0] for sy, _ in steps]) + off,
-        a=a[:, None],
-        y_in_pos=np.stack([pos[0, ::sx] for _, sx in steps]) + off,
-        b=b[:, None], indices=mat.indices.astype(np.intc),
+        src=src.ravel(), rank=at(order).reshape(nd, ny, nx),
+        x_in_pos=x_in, x_in_weight=np.where(layer == 0, w * a, -1.0),
+        y_in_pos=y_in, y_in_weight=np.where(layer == 0, w * b, -1.0),
+        x_out_pos=at(np.stack([pos[::sy, -1] for sy, _ in steps]), fx),
+        y_out_pos=at(np.stack([pos[-1, ::sx] for _, sx in steps]), fy),
+        indices=mat.indices.astype(np.intc),
         indptr=mat.indptr.astype(np.intc), data=mat.data,
-        diag_pos=diag_pos, diag_add=np.repeat(a + b, n))
+        diag_pos=diag_pos, diag_add=diag_add.ravel())
     for value in block:
         value.setflags(write=False)
     return block
 
 
 @functools.lru_cache(maxsize=4)
-def _sweep_plan(nx: int, ny: int, dx: float, dy: float,
-                order: int) -> tuple[_SweepBlock, ...]:
-    """The step sweep's fixed set-up on an nx x ny mesh of dx x dy cells
-    with the S_order quadrature of `build_quadrature`: one `_SweepBlock`
-    per quadrant, by quadrant id.  It depends on no cross section, so
-    the sweepers of both groups, every lattice point and
+def _sweep_plan(nx: int, ny: int, dx: float, dy: float, order: int,
+                scheme: str) -> tuple[_SweepBlock, ...]:
+    """The fixed set-up of the `scheme` sweep on an nx x ny mesh of
+    dx x dy cells with the S_order quadrature of `build_quadrature`: one
+    `_SweepBlock` per quadrant, by quadrant id.  It depends on no cross
+    section, so the sweepers of both groups, every lattice point and
     `eigen_residual` share it and only refill its diagonal."""
     quad = build_quadrature(order)
     nb = quad.n_directions // 4
     return tuple(_sweep_block(nx, ny, dx, dy,
                               quad.omega_x[q * nb:(q + 1) * nb],
-                              quad.omega_y[q * nb:(q + 1) * nb])
+                              quad.omega_y[q * nb:(q + 1) * nb], scheme)
                  for q in range(4))
-
-
-def _step_solve(lu, block: _SweepBlock, emission_area: np.ndarray,
-                inflow_x, inflow_y):
-    """Flat cell flux of the step-scheme direction(s) of `block`,
-    factorized as `lu`, solved for the area-weighted emission plus the
-    boundary inflows (None for zero inflow; one row per direction)."""
-    rhs = emission_area[block.order]
-    if inflow_x is not None:
-        rhs[block.x_in_pos] += block.a * inflow_x
-    if inflow_y is not None:
-        rhs[block.y_in_pos] += block.b * inflow_y
-    return lu.solve(rhs)[block.rank]
 
 
 def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
@@ -323,18 +370,16 @@ def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
     if ox == 0.0 or oy == 0.0:
         raise ValueError("sweep directions must have nonzero components")
     block = _sweep_block(mesh.nx, mesh.ny, mesh.dx, mesh.dy, [ox], [oy])
-    emission_area = (np.asarray(emission2d, dtype=float)
-                     * mesh.cell_area).ravel()
+    emission_area = np.append(np.asarray(emission2d, dtype=float)
+                              * mesh.cell_area, 0.0)
     inflows = [None if f is None else np.asarray(f, dtype=float)
                for f in (inflow_x, inflow_y)]
-    psi = _step_solve(block.factorize(np.asarray(sigma_t2d, dtype=float),
-                                      mesh.cell_area),
-                      block, emission_area, *inflows)
-    return psi.reshape(mesh.ny, mesh.nx)
+    lu = block.factorize(np.asarray(sigma_t2d, dtype=float), mesh.cell_area)
+    return block.solve(lu, emission_area, *inflows)[0][0]
 
 
 class _GroupSweeper:
-    """Per-group sweep machinery: one factorized step system per
+    """Per-group sweep machinery: one factorized `scheme` system per
     quadrant (`_sweep_plan` refilled with the group's totals) plus the
     current angular flux and outgoing boundary face fluxes.  `sweeps`
     counts the calls of `sweep`."""
@@ -343,8 +388,6 @@ class _GroupSweeper:
                  sigt2d: np.ndarray, scheme: str):
         self.mesh = mesh
         self.quad = quad
-        self.scheme = scheme
-        self.sigt2d = sigt2d
         self.sweeps = 0
         nd = quad.n_directions
         self.psi = np.full((nd, mesh.ny, mesh.nx), 1.0 / FOUR_PI)
@@ -369,11 +412,10 @@ class _GroupSweeper:
             mirror_y = (quad.mirror_y[ds]
                         if getattr(mesh.bc, side_y) == "reflective" else None)
             self._quadrants.append((q, ds, mirror_x, mirror_y))
-        if scheme == "step":
-            self._blocks = _sweep_plan(mesh.nx, mesh.ny, mesh.dx, mesh.dy,
-                                       quad.order)
-            self._lu = [block.factorize(sigt2d, mesh.cell_area)
-                        for block in self._blocks]
+        self._blocks = _sweep_plan(mesh.nx, mesh.ny, mesh.dx, mesh.dy,
+                                   quad.order, scheme)
+        self._lu = [block.factorize(sigt2d, mesh.cell_area)
+                    for block in self._blocks]
 
     def seed(self, psi: np.ndarray):
         """Start from the angular flux `psi` (directions, ny, nx) of a
@@ -382,64 +424,6 @@ class _GroupSweeper:
         d = np.arange(len(psi))
         self.out_x = self.psi[d, :, self._exit_col]
         self.out_y = self.psi[d, self._exit_row, :]
-
-    def _solve_quadrant_step(self, q: int, ds: slice,
-                             emission_area: np.ndarray, inflow_x, inflow_y):
-        psi = _step_solve(self._lu[q], self._blocks[q], emission_area,
-                          inflow_x, inflow_y).reshape(
-                              -1, self.mesh.ny, self.mesh.nx)
-        return (psi, psi[:, :, self._exit_col[ds.start]],
-                psi[:, self._exit_row[ds.start], :])
-
-    def _solve_quadrant_diamond(self, q: int, ds: slice,
-                                emission_area: np.ndarray, inflow_x,
-                                inflow_y):
-        rows = [self._solve_direction_diamond(
-            d, emission_area, None if inflow_x is None else inflow_x[k],
-            None if inflow_y is None else inflow_y[k])
-            for k, d in enumerate(range(ds.start, ds.stop))]
-        return tuple(np.stack(part) for part in zip(*rows))
-
-    def _solve_direction_diamond(self, d: int, emission_area: np.ndarray,
-                                 inflow_x, inflow_y):
-        mesh, quad = self.mesh, self.quad
-        nx, ny = mesh.nx, mesh.ny
-        ox, oy = quad.omega_x[d], quad.omega_y[d]
-        a = abs(ox) * mesh.dy
-        b = abs(oy) * mesh.dx
-        # Work in the flipped frame where the direction moves +x, +y.
-        flip_x, flip_y = ox < 0, oy < 0
-        q = emission_area.reshape(ny, nx)
-        sig = self.sigt2d * mesh.cell_area
-        if flip_x:
-            q, sig = q[:, ::-1], sig[:, ::-1]
-        if flip_y:
-            q, sig = q[::-1, :], sig[::-1, :]
-        fin_x = np.zeros(ny) if inflow_x is None else np.array(inflow_x)
-        fin_y = np.zeros(nx) if inflow_y is None else np.array(inflow_y)
-        if flip_y:
-            fin_x = fin_x[::-1]
-        if flip_x:
-            fin_y = fin_y[::-1]
-        fx = np.zeros((ny, nx + 1)); fx[:, 0] = fin_x
-        fy = np.zeros((ny + 1, nx)); fy[0, :] = fin_y
-        psi = np.zeros((ny, nx))
-        den = sig + 2.0 * a + 2.0 * b
-        for diag in range(nx + ny - 1):
-            jj = np.arange(max(0, diag - nx + 1), min(diag, ny - 1) + 1)
-            ii = diag - jj
-            val = (q[jj, ii] + 2.0 * a * fx[jj, ii] + 2.0 * b * fy[jj, ii]) \
-                / den[jj, ii]
-            psi[jj, ii] = val
-            fx[jj, ii + 1] = 2.0 * val - fx[jj, ii]
-            fy[jj + 1, ii] = 2.0 * val - fy[jj, ii]
-        out_x = fx[:, -1]
-        out_y = fy[-1, :]
-        if flip_y:
-            psi, out_x = psi[::-1, :], out_x[::-1]
-        if flip_x:
-            psi, out_y = psi[:, ::-1], out_y[::-1]
-        return psi, out_x, out_y
 
     def sweep(self, emission2d: np.ndarray, commit: bool = True):
         """One full sweep over all directions with the isotropic angular
@@ -450,19 +434,18 @@ class _GroupSweeper:
         sides.  With commit=False the sweeper state is left untouched.
         """
         mesh = self.mesh
-        emission_area = (emission2d * mesh.cell_area).ravel()
-        solve = (self._solve_quadrant_step if self.scheme == "step"
-                 else self._solve_quadrant_diamond)
+        emission_area = np.append(emission2d * mesh.cell_area, 0.0)
         self.sweeps += 1
         saved = (self.psi, self.out_x, self.out_y)
         if not commit:
             self.psi, self.out_x, self.out_y = (a.copy() for a in saved)
         try:
             for q, ds, mirror_x, mirror_y in self._quadrants:
-                self.psi[ds], self.out_x[ds], self.out_y[ds] = solve(
-                    q, ds, emission_area,
-                    None if mirror_x is None else self.out_x[mirror_x],
-                    None if mirror_y is None else self.out_y[mirror_y])
+                self.psi[ds], self.out_x[ds], self.out_y[ds] = \
+                    self._blocks[q].solve(
+                        self._lu[q], emission_area,
+                        None if mirror_x is None else self.out_x[mirror_x],
+                        None if mirror_y is None else self.out_y[mirror_y])
             phi = (self.quad.weight @ self.psi.reshape(len(self.psi), -1)
                    ).reshape(mesh.ny, mesh.nx)
             return phi, self.psi, self.out_x, self.out_y

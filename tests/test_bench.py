@@ -185,6 +185,34 @@ class TestSnapshots:
             for (_, set_threads), n in zip(controls, before):
                 set_threads(n)
 
+    def test_serial_solves_run_one_blas_thread(self, tmp_path,
+                                               monkeypatch):
+        # The parent solve and the one-worker loop run in the caller's
+        # process, which the pool initializer does not reach: there they
+        # ran at the caller's BLAS thread count.
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded")
+        before = [get() for get, _ in controls]
+        seen = []
+
+        def recording_solve(*args, **kwargs):
+            seen.append(openblas_threads())
+            return solve_diffusion(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "solve_diffusion", recording_solve)
+        for _, set_threads in controls:
+            set_threads(2)
+        try:
+            generate_snapshots(small_config(tmp_path), "diffusion", "test")
+            after = openblas_threads()
+        finally:
+            for (_, set_threads), n in zip(controls, before):
+                set_threads(n)
+        assert len(seen) == 1 + len(materials.test_lattice())
+        assert seen == [[1] * len(before)] * len(seen)
+        assert after == [2] * len(before)
+
     def test_field_text_matches_per_value_repr(self):
         values = np.array([-1.5, 5e-324, 2.2250738585072014e-308 / 3, 3.0,
                            -7.0, 1e-300, -1e-300, 0.1 + 0.2, -0.0, 1e300])

@@ -148,22 +148,24 @@ class TestAttenuation:
 
     def test_direction_factors_have_no_fill(self):
         # Upwind numbering makes each direction system, and the
-        # block-diagonal system of a quadrant, lower triangular: L keeps
-        # exactly the matrix's nonzeros and U is its diagonal.  The
-        # same holds for the cached plan's blocks refilled with another
-        # group's (here spatially varying) totals.
+        # block-diagonal system of a quadrant, lower triangular for
+        # either scheme: L keeps exactly the matrix's nonzeros and U is
+        # its diagonal.  The same holds for the cached plan's blocks
+        # refilled with another group's (here spatially varying) totals.
         mesh = small_default_mesh(1)
         sig = np.full((mesh.ny, mesh.nx), 0.5)
         varied = 0.2 + np.random.default_rng(1).random((mesh.ny, mesh.nx))
         quad = build_quadrature(4)
-        sweepers = [transport._GroupSweeper(mesh, quad, s, "step")
-                    for s in (sig, varied)]
-        assert sweepers[0]._blocks is sweepers[1]._blocks
+        factors = []
+        for scheme in transport.SCHEMES:
+            sweepers = [transport._GroupSweeper(mesh, quad, s, scheme)
+                        for s in (sig, varied)]
+            assert sweepers[0]._blocks is sweepers[1]._blocks
+            factors += [(block, lu) for sweeper in sweepers
+                        for block, lu in zip(sweeper._blocks, sweeper._lu)]
         directions = [transport._sweep_block(
             mesh.nx, mesh.ny, mesh.dx, mesh.dy, [quad.omega_x[d]],
             [quad.omega_y[d]]) for d in range(quad.n_directions)]
-        factors = [(block, lu) for sweeper in sweepers
-                   for block, lu in zip(sweeper._blocks, sweeper._lu)]
         factors += [(block, block.factorize(sig, mesh.cell_area))
                     for block in directions]
         for block, lu in factors:
@@ -171,12 +173,18 @@ class TestAttenuation:
             assert lu.U.nnz == block.diag_pos.size
 
 
+def exit_faces(psi, ox, oy):
+    """The (exit column, exit row) of a (ny, nx) array for (ox, oy)."""
+    return psi[:, -1 if ox > 0 else 0], psi[-1 if oy > 0 else 0, :]
+
+
 def assembled_step_solve(mesh, sig, ox, oy, emission_area, inflow_x,
                          inflow_y):
     """Step-scheme flux of one direction from a dense system assembled
     cell by cell in natural order: (sigma_t A + a + b) psi - a psi_x,up
     - b psi_y,up = q A, the upstream flux being the inflow on the
-    boundary."""
+    boundary.  Returns the cell flux and the outgoing x and y face
+    fluxes, those of the exit cells."""
     nx, ny = mesh.nx, mesh.ny
     a, b = abs(ox) * mesh.dy, abs(oy) * mesh.dx
     mat = np.zeros((nx * ny, nx * ny))
@@ -194,36 +202,84 @@ def assembled_step_solve(mesh, sig, ox, oy, emission_area, inflow_x,
                 mat[c, ju * nx + i] = -b
             else:
                 rhs[c] += b * inflow_y[i]
-    return np.linalg.solve(mat, rhs).reshape(ny, nx)
+    psi = np.linalg.solve(mat, rhs).reshape(ny, nx)
+    return (psi, *exit_faces(psi, ox, oy))
+
+
+def assembled_diamond_solve(mesh, sig, ox, oy, emission_area, inflow_x,
+                            inflow_y):
+    """Diamond-difference flux of one direction from a dense system
+    assembled cell by cell in natural order, with unknowns psi, then
+    each cell's outgoing x face flux, then its outgoing y face flux:
+    (sigma_t A + 2a + 2b) psi - 2a f_x,in - 2b f_y,in = q A and
+    f_out - 2 psi + f_in = 0 per face, the incoming face flux being the
+    upstream cell's outgoing one, or the inflow on the boundary.
+    Returns the cell flux and the outgoing x and y face fluxes on the
+    exit sides."""
+    nx, ny = mesh.nx, mesh.ny
+    n = nx * ny
+    a, b = abs(ox) * mesh.dy, abs(oy) * mesh.dx
+    mat = np.zeros((3 * n, 3 * n))
+    rhs = np.concatenate([emission_area, np.zeros(2 * n)])
+    for j in range(ny):
+        for i in range(nx):
+            c = j * nx + i
+            mat[c, c] = sig[j, i] * mesh.cell_area + 2 * a + 2 * b
+            iu, ju = i - int(np.sign(ox)), j - int(np.sign(oy))
+            for off, weight, up, inflow in (
+                    (n, a, j * nx + iu if 0 <= iu < nx else None,
+                     inflow_x[j]),
+                    (2 * n, b, ju * nx + i if 0 <= ju < ny else None,
+                     inflow_y[i])):
+                mat[off + c, off + c] = 1.0
+                mat[off + c, c] = -2.0
+                if up is None:
+                    rhs[c] += 2 * weight * inflow
+                    rhs[off + c] -= inflow
+                else:
+                    mat[c, off + up] = -2 * weight
+                    mat[off + c, off + up] = 1.0
+    x = np.linalg.solve(mat, rhs)
+    return (x[:n].reshape(ny, nx),
+            exit_faces(x[n:2 * n].reshape(ny, nx), ox, oy)[0],
+            exit_faces(x[2 * n:].reshape(ny, nx), ox, oy)[1])
 
 
 @pytest.mark.parametrize("nx, ny", [(7, 4), (4, 7)])
 def test_planned_sweep_matches_assembled_system(nx, ny):
     # Non-square mesh and cells, varied totals, emission and inflows:
     # each quadrant solve of a sweeper refilled from the cached plan,
-    # and `sweep_direction`, match a system assembled cell by cell.
+    # for either scheme, and the step `sweep_direction`, match a system
+    # assembled cell by cell, in the cell flux and the exit-face fluxes.
     mesh = build_mesh(uniform_config(nx, ny, lx=7.0, ly=3.0))
     rng = np.random.default_rng(nx)
     sig = 0.3 + rng.random((ny, nx))
     quad = build_quadrature(4)
-    sweeper = transport._GroupSweeper(mesh, quad, sig, "step")
     emission_area = rng.random(nx * ny) * mesh.cell_area
     inflow_x = rng.random((quad.n_directions, ny))
     inflow_y = rng.random((quad.n_directions, nx))
-    for q, ds, _, _ in sweeper._quadrants:
-        psi = sweeper._solve_quadrant_step(q, ds, emission_area,
-                                           inflow_x[ds], inflow_y[ds])[0]
-        for k, d in enumerate(range(ds.start, ds.stop)):
-            ox, oy = quad.omega_x[d], quad.omega_y[d]
-            expected = assembled_step_solve(mesh, sig, ox, oy, emission_area,
-                                            inflow_x[d], inflow_y[d])
-            direct = sweep_direction(mesh, sig, (ox, oy),
-                                     emission_area.reshape(ny, nx)
-                                     / mesh.cell_area,
+    for scheme, assembled in (("step", assembled_step_solve),
+                              ("diamond", assembled_diamond_solve)):
+        sweeper = transport._GroupSweeper(mesh, quad, sig, scheme)
+        for q, ds, _, _ in sweeper._quadrants:
+            parts = sweeper._blocks[q].solve(
+                sweeper._lu[q], np.append(emission_area, 0.0),
+                inflow_x[ds], inflow_y[ds])
+            for k, d in enumerate(range(ds.start, ds.stop)):
+                ox, oy = quad.omega_x[d], quad.omega_y[d]
+                expected = assembled(mesh, sig, ox, oy, emission_area,
                                      inflow_x[d], inflow_y[d])
-            for got in (psi[k], direct):
-                assert (np.max(np.abs(got - expected))
-                        <= 1e-14 * np.max(np.abs(expected)))
+                pairs = [(got[k], want)
+                         for got, want in zip(parts, expected)]
+                if scheme == "step":
+                    direct = sweep_direction(
+                        mesh, sig, (ox, oy),
+                        emission_area.reshape(ny, nx) / mesh.cell_area,
+                        inflow_x[d], inflow_y[d])
+                    pairs.append((direct, expected[0]))
+                for got, want in pairs:
+                    assert (np.max(np.abs(got - want))
+                            <= 1e-14 * np.max(np.abs(want)))
 
 
 def default_lattice_problem(index=6):
