@@ -4,8 +4,13 @@ studies, and the measurement-noise sweep.
 Case 1 reconstructs transport-model truths with a reduced basis built
 from transport training snapshots (perfect model); Case 2 builds the
 basis from diffusion training snapshots instead, so the reconstruction
-carries an irreducible model-bias floor.  Truth states always come from
-the transport model on the test lattice.
+carries an irreducible model-bias floor.  Truth states come from the
+test lattice, solved by `model_for_truth` (the transport model by
+default).
+
+Both case reports and the noise sweep run one per-n reconstruction
+loop, which stops at the first beta below `BETA_FLOOR` and flags it in
+the run info.  Progress messages go to this module's logger at INFO.
 
 All reports are deterministic: identical config and seed produce
 byte-identical CSV files.  Wall-clock timings and other run metadata
@@ -16,10 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import cycle
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -45,6 +51,8 @@ NOISE_COLUMNS = ("n", "eps", "seed", "beta", "err_wc", "bound")
 #: Rows where the stability constant falls below this are flagged and
 #: the report is truncated rather than filled with garbage.
 BETA_FLOOR = 1e-8
+
+log = logging.getLogger(__name__)
 
 MODELS = ("transport", "diffusion")
 LATTICES = ("training", "test")
@@ -82,12 +90,10 @@ class ExperimentConfig:
     scheme: str = "step"
     sensor_grid: tuple[int, int] = (9, 6)
     n_range: tuple[int, int] = (1, 54)
-    model_for_rom: str = "transport"
     model_for_truth: str = "transport"
     output_dir: Path = Path("bench_out")
     seed: int = 0
     threads: int = 1
-    progress: bool = False
 
     def __post_init__(self):
         m = self.sensor_grid[0] * self.sensor_grid[1]
@@ -95,7 +101,7 @@ class ExperimentConfig:
         if not (1 <= lo <= hi <= m):
             raise ConfigurationError(
                 f"n_range {self.n_range} must lie inside [1, m = {m}]")
-        if self.model_for_rom not in MODELS or self.model_for_truth not in MODELS:
+        if self.model_for_truth not in MODELS:
             raise ConfigurationError(f"models must be one of {MODELS}")
 
     @staticmethod
@@ -123,7 +129,6 @@ class ExperimentConfig:
             scheme=d.get("scheme", "step"),
             sensor_grid=(int(sensors.get("sx", 9)), int(sensors.get("sy", 6))),
             n_range=tuple(int(v) for v in d.get("n_range", (1, 54))),
-            model_for_rom=d.get("model_for_rom", "transport"),
             model_for_truth=d.get("model_for_truth", "transport"),
             output_dir=Path(d.get("output_dir", "bench_out")),
             seed=int(d.get("seed", 0)),
@@ -150,21 +155,6 @@ class ExperimentConfig:
             sig["sn_order"] = self.sn_order
             sig["scheme"] = self.scheme
         return sig
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _field_text(values: np.ndarray) -> str:
-    """Snapshot CSV text: one shortest round-trip repr per line, the
-    same text as `_fmt` per value at two thirds of its cost."""
-    return "\n".join(map(repr, values.tolist())) + "\n"
-
-
-def _log(cfg: ExperimentConfig, msg: str):
-    if cfg.progress:
-        print(msg, file=sys.stderr, flush=True)
 
 
 def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
@@ -298,18 +288,18 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
             for i in range(manifest["count"]):
                 text = (directory / f"snapshot_{i:03d}.csv").read_text()
                 hasher.update(text.encode())
-                fields.append(Field(mesh, np.array(text.split(), dtype=float)))
+                fields.append(Field.from_text(text, mesh))
             if hasher.hexdigest() != manifest["content_hash"]:
                 raise RuntimeError(
                     f"snapshot files under {directory} do not match their "
                     "manifest content hash; regenerate with force=True")
-            _log(cfg, f"[snapshots] reusing {model}/{lattice} "
-                      f"({manifest['count']} files)")
+            log.info("[snapshots] reusing %s/%s (%d files)", model, lattice,
+                     manifest["count"])
             return SnapshotSet(fields=tuple(fields), alphas=tuple(alphas),
                                model_tag=model), manifest
 
-    _log(cfg, f"[snapshots] solving {model}/{lattice}: {len(alphas)} "
-              f"problems on {cfg.threads} worker(s)")
+    log.info("[snapshots] solving %s/%s: %d problems on %d worker(s)",
+             model, lattice, len(alphas), cfg.threads)
     t0 = time.perf_counter()
     tasks = [(i, model, alpha, cfg.cross_sections, mesh, cfg.tolerances,
               cfg.sn_order, cfg.scheme) for i, alpha in enumerate(alphas)]
@@ -339,7 +329,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     directory.mkdir(parents=True, exist_ok=True)
     hasher = hashlib.sha256()
     for i, f in enumerate(fields):
-        text = _field_text(f.values)
+        text = f.to_text()
         hasher.update(text.encode())
         (directory / f"snapshot_{i:03d}.csv").write_text(text)
     manifest = {
@@ -354,8 +344,8 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")
-    _log(cfg, f"[snapshots] {model}/{lattice} done in "
-              f"{time.perf_counter() - t0:.1f} s")
+    log.info("[snapshots] %s/%s done in %.1f s", model, lattice,
+             time.perf_counter() - t0)
     return SnapshotSet(fields=tuple(fields), alphas=tuple(alphas),
                        model_tag=model), manifest
 
@@ -424,9 +414,32 @@ def _write_csv(path: Path, columns, rows):
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(
-            str(row[c]) if isinstance(row[c], int) else _fmt(row[c])
+            str(row[c]) if isinstance(row[c], int) else repr(float(row[c]))
             for c in columns))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext, observations,
+                 flags: list):
+    """Yield (n, beta, estimates, eta, relative errors) of the test set
+    for each n of `cfg.n_range` up to the basis rank and each observation
+    matrix of `observations`; stop at the first beta below `BETA_FLOOR`,
+    appending a flag to `flags`."""
+    area = ctx.mesh.cell_area
+    test_values = ctx.testset.matrix
+    test_norms = np.sqrt(np.sum(test_values**2, axis=1) * area)
+    n_hi = min(cfg.n_range[1], ctx.basis.n_max)
+    for n in range(cfg.n_range[0], n_hi + 1):
+        op = assemble(ctx.basis, n, ctx.sensors)
+        if op.beta < BETA_FLOOR:
+            flags.append({"n": n, "beta": op.beta,
+                          "reason": f"beta below {BETA_FLOOR:g}"})
+            return
+        for y in observations:
+            estimates, _, eta = reconstruct_batch(op, y)
+            errs = np.sqrt(np.sum((test_values - estimates)**2, axis=1)
+                           * area) / test_norms
+            yield n, op.beta, estimates, eta, errs
 
 
 def run_case(cfg: ExperimentConfig, case: int,
@@ -442,26 +455,12 @@ def run_case(cfg: ExperimentConfig, case: int,
     ctx = prepare_case(cfg, case, force=force)
     t_setup = time.perf_counter()
 
-    area = ctx.mesh.cell_area
-    test_values = ctx.testset.matrix
-    test_norms = np.sqrt(np.sum(test_values**2, axis=1) * area)
-    psi_t = ctx.sensors.psi_matrix.T * area
-
+    psi_t = ctx.sensors.psi_matrix.T * ctx.mesh.cell_area
     rows = []
     flags = []
     interp_max = 0.0
-    n_lo = cfg.n_range[0]
-    n_hi = min(cfg.n_range[1], ctx.basis.n_max)
-    for n in range(n_lo, n_hi + 1):
-        op = assemble(ctx.basis, n, ctx.sensors)
-        b = op.beta
-        if b < BETA_FLOOR:
-            flags.append({"n": n, "beta": b,
-                          "reason": f"beta below {BETA_FLOOR:g}"})
-            break
-        estimates, _, eta = reconstruct_batch(op, ctx.y_psi)
-        errs = np.sqrt(np.sum((test_values - estimates)**2, axis=1) * area) \
-            / test_norms
+    for n, b, estimates, eta, errs in _reconstruct(cfg, ctx, [ctx.y_psi],
+                                                   flags):
         obs_back = estimates @ psi_t
         interp_max = max(interp_max, float(
             np.max(np.linalg.norm(obs_back - ctx.y_psi, axis=1))))
@@ -501,7 +500,7 @@ def run_case(cfg: ExperimentConfig, case: int,
     }
     (out_dir / f"case{case}_run_info.json").write_text(
         json.dumps(run_info, indent=2, sort_keys=True) + "\n")
-    _log(cfg, f"[case {case}] {len(rows)} rows -> {csv_path}")
+    log.info("[case %d] %d rows -> %s", case, len(rows), csv_path)
     return ExperimentReport(case=case, rows=tuple(rows), csv_path=csv_path,
                             run_info=run_info)
 
@@ -520,45 +519,34 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     against the extended bound beta^-1 (delta_wc + eps + eps_model),
     with eps_model the measured distance of the test truths to the
     full-rank diffusion span.  eps = 0 rows reproduce the Case-2 report.
+    Each (eps, seed) observation matrix is drawn once, for every n.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e < 0 for e in eps_list):
         raise ValueError("noise levels must be nonnegative")
     ctx = prepare_case(cfg, 2, force=force)
 
-    area = ctx.mesh.cell_area
-    test_values = ctx.testset.matrix
-    test_norms = np.sqrt(np.sum(test_values**2, axis=1) * area)
-    k_test = len(ctx.testset)
+    samples, observations = [], []
+    for eps_idx, eps in enumerate(eps_list):
+        for seed_idx in range(n_seeds):
+            samples.append((eps, seed_idx))
+            observations.append(ctx.y_psi if eps == 0.0 else np.stack([
+                perturb_observations(
+                    ctx.y_psi[t], eps,
+                    _noise_seed(cfg.seed, eps_idx, seed_idx, t))
+                for t in range(len(ctx.testset))]))
 
     rows = []
-    n_lo = cfg.n_range[0]
-    n_hi = min(cfg.n_range[1], ctx.basis.n_max)
-    for n in range(n_lo, n_hi + 1):
-        op = assemble(ctx.basis, n, ctx.sensors)
-        b = op.beta
-        if b < BETA_FLOOR:
-            break
-        for eps_idx, eps in enumerate(eps_list):
-            for seed_idx in range(n_seeds):
-                if eps == 0.0:
-                    y = ctx.y_psi
-                else:
-                    y = np.stack([
-                        perturb_observations(
-                            ctx.y_psi[t], eps,
-                            _noise_seed(cfg.seed, eps_idx, seed_idx, t))
-                        for t in range(k_test)])
-                estimates, _, _ = reconstruct_batch(op, y)
-                errs = np.sqrt(np.sum((test_values - estimates)**2, axis=1)
-                               * area) / test_norms
-                rows.append({
-                    "n": n, "eps": eps, "seed": seed_idx, "beta": b,
-                    "err_wc": float(errs.max()),
-                    "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
-                                         eps_noise=eps,
-                                         eps_model=ctx.eps_model),
-                })
+    flags = []
+    # One pass through the samples per n.
+    for (n, b, _, _, errs), (eps, seed_idx) in zip(
+            _reconstruct(cfg, ctx, observations, flags), cycle(samples)):
+        rows.append({
+            "n": n, "eps": eps, "seed": seed_idx, "beta": b,
+            "err_wc": float(errs.max()),
+            "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
+                                 eps_noise=eps, eps_model=ctx.eps_model),
+        })
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -567,9 +555,10 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     run_info = {
         "eps_list": eps_list, "n_seeds": n_seeds,
         "eps_model": ctx.eps_model, "basis_rank": ctx.basis.n_max,
+        "flags": flags,
     }
     (out_dir / "noise_sweep_run_info.json").write_text(
         json.dumps(run_info, indent=2, sort_keys=True) + "\n")
-    _log(cfg, f"[noise] {len(rows)} rows -> {csv_path}")
+    log.info("[noise] %d rows -> %s", len(rows), csv_path)
     return ExperimentReport(case=2, rows=tuple(rows), csv_path=csv_path,
                             run_info=run_info)

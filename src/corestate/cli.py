@@ -8,13 +8,15 @@ Subcommands:
 
 Every subcommand accepts --config (JSON experiment file), --out
 (output directory override) and --threads (snapshot worker count).
-Failures exit nonzero with a machine-readable JSON error on stderr.
+Progress messages go to stderr through `logging`.  Failures exit
+nonzero with a machine-readable JSON error on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -76,11 +78,15 @@ def _load_config(args) -> ExperimentConfig:
         cfg = replace(cfg, output_dir=Path(args.out))
     if args.threads is not None:
         cfg = replace(cfg, threads=max(1, args.threads))
-    return replace(cfg, progress=True)
+    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logger = logging.getLogger("corestate")
+    if not logger.handlers:  # progress messages, one per line on stderr
+        logger.addHandler(logging.StreamHandler())
+        logger.setLevel(logging.INFO)
     try:
         cfg = _load_config(args)
         if args.command == "snapshots":

@@ -186,12 +186,18 @@ class Field:
             raise DegenerateProblemError("cannot normalize an all-zero field")
         return Field(self.mesh, self.values / n)
 
+    def to_text(self) -> str:
+        """CSV text: one shortest round-trip repr per value and line."""
+        return "\n".join(map(repr, self.values.tolist())) + "\n"
+
+    @staticmethod
+    def from_text(text: str, mesh: Mesh) -> "Field":
+        return Field(mesh, np.array(text.split(), dtype=float))
+
     def save(self, csv_path: str | Path, manifest_path: str | Path | None = None):
         """Write values as CSV (one value per line, row-major) plus a JSON
         manifest describing the grid."""
-        csv_path = Path(csv_path)
-        lines = "\n".join(repr(float(v)) for v in self.values)
-        csv_path.write_text(lines + "\n")
+        Path(csv_path).write_text(self.to_text())
         if manifest_path is not None:
             manifest = {"nx": self.mesh.nx, "ny": self.mesh.ny,
                         "extent_x": self.mesh.extent_x,
@@ -201,9 +207,7 @@ class Field:
 
     @staticmethod
     def load(csv_path: str | Path, mesh: Mesh) -> "Field":
-        values = np.array(
-            [float(line) for line in Path(csv_path).read_text().split()])
-        return Field(mesh, values)
+        return Field.from_text(Path(csv_path).read_text(), mesh)
 
 
 def build_mesh(config: GeometryConfig) -> Mesh:

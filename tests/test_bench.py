@@ -1,6 +1,8 @@
 import ctypes
 import hashlib
 import json
+import logging
+import shutil
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -14,14 +16,15 @@ from corestate.diffusion import ToleranceConfig
 from corestate.diffusion import eigen_residual as diffusion_residual
 from corestate.diffusion import power_map_diffusion, solve_diffusion
 from corestate.errors import ConfigurationError, DegenerateProblemError
-from corestate.geometry import GeometryConfig, build_mesh
+from corestate.geometry import Field, GeometryConfig, build_mesh
 from corestate.materials import (default_cross_sections, map_alpha_to_mu,
                                  training_lattice)
-from corestate.sensing import build_sensors, observe
+from corestate.sensing import build_sensors, observe, perturb_observations
 from corestate.transport import eigen_residual as transport_residual
 from corestate.transport import (build_quadrature, power_map_transport,
                                  solve_transport)
 from corestate import bench, cli, materials
+from helpers import uniform_config
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -79,6 +82,15 @@ def case2_report(workdir):
     return cfg, run_case(cfg, 2)
 
 
+@pytest.fixture
+def case2_config(case2_report, tmp_path):
+    """`small_config` writing its reports to a directory of its own, with
+    a copy of the case-2 report's snapshot cache."""
+    cfg, _ = case2_report
+    shutil.copytree(cfg.output_dir / "snapshots", tmp_path / "snapshots")
+    return small_config(tmp_path)
+
+
 class TestSnapshots:
     def test_diffusion_training_set(self, workdir):
         cfg = small_config(workdir)
@@ -106,19 +118,20 @@ class TestSnapshots:
         assert path.read_bytes() == first
         assert m1["content_hash"] == m2["content_hash"]
 
-    def test_cache_read_is_bit_identical(self, tmp_path, capsys):
-        cfg = small_config(tmp_path, progress=True)
+    def test_cache_read_is_bit_identical(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="corestate.bench")
+        cfg = small_config(tmp_path)
         solved, _ = generate_snapshots(cfg, "diffusion", "test")
         read, _ = generate_snapshots(cfg, "diffusion", "test")
-        assert "reusing" in capsys.readouterr().err
+        assert "reusing" in caplog.text
         for a, b in zip(solved.fields, read.fields, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
 
-    def test_cache_reused_when_signature_matches(self, workdir, capsys):
-        cfg = small_config(workdir, progress=True)
+    def test_cache_reused_when_signature_matches(self, workdir, caplog):
+        caplog.set_level(logging.INFO, logger="corestate.bench")
+        cfg = small_config(workdir)
         generate_snapshots(cfg, "diffusion", "test")
-        captured = capsys.readouterr()
-        assert "reusing" in captured.err
+        assert "reusing" in caplog.text
 
     def test_corrupted_cache_detected(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -138,14 +151,15 @@ class TestSnapshots:
         assert m1["signature"] != m2["signature"]
 
     def test_cache_invalidated_by_solver_revision(self, tmp_path,
-                                                  monkeypatch, capsys):
-        cfg = small_config(tmp_path, progress=True)
+                                                  monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="corestate.bench")
+        cfg = small_config(tmp_path)
         _, m1 = generate_snapshots(cfg, "diffusion", "test")
         revision = m1["signature"]["solver_revision"]
         monkeypatch.setitem(bench.SOLVER_REVISION, "diffusion", revision + 1)
-        capsys.readouterr()
+        caplog.clear()
         _, m2 = generate_snapshots(cfg, "diffusion", "test")
-        err = capsys.readouterr().err
+        err = caplog.text
         assert "solving" in err and "reusing" not in err
         assert m2["signature"]["solver_revision"] == revision + 1
 
@@ -164,7 +178,7 @@ class TestSnapshots:
             _, power = solve_power_map(
                 model, map_alpha_to_mu(alpha, cfg1.cross_sections), mesh,
                 cfg1.tolerances, cfg1.sn_order, cfg1.scheme, start=parent)
-            warm.update(bench._field_text(power.values).encode())
+            warm.update(power.to_text().encode())
         assert m1["content_hash"] == m2["content_hash"] == warm.hexdigest()
 
     def test_pool_worker_runs_one_blas_thread(self):
@@ -216,8 +230,11 @@ class TestSnapshots:
     def test_field_text_matches_per_value_repr(self):
         values = np.array([-1.5, 5e-324, 2.2250738585072014e-308 / 3, 3.0,
                            -7.0, 1e-300, -1e-300, 0.1 + 0.2, -0.0, 1e300])
-        assert bench._field_text(values) == "".join(
-            repr(float(x)) + "\n" for x in values)
+        mesh = build_mesh(uniform_config(5, 2))
+        text = Field(mesh, values).to_text()
+        assert text == "".join(repr(float(x)) + "\n" for x in values)
+        parsed = Field.from_text(text, mesh).values
+        assert parsed.tobytes() == values.tobytes()
 
     def test_solver_failure_identifies_alpha(self, tmp_path):
         bad = small_config(
@@ -370,6 +387,36 @@ class TestSweepNoise:
         header = text.decode().splitlines()[0]
         assert header == ",".join(NOISE_COLUMNS)
 
+    def test_each_noise_sample_drawn_once(self, case2_config, monkeypatch):
+        # Every n shares the samples: the sweep once drew them per n.
+        calls = []
+
+        def counting_perturb(*args, **kwargs):
+            calls.append(args[1])
+            return perturb_observations(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "perturb_observations", counting_perturb)
+        noise = sweep_noise(case2_config, [0.0, 1e-3, 1e-2], n_seeds=2)
+        assert len(set(noise.column("n"))) == 4
+        assert len(calls) == 2 * 2 * 32  # eps > 0, seeds, test states
+        assert 0.0 not in calls
+
+    def test_beta_floor_truncates_and_flags_both_reports(self, case2_config,
+                                                          monkeypatch):
+        # The case-2 betas of small_config are 0.89, 0.53, 0.031, 0.0084.
+        monkeypatch.setattr(bench, "BETA_FLOOR", 0.1)
+        report = run_case(case2_config, 2)
+        noise = sweep_noise(case2_config, [0.0, 1e-3], n_seeds=2)
+        assert report.column("n").tolist() == [1, 2]
+        assert sorted(set(noise.column("n").tolist())) == [1, 2]
+        flags = report.run_info["flags"]
+        assert [(f["n"], f["reason"]) for f in flags] == [
+            (3, "beta below 0.1")]
+        assert flags[0]["beta"] < 0.1
+        out = case2_config.output_dir
+        for name in ("case2_run_info.json", "noise_sweep_run_info.json"):
+            assert json.loads((out / name).read_text())["flags"] == flags
+
     def test_negative_eps_rejected(self, case2_report):
         cfg, _ = case2_report
         with pytest.raises(ValueError):
@@ -399,6 +446,13 @@ class TestConfig:
         assert cfg.n_range == (1, 5)
         assert cfg.seed == 7
 
+    def test_retired_model_for_rom_key_still_loads(self, tmp_path):
+        # The case id picks the basis model; the key is ignored.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model_for_rom": "diffusion"}))
+        cfg = ExperimentConfig.from_json(path)
+        assert not hasattr(cfg, "model_for_rom")
+
     def test_n_range_validated(self, tmp_path):
         with pytest.raises(ConfigurationError, match="n_range"):
             small_config(tmp_path, n_range=(1, 7))  # m = 6
@@ -420,6 +474,15 @@ class TestConfig:
 
 
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def restore_logging(self):
+        # `main` binds its stderr handler to the `sys.stderr` of its first
+        # call, and capsys swaps `sys.stderr` for every test.
+        logger = logging.getLogger("corestate")
+        handlers, level = logger.handlers[:], logger.level
+        yield
+        logger.handlers[:], logger.level = handlers, level
+
     def _config_file(self, tmp_path):
         config = {
             "geometry": small_config(tmp_path).geometry.to_dict(),
@@ -460,6 +523,17 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert Path(out["csv"]).exists()
+
+    def test_progress_goes_to_stderr(self, tmp_path, capsys):
+        argv = ["snapshots", "--model", "diffusion", "--set", "test",
+                "--config", str(self._config_file(tmp_path))]
+        assert cli.main(argv) == 0 and cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4  # solving and done, once per run
+        assert err[0] == "[snapshots] solving diffusion/test: 32 problems " \
+            "on 1 worker(s)"
+        assert err[1].startswith("[snapshots] diffusion/test done in ")
+        assert len(logging.getLogger("corestate").handlers) == 1
 
     def test_error_is_machine_readable(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
