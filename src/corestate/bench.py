@@ -25,7 +25,6 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import cycle
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -519,18 +518,25 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     against the extended bound beta^-1 (delta_wc + eps + eps_model),
     with eps_model the measured distance of the test truths to the
     full-rank diffusion span.  eps = 0 rows reproduce the Case-2 report.
-    Each (eps, seed) observation matrix is drawn once, for every n.
+    Each (eps, seed) observation matrix is drawn once, for every n, and
+    the noiseless one is reconstructed once per n for all its seeds.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e < 0 for e in eps_list):
         raise ValueError("noise levels must be nonnegative")
     ctx = prepare_case(cfg, 2, force=force)
 
-    samples, observations = [], []
+    # (eps, seed, index of its observation matrix) per sample.  Every
+    # eps = 0 sample is ctx.y_psi, which is reconstructed once.
+    samples = []
+    observations = [ctx.y_psi] if 0.0 in eps_list else []
     for eps_idx, eps in enumerate(eps_list):
         for seed_idx in range(n_seeds):
-            samples.append((eps, seed_idx))
-            observations.append(ctx.y_psi if eps == 0.0 else np.stack([
+            if eps == 0.0:
+                samples.append((eps, seed_idx, 0))
+                continue
+            samples.append((eps, seed_idx, len(observations)))
+            observations.append(np.stack([
                 perturb_observations(
                     ctx.y_psi[t], eps,
                     _noise_seed(cfg.seed, eps_idx, seed_idx, t))
@@ -538,15 +544,20 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
 
     rows = []
     flags = []
-    # One pass through the samples per n.
-    for (n, b, _, _, errs), (eps, seed_idx) in zip(
-            _reconstruct(cfg, ctx, observations, flags), cycle(samples)):
-        rows.append({
-            "n": n, "eps": eps, "seed": seed_idx, "beta": b,
-            "err_wc": float(errs.max()),
-            "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
-                                 eps_noise=eps, eps_model=ctx.eps_model),
-        })
+    worst = ((n, b, float(errs.max())) for n, b, _, _, errs
+             in _reconstruct(cfg, ctx, observations, flags))
+    # One pass through the observation matrices per n, each matrix's
+    # worst error then given to every sample of it.
+    for per_matrix in zip(*[worst] * len(observations)):
+        n, b, _ = per_matrix[0]
+        for eps, seed_idx, index in samples:
+            rows.append({
+                "n": n, "eps": eps, "seed": seed_idx, "beta": b,
+                "err_wc": per_matrix[index][2],
+                "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
+                                     eps_noise=eps,
+                                     eps_model=ctx.eps_model),
+            })
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

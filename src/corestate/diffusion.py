@@ -19,13 +19,15 @@ group 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .eigen import ToleranceConfig, power_iteration, save_solution
+from .eigen import (ToleranceConfig, cached_factors, power_iteration,
+                    save_solution)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_arrays
@@ -50,11 +52,15 @@ class GroupOperator:
     with harmonic-mean interface D, boundary losses, Sa * area) in LAPACK
     upper band storage, `band[w + i - j, j] = A[i, j]`.  Cells are
     numbered along the shorter mesh side (row-major when nx <= ny,
-    column-major otherwise), so the half-bandwidth w is min(nx, ny)."""
+    column-major otherwise), so the half-bandwidth w is min(nx, ny).
+    `key` holds everything the matrix is built from, D and Sa as bytes,
+    so operators with equal keys have equal matrices."""
 
     def __init__(self, mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
                  vacuum_model: str):
         dx, dy = mesh.dx, mesh.dy
+        self.key = (mesh.nx, mesh.ny, dx, dy, mesh.bc, vacuum_model,
+                    d2d.tobytes(), sigma_a2d.tobytes())
         dl, dr, db, dt = d2d[:, :-1], d2d[:, 1:], d2d[:-1, :], d2d[1:, :]
         tx = dy * 2.0 * dl * dr / ((dl + dr) * dx)
         ty = dx * 2.0 * db * dt / ((db + dt) * dy)
@@ -137,7 +143,9 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                     start: DiffusionSolution | None = None
                     ) -> DiffusionSolution:
     """Power iteration on the fission source (`corestate.eigen`), each
-    group solved directly by band Cholesky of its `GroupOperator`.
+    group solved directly by band Cholesky of its `GroupOperator`,
+    factorized once for a run of solves with equal matrices
+    (`eigen.cached_factors`).
     `start`, the solution of a nearby problem on a mesh of the same
     shape (else `ConfigurationError`), replaces the flat start.
 
@@ -154,7 +162,9 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                 f"mesh given for a {mesh.nx} x {mesh.ny} one")
     m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
         xs, mesh, vacuum_model)
-    solves = [m1.factorize(1), m2.factorize(2)]
+    solves = [cached_factors("diffusion", g, m.key,
+                             functools.partial(m.factorize, g))
+              for g, m in ((1, m1), (2, m2))]
 
     return power_iteration(
         lambda g, q, _phi, _tol: solves[g](q), (nusf1, nusf2), (chi1, chi2),

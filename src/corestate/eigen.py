@@ -19,6 +19,8 @@ Transport's source iteration holds its estimated error, not just its
 last change, to this tolerance.
 Exhausting the outer budget, the group-pass cap or a group solver's own
 cap raises `IterationLimitError` carrying the last iterate.
+Both solvers keep their group factorizations across solves in
+`cached_factors`.
 """
 
 from __future__ import annotations
@@ -81,6 +83,34 @@ def save_solution(directory, fluxes, k_eff, iterations):
                 "extent_x": mesh.extent_x, "extent_y": mesh.extent_y}
     (directory / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+#: The factor set last built per (kind, group), with its key.  It is
+#: process-wide, so successive solves reuse it without being handed it;
+#: a hit gives the same bits as a rebuild, so no caller sees another's
+#: entries in its results, and each pool worker keeps its own.
+_FACTOR_SETS: dict = {}
+
+
+def cached_factors(kind: str, group: int, key, build: Callable,
+                   on_drop: Callable | None = None):
+    """`build()`, or what it returned last time for (kind, group) when
+    that was built for an equal `key`, which must hold the exact bytes
+    of everything `build` reads, so a hit is bit-identical to a rebuild.
+    One set per (kind, group) catches the reuse of the lattice order, in
+    which runs of consecutive points share their cross sections.  On a
+    miss the old set is dropped, and `on_drop()` called, before `build`
+    runs, so no more factors are alive than one solve needs."""
+    slot = (kind, group)
+    if slot in _FACTOR_SETS:
+        if _FACTOR_SETS[slot][0] == key:
+            return _FACTOR_SETS[slot][1]
+        del _FACTOR_SETS[slot]
+        if on_drop is not None:
+            on_drop()
+    value = build()
+    _FACTOR_SETS[slot] = (key, value)
+    return value
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -14,8 +14,11 @@ flux, so the LU factorization (once per problem) adds no fill and a
 solve is one forward substitution.  The directions of one quadrant
 share a single block-diagonal system and solve.  Orders and sparsity
 patterns depend only on the mesh, the quadrature and the scheme, so
-they are built once (`_sweep_plan`) and each problem only writes its
-diagonal and factorizes.
+they are built once (`_sweep_plan`); a problem writes its diagonal and
+factorizes.  The factors of each group are kept across solves
+(`eigen.cached_factors`, keyed by the bytes of the group's totals), so
+consecutive lattice points that share them, and `eigen_residual` after
+its solve, factorize nothing.
 
 The eigenpair is found by power iteration on the fission source with a
 source iteration per group inside each outer step.  The inner stops on
@@ -48,8 +51,8 @@ that reuses freshly computed outgoing fluxes on the reflective sides.
 
 from __future__ import annotations
 
+import ctypes
 import functools
-import mmap
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -58,7 +61,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .diffusion import GroupOperator
-from .eigen import ToleranceConfig, power_iteration, save_solution
+from .eigen import (ToleranceConfig, cached_factors, power_iteration,
+                    save_solution)
 from .errors import (ConfigurationError, DegenerateProblemError,
                      IterationLimitError)
 from .geometry import Field, Mesh
@@ -378,14 +382,31 @@ def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
     return block.solve(lu, emission_area, *inflows)[0][0]
 
 
+def _trim_heap():
+    """Give the malloc heap's free pages back to the system (glibc
+    `malloc_trim`; skipped where the C library has none).
+
+    Each SuperLU quadrant factorization reserves ~8 MB of heap and
+    touches a few hundred KB.  While cached factors pin the heap, the
+    pages a dropped set touched stay resident: peak RSS of perfbench's
+    `transport_lattice` (45 x 30, S4) read 89-95 MB without this trim
+    after each drop and 74.3-74.4 MB with it (4 runs each)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):  # no C library, or no
+        return                                    # malloc_trim in it
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 class _GroupSweeper:
     """Per-group sweep machinery: one factorized `scheme` system per
-    quadrant (`_sweep_plan` refilled with the group's totals) plus the
-    current angular flux and outgoing boundary face fluxes.  `sweeps`
-    counts the calls of `sweep`."""
+    quadrant (`_sweep_plan` refilled with the group's totals, from
+    `eigen.cached_factors`) plus the current angular flux and outgoing
+    boundary face fluxes.  `sweeps` counts the calls of `sweep`."""
 
     def __init__(self, mesh: Mesh, quad: AngularQuadrature,
-                 sigt2d: np.ndarray, scheme: str):
+                 sigt2d: np.ndarray, scheme: str, group: int):
         self.mesh = mesh
         self.quad = quad
         self.sweeps = 0
@@ -412,10 +433,12 @@ class _GroupSweeper:
             mirror_y = (quad.mirror_y[ds]
                         if getattr(mesh.bc, side_y) == "reflective" else None)
             self._quadrants.append((q, ds, mirror_x, mirror_y))
-        self._blocks = _sweep_plan(mesh.nx, mesh.ny, mesh.dx, mesh.dy,
-                                   quad.order, scheme)
-        self._lu = [block.factorize(sigt2d, mesh.cell_area)
-                    for block in self._blocks]
+        plan = (mesh.nx, mesh.ny, mesh.dx, mesh.dy, quad.order, scheme)
+        self._blocks = _sweep_plan(*plan)
+        self._lu = cached_factors(
+            "sweep", group, (plan, mesh.cell_area, sigt2d.tobytes()),
+            lambda: [block.factorize(sigt2d, mesh.cell_area)
+                     for block in self._blocks], on_drop=_trim_heap)
 
     def seed(self, psi: np.ndarray):
         """Start from the angular flux `psi` (directions, ny, nx) of a
@@ -487,13 +510,19 @@ def _vacuum_leakage(mesh: Mesh, quad: AngularQuadrature, out_x: np.ndarray,
 def _dsa_factor(mesh: Mesh, sigt2d: np.ndarray, sigs2d: np.ndarray,
                 group: int):
     """Band-Cholesky solve of one group's DSA correction, or None when
-    the group's thickest cell exceeds `_DSA_MAX_MFP`.  The operator is
-    -div D grad + (sigma_t - sigma_s,gg), D = 1 / (3 sigma_t), as a
-    `diffusion.GroupOperator` with Robin vacuum sides."""
-    if float(sigt2d.max()) * max(mesh.dx, mesh.dy) > _DSA_MAX_MFP:
-        return None
-    return GroupOperator(mesh, 1.0 / (3.0 * sigt2d), sigt2d - sigs2d,
-                         "robin").factorize(group)
+    the group's thickest cell exceeds `_DSA_MAX_MFP`, from
+    `eigen.cached_factors`.  The operator is -div D grad + (sigma_t -
+    sigma_s,gg), D = 1 / (3 sigma_t), as a `diffusion.GroupOperator`
+    with Robin vacuum sides."""
+    def build():
+        if float(sigt2d.max()) * max(mesh.dx, mesh.dy) > _DSA_MAX_MFP:
+            return None
+        return GroupOperator(mesh, 1.0 / (3.0 * sigt2d), sigt2d - sigs2d,
+                             "robin").factorize(group)
+
+    key = (mesh.nx, mesh.ny, mesh.dx, mesh.dy, mesh.bc, sigt2d.tobytes(),
+           sigs2d.tobytes())
+    return cached_factors("dsa", group, key, build)
 
 
 def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
@@ -509,7 +538,7 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
         raise ConfigurationError(
             f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
             "give void regions a small positive total")
-    sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme)
+    sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme, g + 1)
                 for g in range(2)]
     dsa = [_dsa_factor(mesh, cx.sigma_t[g], cx.sigma_s[g, g], g + 1)
            for g in range(2)]
@@ -549,22 +578,6 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
             f"_MAX_INNER = {_MAX_INNER} sweeps (change = {change:.3e})")
 
     return cx, sweepers, source_iteration
-
-
-def _off_heap_copy(a: np.ndarray) -> np.ndarray:
-    """Copy of `a` in a private anonymous memory map of its own.
-
-    A retained angular flux outlives its solve, typically as the start
-    of many later ones.  Copied on the (glibc) malloc heap while the
-    solve's SuperLU work space is still allocated, it lands above that
-    space and keeps the heap from shrinking back, so the heap ratchets
-    up with later factorizations.  Peak RSS over 8 passes of the warm
-    32-point test lattice (45 x 30, S4), median of 8 processes: 82.6 MB
-    with heap copies, 74-76 MB with this, 70.5 MB for cold starts."""
-    out = np.frombuffer(mmap.mmap(-1, a.nbytes, flags=mmap.MAP_PRIVATE),
-                        dtype=a.dtype).reshape(a.shape)
-    out[...] = a
-    return out
 
 
 def _check_start(start: TransportSolution, mesh: Mesh,
@@ -636,8 +649,7 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
             k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
             iterations, sum(s.sweeps for s in sweepers), residual,
             balance_residual=np.nan, quadrature_order=quad.order,
-            scheme=scheme, angular_flux=tuple(
-                _off_heap_copy(s.psi) for s in sweepers)
+            scheme=scheme, angular_flux=tuple(s.psi.copy() for s in sweepers)
             if retain_angular else None)
 
     sol = power_iteration(
@@ -679,14 +691,14 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
 
     It is of the order of the outer changes a solve still had to make,
     so a solve stopped early scores well above its tolerances.  It
-    builds its own sweepers from the cached sweep plan (refilled and
-    factorized, not reassembled) and sweeps its inners to 1e-9 (two
-    sweeps per group on converged default solves): ~13 ms on the
-    default 45 x 30 S4 problem (2-vCPU machine, BLAS on one thread;
-    ~24 ms with per-solve assembly), which is why `solve_transport`
-    does not compute it.  `quad` and `scheme` default to those of the
-    solve; others raise `ConfigurationError`, since they certify a
-    different discrete problem.
+    builds its own sweepers on the factors its solve left in
+    `eigen.cached_factors` and sweeps its inners to 1e-9 (two sweeps per
+    group on converged default solves): ~4 ms (2.3-4.3) right after its
+    solve on the default 45 x 30 S4 problem, ~15 ms when the factors
+    must be rebuilt (2-vCPU machine, BLAS on one thread).  `quad` and
+    `scheme` default to those of the solve; others raise
+    `ConfigurationError`, since they certify a different discrete
+    problem.
     """
     if quad is not None and quad.order != sol.quadrature_order:
         raise ConfigurationError(

@@ -27,6 +27,16 @@ from corestate import bench, cli, materials
 from helpers import uniform_config
 
 
+#: content_hash of `small_config`'s test-lattice set per (model,
+#: SOLVER_REVISION[model]).
+PINNED_TEST_SET_HASHES = {
+    ("transport", 7):
+        "d4e7ff0008738e098525d73e3097abd84d2bbcf761ba851fcfec97745ecd1b93",
+    ("diffusion", 3):
+        "87afcead8cf6b198af6f5c235f6fc0fec0767a5c61c3d5fd4deea573954f51b0",
+}
+
+
 def small_config(out_dir, **overrides) -> ExperimentConfig:
     """Desk-test configuration: coarse aligned mesh, 3 x 2 sensors."""
     base = GeometryConfig.default()
@@ -162,6 +172,19 @@ class TestSnapshots:
         err = caplog.text
         assert "solving" in err and "reusing" not in err
         assert m2["signature"]["solver_revision"] == revision + 1
+
+    @pytest.mark.parametrize("model", ["diffusion", "transport"])
+    def test_solver_output_pinned(self, tmp_path, model):
+        # A solver change that moves any snapshot bit must come with a
+        # new SOLVER_REVISION, so that old caches are not reused; this
+        # pin catches one without.  Recorded with numpy 2.4 and scipy
+        # 1.17 on x86-64; another BLAS may round differently.
+        _, manifest = generate_snapshots(small_config(tmp_path), model,
+                                         "test")
+        revision = bench.SOLVER_REVISION[model]
+        assert PINNED_TEST_SET_HASHES.get((model, revision)) \
+            == manifest["content_hash"], \
+            "solver output changed: bump `SOLVER_REVISION` and re-pin"
 
     @pytest.mark.parametrize("model", ["diffusion", "transport"])
     def test_threads_do_not_change_results(self, tmp_path, model):

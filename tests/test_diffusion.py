@@ -1,3 +1,6 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
 from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
                                 RegionBox, build_mesh)
-from corestate.materials import CrossSectionSet, default_cross_sections
+from corestate.materials import (CrossSectionSet, default_cross_sections,
+                                 map_alpha_to_mu)
 
 from helpers import (fuel_xs, homogeneous_problem, make_region_xs,
                      reflective_bc, uniform_config)
@@ -311,3 +315,83 @@ class TestErrors:
         with pytest.raises(ConfigurationError, match="5 x 4 mesh"):
             solve_diffusion(fuel_xs(), build_mesh(uniform_config(4, 5)),
                             start=start)
+
+
+class TestFactorCache:
+    """Group factors kept across solves (`eigen.cached_factors`): reused
+    only for equal inputs, bit-identically, one per group."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(eigen, "_FACTOR_SETS", {})
+
+    @staticmethod
+    def problems():
+        """The default layout, 15 x 10, at two scalings whose group
+        matrices differ in both groups."""
+        base = GeometryConfig.default()
+        mesh = build_mesh(replace(base, nx=15, ny=10))
+        xs = default_cross_sections()
+        return mesh, [xs, map_alpha_to_mu((0.8, 0.8, 1.0, 1.0, 1.0), xs)]
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        calls = []
+        factorize = GroupOperator.factorize
+
+        def counting(op, group):
+            calls.append(group)
+            return factorize(op, group)
+
+        monkeypatch.setattr(GroupOperator, "factorize", counting)
+        return calls
+
+    def test_reuse_is_bit_identical(self):
+        mesh, (a, b) = self.problems()
+        results = []
+        for xs in (a, a, b, a):
+            sol = solve_diffusion(xs, mesh)
+            if xs is a:
+                results.append((sol.k_eff, [f.values.tobytes()
+                                            for f in sol.phi]))
+        eigen._FACTOR_SETS.clear()
+        cold = solve_diffusion(a, mesh)
+        assert results == [(cold.k_eff,
+                            [f.values.tobytes() for f in cold.phi])] * 3
+
+    def test_one_set_per_group(self, monkeypatch):
+        # The factor is a function, so it can be tracked while alive.
+        live, peak = weakref.WeakSet(), []
+        factorize = GroupOperator.factorize
+
+        def tracking(op, group):
+            peak.append(len(live))
+            solve = factorize(op, group)
+            live.add(solve)
+            return solve
+
+        monkeypatch.setattr(GroupOperator, "factorize", tracking)
+        mesh, (a, b) = self.problems()
+        solve_diffusion(a, mesh)
+        peak.clear()
+        solve_diffusion(b, mesh)
+        assert len(live) == 2 and peak == [1, 1]
+        assert set(eigen._FACTOR_SETS) == {("diffusion", 1),
+                                           ("diffusion", 2)}
+
+    def test_changed_region_or_vacuum_model_misses(self, monkeypatch):
+        mesh, (a, _) = self.problems()
+        solve_diffusion(a, mesh)
+        calls = self.count_factorizations(monkeypatch)
+        solve_diffusion(a, mesh)
+        assert calls == []
+        # One region's group-1 absorption, one ulp up: group 1 misses.
+        name = a.region_names()[0]
+        region = a[name]
+        nudged = CrossSectionSet({**a.regions, name: replace(
+            region, sigma_a=np.nextafter(region.sigma_a,
+                                         region.sigma_a + [1.0, 0.0]))})
+        solve_diffusion(nudged, mesh)
+        assert calls == [1]
+        solve_diffusion(nudged, mesh, vacuum_model="zero_flux")
+        assert calls == [1, 1, 2]

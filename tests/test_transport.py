@@ -1,3 +1,6 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
 from corestate.bench import ExperimentConfig
 from corestate.geometry import Field, GeometryConfig, build_mesh
-from corestate.materials import (default_cross_sections, map_alpha_to_mu,
-                                 training_lattice)
+from corestate.materials import (CrossSectionSet, default_cross_sections,
+                                 map_alpha_to_mu, training_lattice)
 from corestate.sensing import build_sensors, observe
 from corestate.transport import (AngularQuadrature, build_quadrature,
                                  eigen_residual, power_map_transport,
@@ -158,8 +161,8 @@ class TestAttenuation:
         quad = build_quadrature(4)
         factors = []
         for scheme in transport.SCHEMES:
-            sweepers = [transport._GroupSweeper(mesh, quad, s, scheme)
-                        for s in (sig, varied)]
+            sweepers = [transport._GroupSweeper(mesh, quad, s, scheme, g)
+                        for g, s in enumerate((sig, varied), start=1)]
             assert sweepers[0]._blocks is sweepers[1]._blocks
             factors += [(block, lu) for sweeper in sweepers
                         for block, lu in zip(sweeper._blocks, sweeper._lu)]
@@ -260,7 +263,7 @@ def test_planned_sweep_matches_assembled_system(nx, ny):
     inflow_y = rng.random((quad.n_directions, nx))
     for scheme, assembled in (("step", assembled_step_solve),
                               ("diamond", assembled_diamond_solve)):
-        sweeper = transport._GroupSweeper(mesh, quad, sig, scheme)
+        sweeper = transport._GroupSweeper(mesh, quad, sig, scheme, 1)
         for q, ds, _, _ in sweeper._quadrants:
             parts = sweeper._blocks[q].solve(
                 sweeper._lu[q], np.append(emission_area, 0.0),
@@ -280,6 +283,36 @@ def test_planned_sweep_matches_assembled_system(nx, ny):
                 for got, want in pairs:
                     assert (np.max(np.abs(got - want))
                             <= 1e-14 * np.max(np.abs(want)))
+
+
+def manufactured_error(n, scheme, omega=(0.6, 0.35), a=1.3, b=2.1):
+    """RMS error of one direction's sweep on an n x n mesh of the unit
+    square with sigma_t = 1, against psi = exp(a x) cos(b y): the source
+    and the inflows are its exact cell and face averages, and the
+    computed cell fluxes are compared with its cell averages."""
+    ox, oy = omega
+    h = 1.0 / n
+    edges = np.linspace(0.0, 1.0, n + 1)
+    f, g = np.exp(a * edges), np.cos(b * edges)
+    f_bar = np.diff(np.exp(a * edges) / a) / h
+    g_bar = np.diff(np.sin(b * edges) / b) / h
+    exact = np.outer(g_bar, f_bar)
+    source = (ox * np.outer(g_bar, np.diff(f) / h)
+              + oy * np.outer(np.diff(g) / h, f_bar) + exact)
+    block = transport._sweep_block(n, n, h, h, [ox], [oy], scheme)
+    lu = block.factorize(np.ones((n, n)), h * h)
+    psi = block.solve(lu, np.append(source.ravel() * h * h, 0.0),
+                      f[0] * g_bar[None], f_bar[None] * g[0])[0][0]
+    return np.sqrt(np.mean((psi - exact) ** 2))
+
+
+@pytest.mark.parametrize("scheme,order", [("diamond", 1.9), ("step", 0.8)])
+def test_manufactured_solution_order(scheme, order):
+    # Observed orders on n = 10, 20, 40, 80: diamond 2.00 at every
+    # refinement, step 0.86, 0.90, 0.94 (first order in the limit).
+    errors = [manufactured_error(n, scheme) for n in (10, 20, 40, 80)]
+    observed = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert observed.min() >= order, observed
 
 
 def default_lattice_problem(index=6):
@@ -499,6 +532,99 @@ class TestEigenResidual:
         quad = build_quadrature(2)
         sol = solve_transport(xs, mesh, quad)
         assert eigen_residual(sol, xs, quad) < ToleranceConfig().k_tol
+
+
+class TestFactorCache:
+    """Sweep and DSA factors kept across solves (`eigen.cached_factors`):
+    reused only for equal totals, bit-identically, one set per group."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(eigen, "_FACTOR_SETS", {})
+
+    @staticmethod
+    def problems():
+        """The S2 default layout at two lattice points whose totals
+        differ in both groups."""
+        base = default_cross_sections()
+        return small_default_mesh(1), build_quadrature(2), [
+            map_alpha_to_mu(alpha, base)
+            for alpha in ((1.0,) * 5, (0.8, 0.8, 0.8, 1.0, 1.0))]
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        """Calls of the sweep and the DSA factorizations, by kind."""
+        calls = {"sweep": 0, "dsa": 0}
+        for kind, owner in (("sweep", transport._SweepBlock),
+                            ("dsa", transport.GroupOperator)):
+            def counting(*args, kind=kind, factorize=owner.factorize):
+                calls[kind] += 1
+                return factorize(*args)
+            monkeypatch.setattr(owner, "factorize", counting)
+        return calls
+
+    def test_reuse_is_bit_identical(self):
+        mesh, quad, (a, b) = self.problems()
+        results = []
+        for xs in (a, a, b, a):
+            sol = solve_transport(xs, mesh, quad)
+            if xs is a:
+                results.append((sol.k_eff, [f.values.tobytes()
+                                            for f in sol.scalar_flux]))
+        eigen._FACTOR_SETS.clear()
+        cold = solve_transport(a, mesh, quad)
+        expected = (cold.k_eff, [f.values.tobytes() for f in cold.scalar_flux])
+        assert results == [expected] * 3
+
+    def test_one_set_per_kind_and_group(self, monkeypatch):
+        # Each quadrant factor is tracked while alive.  A miss drops the
+        # group's old set before factorizing, so while the second
+        # problem factorizes its group 1, at most group 2's old set and
+        # group 1's new factors are alive; after it, one set per group.
+        class Tracked:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        live, peak = weakref.WeakSet(), []
+        factorize = transport._SweepBlock.factorize
+
+        def tracking(block, *args):
+            peak.append(len(live))
+            lu = Tracked(factorize(block, *args))
+            live.add(lu)
+            return lu
+
+        monkeypatch.setattr(transport._SweepBlock, "factorize", tracking)
+        mesh, quad, (a, b) = self.problems()
+        solve_transport(a, mesh, quad)
+        peak.clear()
+        solve_transport(b, mesh, quad)
+        assert len(live) == 8 and max(peak) == 7
+        assert set(eigen._FACTOR_SETS) == {
+            (kind, g) for kind in ("sweep", "dsa") for g in (1, 2)}
+
+    def test_changed_region_total_misses(self, monkeypatch):
+        mesh, quad, (a, _) = self.problems()
+        solve_transport(a, mesh, quad)
+        calls = self.count_factorizations(monkeypatch)
+        solve_transport(a, mesh, quad)
+        assert calls == {"sweep": 0, "dsa": 0}
+        # One region's group-1 total, one ulp up: group 1 only misses.
+        name = a.region_names()[0]
+        region = a[name]
+        nudged = CrossSectionSet({**a.regions, name: replace(
+            region, sigma_t=np.nextafter(region.sigma_t,
+                                          region.sigma_t + [1.0, 0.0]))})
+        solve_transport(nudged, mesh, quad)
+        assert calls == {"sweep": 4, "dsa": 1}
+
+    def test_eigen_residual_after_its_solve_factorizes_nothing(
+            self, monkeypatch):
+        mesh, quad, (a, _) = self.problems()
+        sol = solve_transport(a, mesh, quad)
+        calls = self.count_factorizations(monkeypatch)
+        assert eigen_residual(sol, a) < ToleranceConfig().flux_tol
+        assert calls == {"sweep": 0, "dsa": 0}
 
 
 class TestPowerMap:
