@@ -63,8 +63,9 @@ LATTICES = ("training", "test")
 #: synthetic acceleration; 4 (diffusion 2): band-Cholesky group solves;
 #: 5 (diffusion 3): every lattice point warm-started from PARENT_ALPHA;
 #: 6: inner iterations stopped on their estimated error; 7: diamond on
-#: the upwind-ordered sweep system.
-SOLVER_REVISION = {"transport": 7, "diffusion": 3}
+#: the upwind-ordered sweep system; 8 (diffusion 4): Anderson-mixed
+#: outer iteration, and the parent's lattice point taken from the parent.
+SOLVER_REVISION = {"transport": 8, "diffusion": 4}
 
 #: The lattice centre, solved once per snapshot set; every lattice point
 #: starts from its solution.  One fixed parent, rather than a chain of
@@ -164,43 +165,56 @@ def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
     (see `solve_transport` and `solve_diffusion`)."""
     if model == "diffusion":
         sol = solve_diffusion(xs, mesh, tol, start=start)
-        return sol.k_eff, power_map_diffusion(sol, xs)
-    sol = solve_transport(xs, mesh, build_quadrature(sn_order), tol,
-                          scheme=scheme, start=start)
-    return sol.k_eff, power_map_transport(sol, xs)
+    else:
+        sol = solve_transport(xs, mesh, build_quadrature(sn_order), tol,
+                              scheme=scheme, start=start)
+    return sol.k_eff, _power_map(model, sol, xs)
+
+
+def _power_map(model: str, sol, xs: CrossSectionSet) -> Field:
+    if model == "diffusion":
+        return power_map_diffusion(sol, xs)
+    return power_map_transport(sol, xs)
 
 
 def _solve_parent(cfg: ExperimentConfig, model: str, mesh: Mesh):
-    """The `PARENT_ALPHA` solution the lattice points start from.
+    """(solution, converged) of the `PARENT_ALPHA` problem the lattice
+    points start from.
 
     A parent that reaches an iteration cap is still a usable start: its
-    last iterate is taken, with a warning.  Any other failure raises
-    `RuntimeError` naming the parent alpha."""
+    last iterate is taken, with a warning, and `converged` is False.
+    Any other failure raises `RuntimeError` naming the parent alpha."""
     try:
         xs = map_alpha_to_mu(PARENT_ALPHA, cfg.cross_sections)
         if model == "diffusion":
-            return solve_diffusion(xs, mesh, cfg.tolerances)
+            return solve_diffusion(xs, mesh, cfg.tolerances), True
         return solve_transport(xs, mesh, build_quadrature(cfg.sn_order),
                                cfg.tolerances, scheme=cfg.scheme,
-                               retain_angular=True)
+                               retain_angular=True), True
     except IterationLimitError as exc:  # always carries the last iterate
         warnings.warn(
             f"{model} parent solve at alpha = {PARENT_ALPHA} did not "
             f"converge ({exc}); the lattice starts from its last iterate",
             RuntimeWarning, stacklevel=3)
-        return exc.last_solution
+        return exc.last_solution, False
     except Exception as exc:
         raise RuntimeError(
             f"{model} parent solve failed at alpha = {PARENT_ALPHA}: "
             f"{type(exc).__name__}: {exc}") from exc
 
 
-def _snapshot_worker(task, start):
+def _snapshot_worker(task, start, solved: bool = False):
+    """(index, k_eff, power values, error) of one lattice point, solved
+    from `start`, or taken from it when `solved`: a converged parent is
+    the solution of its own lattice point."""
     index, model, alpha, base_xs, mesh, tol, sn_order, scheme = task
     try:
         xs = map_alpha_to_mu(alpha, base_xs)
-        k_eff, power = solve_power_map(model, xs, mesh, tol, sn_order, scheme,
-                                       start=start)
+        if solved:
+            k_eff, power = start.k_eff, _power_map(model, start, xs)
+        else:
+            k_eff, power = solve_power_map(model, xs, mesh, tol, sn_order,
+                                           scheme, start=start)
         return index, k_eff, power.values, None
     except Exception as exc:  # surfaced with the failing alpha by the caller
         return index, None, None, f"{type(exc).__name__}: {exc}"
@@ -265,7 +279,9 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     """Solve the chosen model over a parameter lattice and persist the
     power maps with a manifest; reuse an existing set when its manifest
     matches the current configuration.  Every point's solve starts from
-    the `PARENT_ALPHA` solution (`_solve_parent`), solved first.
+    the `PARENT_ALPHA` solution (`_solve_parent`), solved first; the
+    point at `PARENT_ALPHA` itself takes that solution when it
+    converged.
 
     Returns (snapshots, manifest).
     """
@@ -306,13 +322,19 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     # one thread: the caller's count is restored afterwards.
     previous = _one_blas_thread()
     try:
-        parent = _solve_parent(cfg, model, mesh)
+        parent, converged = _solve_parent(cfg, model, mesh)
+        own = [i for i, alpha in enumerate(alphas)
+               if converged and alpha == PARENT_ALPHA]
+        rest = [t for t in tasks if t[0] not in own]
         if cfg.threads > 1:
             with Pool(cfg.threads, initializer=_init_pool_worker,
                       initargs=(parent,)) as pool:
-                results = pool.map(_pool_worker, tasks)
+                results = pool.map(_pool_worker, rest)
         else:
-            results = [_snapshot_worker(t, parent) for t in tasks]
+            results = [_snapshot_worker(t, parent) for t in rest]
+        results += [_snapshot_worker(tasks[i], parent, solved=True)
+                    for i in own]
+        results.sort(key=lambda r: r[0])
     finally:
         for set_threads, count in previous:
             set_threads(count)

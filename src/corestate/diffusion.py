@@ -19,7 +19,6 @@ group 1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +51,19 @@ class GroupOperator:
     with harmonic-mean interface D, boundary losses, Sa * area) in LAPACK
     upper band storage, `band[w + i - j, j] = A[i, j]`.  Cells are
     numbered along the shorter mesh side (row-major when nx <= ny,
-    column-major otherwise), so the half-bandwidth w is min(nx, ny).
-    `key` holds everything the matrix is built from, D and Sa as bytes,
-    so operators with equal keys have equal matrices."""
+    column-major otherwise), so the half-bandwidth w is min(nx, ny)."""
+
+    @staticmethod
+    def key(mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
+            vacuum_model: str) -> tuple:
+        """Everything the matrix is built from, D and Sa as bytes:
+        operators with equal keys have equal matrices."""
+        return (mesh.nx, mesh.ny, mesh.dx, mesh.dy, mesh.bc, vacuum_model,
+                d2d.tobytes(), sigma_a2d.tobytes())
 
     def __init__(self, mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
                  vacuum_model: str):
         dx, dy = mesh.dx, mesh.dy
-        self.key = (mesh.nx, mesh.ny, dx, dy, mesh.bc, vacuum_model,
-                    d2d.tobytes(), sigma_a2d.tobytes())
         dl, dr, db, dt = d2d[:, :-1], d2d[:, 1:], d2d[:-1, :], d2d[1:, :]
         tx = dy * 2.0 * dl * dr / ((dl + dr) * dx)
         ty = dx * 2.0 * db * dt / ((db + dt) * dy)
@@ -112,6 +115,23 @@ class GroupOperator:
             dpbtrs(factor, self._permute(q, self.shape))[0], self.shape[::-1])
 
 
+def _diffusion_cells(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
+    """Validated cell cross sections and the area-scaled coupling and
+    fission vectors (s21, s12, nusf1, nusf2, chi1, chi2), flat per
+    cell."""
+    if vacuum_model not in VACUUM_MODELS:
+        raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
+    cx = cell_arrays(xs, mesh)
+    if (cx.d <= 0).any():
+        raise ConfigurationError("diffusion needs D > 0 in every region")
+    area = mesh.cell_area
+    return cx, (cx.sigma_s[1, 0].ravel() * area,
+                cx.sigma_s[0, 1].ravel() * area,
+                cx.nu_sigma_f[0].ravel() * area,
+                cx.nu_sigma_f[1].ravel() * area,
+                cx.chi[0].ravel(), cx.chi[1].ravel())
+
+
 def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
                               vacuum_model: str = "robin"):
     """Group operators plus coupling/fission vectors (all area-scaled).
@@ -122,19 +142,10 @@ def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
         M1 phi1 - diag(s21) phi2 = (chi1/k) (nusf1 phi1 + nusf2 phi2)
         M2 phi2 - diag(s12) phi1 = (chi2/k) (nusf1 phi1 + nusf2 phi2)
     """
-    if vacuum_model not in VACUUM_MODELS:
-        raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
-    cx = cell_arrays(xs, mesh)
-    if (cx.d <= 0).any():
-        raise ConfigurationError("diffusion needs D > 0 in every region")
-    area = mesh.cell_area
-    m1 = GroupOperator(mesh, cx.d[0], cx.sigma_a[0], vacuum_model)
-    m2 = GroupOperator(mesh, cx.d[1], cx.sigma_a[1], vacuum_model)
-    s12 = cx.sigma_s[0, 1].ravel() * area
-    s21 = cx.sigma_s[1, 0].ravel() * area
-    nusf1 = cx.nu_sigma_f[0].ravel() * area
-    nusf2 = cx.nu_sigma_f[1].ravel() * area
-    return m1, m2, s21, s12, nusf1, nusf2, cx.chi[0].ravel(), cx.chi[1].ravel()
+    cx, vectors = _diffusion_cells(xs, mesh, vacuum_model)
+    return (GroupOperator(mesh, cx.d[0], cx.sigma_a[0], vacuum_model),
+            GroupOperator(mesh, cx.d[1], cx.sigma_a[1], vacuum_model)) \
+        + vectors
 
 
 def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
@@ -145,7 +156,7 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
     """Power iteration on the fission source (`corestate.eigen`), each
     group solved directly by band Cholesky of its `GroupOperator`,
     factorized once for a run of solves with equal matrices
-    (`eigen.cached_factors`).
+    (`eigen.cached_factors`) and assembled only when factorized.
     `start`, the solution of a nearby problem on a mesh of the same
     shape (else `ConfigurationError`), replaces the flat start.
 
@@ -160,11 +171,16 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             raise ConfigurationError(
                 f"solve_diffusion: a start on a {shape[0]} x {shape[1]} "
                 f"mesh given for a {mesh.nx} x {mesh.ny} one")
-    m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
+    cx, (s21, s12, nusf1, nusf2, chi1, chi2) = _diffusion_cells(
         xs, mesh, vacuum_model)
-    solves = [cached_factors("diffusion", g, m.key,
-                             functools.partial(m.factorize, g))
-              for g, m in ((1, m1), (2, m2))]
+
+    def factor(g):
+        d, sa = cx.d[g - 1], cx.sigma_a[g - 1]
+        return cached_factors(
+            "diffusion", g, GroupOperator.key(mesh, d, sa, vacuum_model),
+            lambda: GroupOperator(mesh, d, sa, vacuum_model).factorize(g))
+
+    solves = [factor(1), factor(2)]
 
     return power_iteration(
         lambda g, q, _phi, _tol: solves[g](q), (nusf1, nusf2), (chi1, chi2),

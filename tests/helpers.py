@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from corestate.bench import ExperimentConfig
 from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
                                 RegionBox, build_mesh)
-from corestate.materials import CrossSectionSet, RegionXS
+from corestate.materials import (CrossSectionSet, RegionXS, map_alpha_to_mu,
+                                 training_lattice)
 
 
 def uniform_config(nx, ny, lx=10.0, ly=10.0, region="Fuel",
@@ -43,6 +45,15 @@ def homogeneous_problem(nx=6, ny=4, **xs_kwargs):
     """Homogeneous all-reflective problem (infinite-medium analog)."""
     mesh = build_mesh(uniform_config(nx, ny, bc=reflective_bc()))
     return mesh, fuel_xs(**xs_kwargs)
+
+
+def default_lattice_problem(index):
+    """(config, mesh, cross sections) of training-lattice point `index`
+    on the default 45 x 30 S4 setup."""
+    cfg = ExperimentConfig.default()
+    mesh = build_mesh(cfg.geometry)
+    xs = map_alpha_to_mu(training_lattice()[index], cfg.cross_sections)
+    return cfg, mesh, xs
 
 
 def random_field(mesh, rng, positive=False) -> Field:

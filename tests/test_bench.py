@@ -34,6 +34,10 @@ PINNED_TEST_SET_HASHES = {
         "d4e7ff0008738e098525d73e3097abd84d2bbcf761ba851fcfec97745ecd1b93",
     ("diffusion", 3):
         "87afcead8cf6b198af6f5c235f6fc0fec0767a5c61c3d5fd4deea573954f51b0",
+    ("transport", 8):
+        "dba1935659b2c5971e86f0cebc1c97a9921fca58054d2784ffc377bd8589b2d9",
+    ("diffusion", 4):
+        "b5263f1c90536fb1ba8335dfeaf18476d453a2f3c3c632575e08e88250123f6e",
 }
 
 
@@ -195,7 +199,7 @@ class TestSnapshots:
         _, m1 = generate_snapshots(cfg1, model, "test")
         _, m2 = generate_snapshots(cfg2, model, "test")
         mesh = build_mesh(cfg1.geometry)
-        parent = bench._solve_parent(cfg1, model, mesh)
+        parent, _ = bench._solve_parent(cfg1, model, mesh)
         warm = hashlib.sha256()
         for alpha in materials.test_lattice():
             _, power = solve_power_map(
@@ -203,6 +207,32 @@ class TestSnapshots:
                 cfg1.tolerances, cfg1.sn_order, cfg1.scheme, start=parent)
             warm.update(power.to_text().encode())
         assert m1["content_hash"] == m2["content_hash"] == warm.hexdigest()
+
+    def test_parent_point_taken_from_the_parent(self, tmp_path,
+                                                monkeypatch):
+        # Training point 121 is PARENT_ALPHA: its row is the parent's
+        # solution, on one worker or two, and it is not solved again.
+        solved = []
+        solve = bench.solve_power_map
+
+        def recording(model, xs, *args, **kwargs):
+            solved.append(xs)
+            return solve(model, xs, *args, **kwargs)
+
+        cfg = small_config(tmp_path / "a")
+        mesh = build_mesh(cfg.geometry)
+        parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
+        monkeypatch.setattr(bench, "solve_power_map", recording)
+        snaps, manifest = generate_snapshots(cfg, "diffusion", "training")
+        index = training_lattice().index(bench.PARENT_ALPHA)
+        assert converged and len(solved) == 242
+        assert manifest["k_eff"][index] == parent.k_eff
+        xs = map_alpha_to_mu(bench.PARENT_ALPHA, cfg.cross_sections)
+        assert (snaps.fields[index].values.tobytes()
+                == power_map_diffusion(parent, xs).values.tobytes())
+        _, pooled = generate_snapshots(
+            small_config(tmp_path / "b", threads=2), "diffusion", "training")
+        assert pooled["content_hash"] == manifest["content_hash"]
 
     def test_pool_worker_runs_one_blas_thread(self):
         # A forked worker inherits the parent's BLAS threads, so two
@@ -313,7 +343,7 @@ def test_warm_start_matches_cold_with_less_work(model):
     mesh = build_mesh(cfg.geometry)
     sensors = build_sensors(mesh, cfg.sensor_grid)
     quad = build_quadrature(cfg.sn_order)
-    parent = bench._solve_parent(cfg, model, mesh)
+    parent, _ = bench._solve_parent(cfg, model, mesh)
     for index in (0, 121, 242):
         xs = map_alpha_to_mu(training_lattice()[index], cfg.cross_sections)
         if model == "transport":
@@ -332,6 +362,25 @@ def test_warm_start_matches_cold_with_less_work(model):
         obs = [observe(m, sensors) for m in maps]
         assert (np.max(np.abs(obs[1] - obs[0]))
                 <= tol.flux_tol * np.max(np.abs(obs[0])))
+
+
+def test_transport_test_lattice_work_budget():
+    # The 32 default test-lattice points solved serially from the
+    # parent take 227 outers and 702 sweeps in all; without the
+    # Anderson mixing of the outers they took 307 and 982.  Work counts
+    # do not depend on the machine, so a lost acceleration fails here.
+    cfg = ExperimentConfig.default()
+    mesh = build_mesh(cfg.geometry)
+    quad = build_quadrature(cfg.sn_order)
+    parent, _ = bench._solve_parent(cfg, "transport", mesh)
+    outers = sweeps = 0
+    for alpha in materials.test_lattice():
+        sol = solve_transport(map_alpha_to_mu(alpha, cfg.cross_sections),
+                              mesh, quad, cfg.tolerances, scheme=cfg.scheme,
+                              start=parent)
+        outers += sol.iterations
+        sweeps += sol.sweeps
+    assert outers <= 240 and sweeps <= 740, (outers, sweeps)
 
 
 class TestRunCase:

@@ -15,8 +15,8 @@ from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
 from corestate.materials import (CrossSectionSet, default_cross_sections,
                                  map_alpha_to_mu)
 
-from helpers import (fuel_xs, homogeneous_problem, make_region_xs,
-                     reflective_bc, uniform_config)
+from helpers import (default_lattice_problem, fuel_xs, homogeneous_problem,
+                     make_region_xs, reflective_bc, uniform_config)
 
 
 def infinite_medium_k(xs):
@@ -395,3 +395,81 @@ class TestFactorCache:
         assert calls == [1]
         solve_diffusion(nudged, mesh, vacuum_model="zero_flux")
         assert calls == [1, 1, 2]
+
+    def test_hit_assembles_no_operator(self, monkeypatch):
+        mesh, (a, _) = self.problems()
+        solve_diffusion(a, mesh)
+        built = []
+        init = GroupOperator.__init__
+
+        def counting(op, *args):
+            built.append(op)
+            init(op, *args)
+
+        monkeypatch.setattr(GroupOperator, "__init__", counting)
+        solve_diffusion(a, mesh)
+        assert built == []
+
+
+class TestAndersonMixing:
+    """The Anderson-mixed outer iteration (`eigen.ANDERSON_DEPTH`):
+    the mixing step itself, and its effect on diffusion solves."""
+
+    def test_two_differences_solve_a_linear_map_in_the_plane(self):
+        # For an affine map the residual is affine too, so once two
+        # differences span the plane the mixed iterate is the fixed
+        # point.
+        a = np.array([[0.3, 0.1], [-0.2, 0.25]])
+        b = np.array([1.0, 2.0])
+        fixed = np.linalg.solve(np.eye(2) - a, b)
+        x, history = np.zeros(2), []
+        for _ in range(3):
+            g = a @ x + b
+            history = (history + [(g, g - x)])[-3:]
+            x = eigen._anderson(history)
+        np.testing.assert_allclose(x, fixed, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_singular_or_nan_fit_takes_the_plain_step(self, bad):
+        g, f = np.arange(4.0), np.ones(4)
+        history = [(g, f), (g, f + bad), (g, f)]
+        assert eigen._anderson(history) is g
+
+    @pytest.mark.parametrize("index", [0, 60, 121, 180, 242])
+    def test_cold_default_points_take_fewer_outers(self, index):
+        # Mixed: 8 outers; plain power iteration takes 11-12.
+        cfg, mesh, xs = default_lattice_problem(index)
+        assert solve_diffusion(xs, mesh, cfg.tolerances).iterations <= 9
+
+    def test_restart_from_own_solution_stays_put(self):
+        cfg, mesh, xs = default_lattice_problem(0)
+        sol = solve_diffusion(xs, mesh, cfg.tolerances)
+        again = solve_diffusion(xs, mesh, cfg.tolerances, start=sol)
+        assert again.iterations <= 2
+        assert np.isfinite(again.k_eff)
+        assert all(np.isfinite(f.values).all() for f in again.phi)
+        assert abs(again.k_eff - sol.k_eff) <= cfg.tolerances.k_tol
+
+    @pytest.mark.parametrize("index", [0, 121, 242])
+    def test_matches_tight_reference(self, index):
+        cfg, mesh, xs = default_lattice_problem(index)
+        tol = cfg.tolerances
+        tight = ToleranceConfig(k_tol=tol.k_tol / 1000,
+                                flux_tol=tol.flux_tol / 1000,
+                                max_outer=tol.max_outer)
+        sol, ref = (solve_diffusion(xs, mesh, t) for t in (tol, tight))
+        assert abs(sol.k_eff - ref.k_eff) <= tol.k_tol
+        power, exact = (power_map_diffusion(s, xs).values for s in (sol, ref))
+        assert (np.max(np.abs(power - exact))
+                <= tol.flux_tol * np.max(np.abs(exact)))
+        assert eigen_residual(sol, xs) <= 10 * tol.flux_tol
+
+    def test_capped_solve_carries_its_last_step(self):
+        mesh, xs = build_mesh(uniform_config(6, 6)), fuel_xs()
+        with pytest.raises(IterationLimitError) as err:
+            solve_diffusion(xs, mesh, ToleranceConfig(
+                k_tol=1e-14, flux_tol=1e-14, max_outer=5))
+        last = err.value.last_solution
+        assert last.iterations == 5 and last.k_eff > 0
+        sol = solve_diffusion(xs, mesh, start=last)
+        assert eigen_residual(sol, xs) < ToleranceConfig().flux_tol

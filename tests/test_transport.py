@@ -8,16 +8,16 @@ from corestate import eigen, transport
 from corestate.diffusion import ToleranceConfig
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
-from corestate.bench import ExperimentConfig
 from corestate.geometry import Field, GeometryConfig, build_mesh
 from corestate.materials import (CrossSectionSet, default_cross_sections,
-                                 map_alpha_to_mu, training_lattice)
+                                 map_alpha_to_mu)
 from corestate.sensing import build_sensors, observe
 from corestate.transport import (AngularQuadrature, build_quadrature,
                                  eigen_residual, power_map_transport,
                                  solve_transport, sweep_direction)
 
-from helpers import fuel_xs, homogeneous_problem, uniform_config
+from helpers import (default_lattice_problem, fuel_xs, homogeneous_problem,
+                     uniform_config)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -315,14 +315,6 @@ def test_manufactured_solution_order(scheme, order):
     assert observed.min() >= order, observed
 
 
-def default_lattice_problem(index=6):
-    """Training-lattice point `index` on the default 45 x 30 S4 setup."""
-    cfg = ExperimentConfig.default()
-    mesh = build_mesh(cfg.geometry)
-    xs = map_alpha_to_mu(training_lattice()[index], cfg.cross_sections)
-    return cfg, mesh, xs
-
-
 class TestConvergedState:
     def test_neutron_balance(self):
         mesh = small_default_mesh(1)
@@ -365,17 +357,18 @@ class TestConvergedState:
                 <= tol.flux_tol * np.max(np.abs(obs[1])))
 
     def test_sweep_budget(self):
-        # Diffusion-accelerated inners stopped on their estimated error
-        # take 41 sweeps here, one per group and outer once each group's
-        # contraction is measured; stopped on their last change they
-        # took 63, without the acceleration ~180, and inner iterations
-        # run to 1e-9 in every outer ~670.
+        # Diffusion-accelerated inners stopped on their estimated error,
+        # with Anderson-mixed outers, take 30 sweeps here, one per group
+        # and outer once each group's contraction is measured; without
+        # the mixing they took 41, stopped on their last change 63,
+        # without the acceleration ~180, and inner iterations run to
+        # 1e-9 in every outer ~670.
         cfg, mesh, xs = default_lattice_problem(0)
         sol = solve_transport(xs, mesh, build_quadrature(cfg.sn_order),
                               cfg.tolerances)
         # At least one sweep per group and outer, plus the two of the
         # balance check.
-        assert 2 * sol.iterations + 2 <= sol.sweeps <= 50
+        assert 2 * sol.iterations + 2 <= sol.sweeps <= 35
 
     def test_scalar_flux_positive(self):
         mesh = small_default_mesh(1)
@@ -532,6 +525,64 @@ class TestEigenResidual:
         quad = build_quadrature(2)
         sol = solve_transport(xs, mesh, quad)
         assert eigen_residual(sol, xs, quad) < ToleranceConfig().k_tol
+
+
+class TestAndersonMixing:
+    """The Anderson-mixed outer iteration (`eigen.ANDERSON_DEPTH`) on
+    transport."""
+
+    @pytest.mark.parametrize("index", [0, 60, 121, 180, 242])
+    def test_cold_default_points_take_fewer_outers(self, index):
+        # Mixed: 10-11 outers and 29-31 sweeps; plain power iteration
+        # takes 13-14 outers and 41-44 sweeps.
+        cfg, mesh, xs = default_lattice_problem(index)
+        sol = solve_transport(xs, mesh, build_quadrature(cfg.sn_order),
+                              cfg.tolerances)
+        assert sol.iterations <= 11 and sol.sweeps <= 32
+
+    def test_restart_from_own_solution_stays_put(self):
+        # A start at the solution converges in its first outer (|dk|
+        # 8e-11), before any mixing.
+        cfg, mesh, xs = default_lattice_problem(0)
+        quad, tol = build_quadrature(cfg.sn_order), cfg.tolerances
+        sol = solve_transport(xs, mesh, quad, tol, retain_angular=True)
+        again = solve_transport(xs, mesh, quad, tol, start=sol)
+        assert again.iterations <= 2
+        assert np.isfinite(again.k_eff)
+        assert all(np.isfinite(f.values).all() for f in again.scalar_flux)
+        assert abs(again.k_eff - sol.k_eff) <= tol.k_tol
+
+    @pytest.mark.parametrize("index", [6, 121])
+    def test_matches_tight_reference(self, index):
+        cfg, mesh, xs = default_lattice_problem(index)
+        tol, quad = cfg.tolerances, build_quadrature(cfg.sn_order)
+        tight = ToleranceConfig(k_tol=tol.k_tol / 1000,
+                                flux_tol=tol.flux_tol / 1000,
+                                max_outer=tol.max_outer)
+        sol, ref = (solve_transport(xs, mesh, quad, t) for t in (tol, tight))
+        assert abs(sol.k_eff - ref.k_eff) <= tol.k_tol
+        power, exact = (power_map_transport(s, xs).values for s in (sol, ref))
+        assert (np.max(np.abs(power - exact))
+                <= tol.flux_tol * np.max(np.abs(exact)))
+
+    def test_capped_solve_carries_the_unmixed_step(self):
+        # Thick cells switch DSA off, so an outer step's scalar flux is
+        # the quadrature sum of the angular flux the sweepers hold; a
+        # mixed iterate is not.
+        mesh = build_mesh(uniform_config(8, 8, lx=20.0, ly=20.0))
+        xs = fuel_xs(sigma_a=(0.004, 0.05), sigma_s_within=(0.99, 0.95),
+                     sigma_s_12=0.006, nu_sigma_f=(0.006, 0.08))
+        quad = build_quadrature(2)
+        with pytest.raises(IterationLimitError) as err:
+            solve_transport(xs, mesh, quad,
+                            ToleranceConfig(k_tol=1e-14, flux_tol=1e-14,
+                                            max_outer=5),
+                            retain_angular=True)
+        last = err.value.last_solution
+        assert last.iterations == 5 and last.k_eff > 0
+        for phi, psi in zip(last.scalar_flux, last.angular_flux):
+            summed = quad.weight @ psi.reshape(len(psi), -1)
+            np.testing.assert_allclose(phi.values, summed, rtol=1e-12)
 
 
 class TestFactorCache:
