@@ -64,8 +64,9 @@ LATTICES = ("training", "test")
 #: 5 (diffusion 3): every lattice point warm-started from PARENT_ALPHA;
 #: 6: inner iterations stopped on their estimated error; 7: diamond on
 #: the upwind-ordered sweep system; 8 (diffusion 4): Anderson-mixed
-#: outer iteration, and the parent's lattice point taken from the parent.
-SOLVER_REVISION = {"transport": 8, "diffusion": 4}
+#: outer iteration, and the parent's lattice point taken from the parent;
+#: 9: inner tolerance 0.03 (was 0.01) times the outer flux change.
+SOLVER_REVISION = {"transport": 9, "diffusion": 4}
 
 #: The lattice centre, solved once per snapshot set; every lattice point
 #: starts from its solution.  One fixed parent, rather than a chain of

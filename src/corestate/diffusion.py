@@ -29,7 +29,7 @@ from .eigen import (ToleranceConfig, cached_factors, power_iteration,
                     save_solution)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
-from .materials import CrossSectionSet, cell_arrays
+from .materials import CrossSectionSet, cell_arrays, cell_values
 
 VACUUM_MODELS = ("robin", "zero_flux")
 
@@ -209,9 +209,9 @@ def power_map_diffusion(sol: DiffusionSolution,
                         xs: CrossSectionSet) -> Field:
     """Energy-production map kappaSf1 phi1 + kappaSf2 phi2, unit L2 norm."""
     mesh = sol.phi[0].mesh
-    cx = cell_arrays(xs, mesh)
-    values = (cx.kappa_sigma_f[0].ravel() * sol.phi[0].values
-              + cx.kappa_sigma_f[1].ravel() * sol.phi[1].values)
+    (kappa,) = cell_values(xs, mesh, "kappa_sigma_f")
+    values = (kappa[0].ravel() * sol.phi[0].values
+              + kappa[1].ravel() * sol.phi[1].values)
     if not (values != 0).any():
         raise DegenerateProblemError("power map is identically zero")
     return Field(mesh, values).normalized()

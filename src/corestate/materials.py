@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -244,39 +244,34 @@ class CellXS:
     sigma_t: np.ndarray
 
 
-def cell_arrays(xs: CrossSectionSet, mesh: Mesh) -> CellXS:
-    """Expand region-wise coefficients onto mesh cells.
+def cell_values(xs: CrossSectionSet, mesh: Mesh, *names: str
+                ) -> list[np.ndarray]:
+    """The region-wise coefficients `names` (`RegionXS` fields) expanded
+    onto mesh cells, group-indexed first: (2, ny, nx), or (2, 2, ny, nx)
+    for sigma_s.  Each is one gather from a per-region table.
 
     Raises if any region present in the mesh has no coefficients.
     """
-    missing = [name for name in mesh.region_names
-               if name not in xs.regions and np.any(mesh.region_mask(name))]
+    missing = [region for region in mesh.region_names
+               if region not in xs.regions
+               and np.any(mesh.region_mask(region))]
     if missing:
         raise ConfigurationError(
             f"no cross sections for mesh regions: {missing}")
+    out = []
+    for name in names:
+        # Last axis: one entry per region, zero for a region without
+        # coefficients (it has no cells), and a last zero entry for
+        # cells of no region (-1).
+        table = np.zeros(getattr(next(iter(xs.regions.values())),
+                                 name).shape + (len(mesh.region_names) + 1,))
+        for i, region in enumerate(mesh.region_names):
+            if region in xs.regions:
+                table[..., i] = getattr(xs[region], name)
+        out.append(np.take(table, mesh.region_map, axis=-1))
+    return out
 
-    shape = (mesh.ny, mesh.nx)
-    d = np.zeros((N_GROUPS,) + shape)
-    sigma_a = np.zeros_like(d)
-    nu_sigma_f = np.zeros_like(d)
-    chi = np.zeros_like(d)
-    kappa_sigma_f = np.zeros_like(d)
-    sigma_t = np.zeros_like(d)
-    sigma_s = np.zeros((N_GROUPS, N_GROUPS) + shape)
-    for name in mesh.region_names:
-        mask = mesh.region_mask(name)
-        if not np.any(mask):
-            continue
-        rxs = xs[name]
-        for g in range(N_GROUPS):
-            d[g][mask] = rxs.d[g]
-            sigma_a[g][mask] = rxs.sigma_a[g]
-            nu_sigma_f[g][mask] = rxs.nu_sigma_f[g]
-            chi[g][mask] = rxs.chi[g]
-            kappa_sigma_f[g][mask] = rxs.kappa_sigma_f[g]
-            sigma_t[g][mask] = rxs.sigma_t[g]
-            for g2 in range(N_GROUPS):
-                sigma_s[g, g2][mask] = rxs.sigma_s[g, g2]
-    return CellXS(d=d, sigma_a=sigma_a, sigma_s=sigma_s,
-                  nu_sigma_f=nu_sigma_f, chi=chi,
-                  kappa_sigma_f=kappa_sigma_f, sigma_t=sigma_t)
+
+def cell_arrays(xs: CrossSectionSet, mesh: Mesh) -> CellXS:
+    """Every coefficient expanded onto mesh cells (`cell_values`)."""
+    return CellXS(*cell_values(xs, mesh, *(f.name for f in fields(CellXS))))

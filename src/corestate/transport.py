@@ -30,7 +30,8 @@ down to 1e-9, and a change below 1e-9 always stops.  Accelerated groups
 (rho ~ 0.2) then take one sweep per outer, while slowly contracting
 ones iterate until their error, not just their last change, is small.
 `eigen_residual` certifies a returned eigenpair by one more exact outer
-step.
+step.  The neutron balance a solution reports is taken from each
+group's last sweep of the iteration, so it costs no sweep.
 
 The source iteration is diffusion-synthetic accelerated (Adams & Larsen,
 Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
@@ -66,7 +67,7 @@ from .eigen import (ToleranceConfig, cached_factors, power_iteration,
 from .errors import (ConfigurationError, DegenerateProblemError,
                      IterationLimitError)
 from .geometry import Field, Mesh
-from .materials import CrossSectionSet, cell_arrays
+from .materials import CrossSectionSet, cell_arrays, cell_values
 
 #: Minimum transport total accepted anywhere on the mesh (1/cm); void
 #: regions must carry at least this much to keep the sweeps well posed.
@@ -115,12 +116,15 @@ class AngularQuadrature:
         return self.omega_x.size
 
 
+@functools.lru_cache(maxsize=8)
 def build_quadrature(order: int) -> AngularQuadrature:
     """Product quadrature with order*(order+2)/2 directions.
 
     Polar level l (l = 1 nearest the pole) carries 4*l azimuthal angles
     offset by half a step, so no direction is axis-aligned and the set
-    is exactly symmetric under sign flips of either component.
+    is exactly symmetric under sign flips of either component.  Built
+    once per order (~0.3 ms for S4) and shared, so its arrays are
+    read-only.
     """
     if order < 2 or order % 2 != 0:
         raise ValueError(f"quadrature order must be even and >= 2, got {order}")
@@ -156,6 +160,8 @@ def build_quadrature(order: int) -> AngularQuadrature:
     quad = AngularQuadrature(order=order, omega_x=ox, omega_y=oy, weight=w,
                              quadrant=quadrant, mirror_x=mirror_x,
                              mirror_y=mirror_y)
+    for value in (ox, oy, w, quadrant, mirror_x, mirror_y):
+        value.setflags(write=False)
     assert abs(w.sum() - FOUR_PI) < 1e-12 * FOUR_PI
     assert abs(np.dot(w, ox)) < 1e-12 and abs(np.dot(w, oy)) < 1e-12
     assert abs(np.dot(w, ox**2) - np.dot(w, oy**2)) < 1e-12
@@ -166,17 +172,17 @@ def build_quadrature(order: int) -> AngularQuadrature:
 class TransportSolution:
     """A transport eigenpair.  `residual` is the last outer |dk|;
     `iterations` counts the outer steps and `sweeps` all sweeps of
-    both groups, the two of the balance check included.
-    `quadrature_order` and `scheme` are those of the solve, and
-    `angular_flux` (with `retain_angular` only) each group's angular
-    flux, shaped (directions, ny, nx).
+    both groups.  `quadrature_order` and `scheme` are those of the
+    solve, and `angular_flux` (with `retain_angular` only) each group's
+    angular flux, shaped (directions, ny, nx).
 
     `balance_residual` compares production with removal plus vacuum
-    leakage after one sweep with frozen sources.  The step and diamond
-    sweeps both conserve neutrons for any source, so this is an
-    identity of the sweep: it stays near round-off whether or not the
-    outer iteration has converged.  `eigen_residual` is the convergence
-    check.
+    leakage in each group's last sweep of the iteration (the larger of
+    the two), its outgoing face fluxes taken before the DSA correction.
+    The step and diamond sweeps both conserve neutrons for any source,
+    so this is an identity of the sweep: it stays near round-off
+    whether or not the outer iteration has converged.  `eigen_residual`
+    is the convergence check.
     """
 
     k_eff: float
@@ -448,33 +454,38 @@ class _GroupSweeper:
         self.out_x = self.psi[d, :, self._exit_col]
         self.out_y = self.psi[d, self._exit_row, :]
 
-    def sweep(self, emission2d: np.ndarray, commit: bool = True):
+    def sweep(self, emission2d: np.ndarray) -> np.ndarray:
         """One full sweep over all directions with the isotropic angular
-        emission density `emission2d`.
+        emission density `emission2d`; returns the scalar flux (ny, nx).
 
-        Returns (scalar_flux, psi, out_x, out_y) where the out arrays
-        hold each direction's outgoing boundary face flux on its exit
-        sides.  With commit=False the sweeper state is left untouched.
-        """
+        The sweep keeps its emission, scalar flux and outgoing face
+        fluxes, before `correct` or `scale` change them, for
+        `balance_residual`."""
         mesh = self.mesh
         emission_area = np.append(emission2d * mesh.cell_area, 0.0)
         self.sweeps += 1
-        saved = (self.psi, self.out_x, self.out_y)
-        if not commit:
-            self.psi, self.out_x, self.out_y = (a.copy() for a in saved)
-        try:
-            for q, ds, mirror_x, mirror_y in self._quadrants:
-                self.psi[ds], self.out_x[ds], self.out_y[ds] = \
-                    self._blocks[q].solve(
-                        self._lu[q], emission_area,
-                        None if mirror_x is None else self.out_x[mirror_x],
-                        None if mirror_y is None else self.out_y[mirror_y])
-            phi = (self.quad.weight @ self.psi.reshape(len(self.psi), -1)
-                   ).reshape(mesh.ny, mesh.nx)
-            return phi, self.psi, self.out_x, self.out_y
-        finally:
-            if not commit:
-                self.psi, self.out_x, self.out_y = saved
+        for q, ds, mirror_x, mirror_y in self._quadrants:
+            self.psi[ds], self.out_x[ds], self.out_y[ds] = \
+                self._blocks[q].solve(
+                    self._lu[q], emission_area,
+                    None if mirror_x is None else self.out_x[mirror_x],
+                    None if mirror_y is None else self.out_y[mirror_y])
+        phi = (self.quad.weight @ self.psi.reshape(len(self.psi), -1)
+               ).reshape(mesh.ny, mesh.nx)
+        self._last = (emission2d, phi, self.out_x.copy(), self.out_y.copy())
+        return phi
+
+    def balance_residual(self, sigt2d: np.ndarray) -> float:
+        """|production - removal - vacuum leakage| / production of the
+        last sweep, with cell totals `sigt2d`: production is its
+        emission, removal sigma_t times its scalar flux, and leakage
+        leaves through its outgoing face fluxes."""
+        emission, phi, out_x, out_y = self._last
+        area = self.mesh.cell_area
+        prod = FOUR_PI * float(emission.sum()) * area
+        loss = float((sigt2d * phi).sum() * area) \
+            + _vacuum_leakage(self.mesh, self.quad, out_x, out_y)
+        return abs(prod - loss) / prod
 
     def correct(self, delta: np.ndarray):
         """Add the isotropic flux correction `delta` (ny, nx) / 4 pi to
@@ -554,7 +565,7 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
         s_old = sigma_s * phi_g
         last = None
         for _ in range(_MAX_INNER):
-            phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)[0]
+            phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)
             if dsa[g] is not None:
                 delta = dsa[g](((sigma_s * phi_g - s_old) * area).ravel()
                                ).reshape(phi_g.shape)
@@ -638,7 +649,6 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     nusf = [cx.nu_sigma_f[g] for g in range(2)]
     chi = [cx.chi[g] for g in range(2)]
     inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
-    sig_within = [cx.sigma_s[g, g] for g in range(2)]
 
     def rescale(factor: float):
         for sweeper in sweepers:
@@ -657,26 +667,8 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
         volume=area, rescale=rescale, start=None if start is None else (
             start.k_eff, [f.values.reshape(mesh.ny, mesh.nx)
                           for f in start.scalar_flux]))
-    k = sol.k_eff
-    phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
-
-    # Per-group neutron balance of the converged state: production
-    # (fission/k + inter-group in-scatter) against removal plus vacuum
-    # leakage, using one non-committing sweep with frozen sources.
-    balance = 0.0
-    fission = nusf[0] * phi[0] + nusf[1] * phi[1]
-    for g in range(2):
-        q = chi[g] * fission / k + inscatter[g] * phi[1 - g]
-        emission = q / FOUR_PI + sig_within[g] * phi[g] / FOUR_PI
-        phi_bal, _, bal_out_x, bal_out_y = sweepers[g].sweep(
-            emission, commit=False)
-        prod = float((q + sig_within[g] * phi[g]).sum() * area)
-        loss = float((cx.sigma_t[g] * phi_bal).sum() * area) \
-            + _vacuum_leakage(mesh, quad, bal_out_x, bal_out_y)
-        balance = max(balance, abs(prod - loss) / prod)
-
-    return replace(sol, sweeps=sum(s.sweeps for s in sweepers),
-                   balance_residual=balance)
+    return replace(sol, balance_residual=max(
+        s.balance_residual(cx.sigma_t[g]) for g, s in enumerate(sweepers)))
 
 
 def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
@@ -735,9 +727,9 @@ def power_map_transport(sol: TransportSolution,
                         xs: CrossSectionSet) -> Field:
     """Energy-production map from the group scalar fluxes, unit L2 norm."""
     mesh = sol.scalar_flux[0].mesh
-    cx = cell_arrays(xs, mesh)
-    values = (cx.kappa_sigma_f[0].ravel() * sol.scalar_flux[0].values
-              + cx.kappa_sigma_f[1].ravel() * sol.scalar_flux[1].values)
+    (kappa,) = cell_values(xs, mesh, "kappa_sigma_f")
+    values = (kappa[0].ravel() * sol.scalar_flux[0].values
+              + kappa[1].ravel() * sol.scalar_flux[1].values)
     if not (values != 0).any():
         raise DegenerateProblemError("power map is identically zero")
     return Field(mesh, values).normalized()

@@ -1,11 +1,13 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from corestate.errors import ConfigurationError
-from corestate.geometry import build_mesh
-from corestate.materials import (CrossSectionSet, RegionXS, cell_arrays,
+from corestate.geometry import GeometryConfig, build_mesh
+from corestate.materials import (CellXS, CrossSectionSet, RegionXS,
+                                 cell_arrays, cell_values,
                                  default_cross_sections, map_alpha_to_mu,
                                  training_lattice)
 from corestate.materials import test_lattice as make_test_lattice
@@ -171,6 +173,24 @@ class TestCrossSectionSet:
         mesh = build_mesh(uniform_config(3, 3, region="Mystery"))
         with pytest.raises(ConfigurationError, match="Mystery"):
             cell_arrays(fuel_xs(), mesh)
+
+    def test_cell_arrays_match_region_mask_loop(self):
+        # Reference: every region's coefficients written through its
+        # mask; a region of the set that the mesh lacks is ignored.
+        mesh = build_mesh(GeometryConfig.default())
+        base = map_alpha_to_mu(training_lattice()[100],
+                               default_cross_sections())
+        xs = CrossSectionSet({**base.regions, "Unused": make_region_xs()})
+        cx = cell_arrays(xs, mesh)
+        for field in fields(CellXS):
+            want = np.zeros(getattr(base[mesh.region_names[0]],
+                                    field.name).shape + (mesh.ny, mesh.nx))
+            for name in mesh.region_names:
+                want[..., mesh.region_mask(name)] = \
+                    getattr(xs[name], field.name)[..., None]
+            np.testing.assert_array_equal(getattr(cx, field.name), want)
+            (alone,) = cell_values(xs, mesh, field.name)
+            np.testing.assert_array_equal(alone, want)
 
     def test_cell_arrays_layout(self):
         mesh = build_mesh(uniform_config(3, 2))
