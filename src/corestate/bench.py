@@ -20,6 +20,7 @@ live in a separate run_info JSON, outside the determinism contract.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import time
@@ -67,6 +68,13 @@ LATTICES = ("training", "test")
 #: outer iteration, and the parent's lattice point taken from the parent;
 #: 9: inner tolerance 0.03 (was 0.01) times the outer flux change.
 SOLVER_REVISION = {"transport": 9, "diffusion": 4}
+
+#: Layout of a stored snapshot set, part of every snapshot signature:
+#: one `np.save` file of the (count, n_cells) float64 value matrix.  A
+#: manifest of the earlier one-CSV-per-point layout lacks it, so its set
+#: is regenerated rather than read.
+SNAPSHOT_STORE = "npy-matrix"
+SNAPSHOT_FILE = "snapshots.npy"
 
 #: The lattice centre, solved once per snapshot set; every lattice point
 #: starts from its solution.  One fixed parent, rather than a chain of
@@ -147,6 +155,7 @@ class ExperimentConfig:
         sig = {
             "model": model,
             "solver_revision": SOLVER_REVISION[model],
+            "store": SNAPSHOT_STORE,
             "lattice": lattice,
             "geometry": self.geometry.to_dict(),
             "cross_sections": self.cross_sections.to_dict(),
@@ -275,6 +284,43 @@ def _pool_worker(task):
     return _snapshot_worker(task, _POOL_START)
 
 
+def _solve_points(tasks, parent, threads: int):
+    """Yield the `_snapshot_worker` result of each task, solved from
+    `parent`, in task order as it arrives: here, or on `threads` pool
+    workers in the chunks `Pool.map` would send."""
+    if threads <= 1:
+        yield from (_snapshot_worker(t, parent) for t in tasks)
+        return
+    chunksize = max(1, -(-len(tasks) // (threads * 4)))
+    with Pool(threads, initializer=_init_pool_worker,
+              initargs=(parent,)) as pool:
+        yield from pool.imap(_pool_worker, tasks, chunksize=chunksize)
+
+
+def _content_hash(matrix: np.ndarray) -> str:
+    """sha256 of the row-major float64 bytes of a snapshot matrix."""
+    return hashlib.sha256(matrix.data).hexdigest()
+
+
+def _read_matrix(path: Path, manifest: dict, n_cells: int) -> np.ndarray:
+    """The read-only snapshot matrix stored at `path`; `RuntimeError`
+    unless it is the (count, n_cells) float64 matrix the manifest
+    hashed."""
+    try:
+        matrix = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):  # missing, truncated, garbled
+        matrix = None
+    if (matrix is None or matrix.dtype != np.float64
+            or matrix.shape != (manifest["count"], n_cells)
+            or not matrix.flags.c_contiguous
+            or _content_hash(matrix) != manifest["content_hash"]):
+        raise RuntimeError(
+            f"snapshot file {path} does not match its manifest content "
+            "hash; regenerate with force=True")
+    matrix.setflags(write=False)
+    return matrix
+
+
 def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                        force: bool = False) -> tuple[SnapshotSet, dict]:
     """Solve the chosen model over a parameter lattice and persist the
@@ -283,6 +329,14 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     the `PARENT_ALPHA` solution (`_solve_parent`), solved first; the
     point at `PARENT_ALPHA` itself takes that solution when it
     converged.
+
+    A set lives in `snapshots/<model>_<lattice>/` under the output
+    directory: `snapshots.npy`, the C-order float64 (count, n_cells)
+    matrix whose row i is lattice point i, and `manifest.json`, whose
+    `content_hash` is the sha256 of that matrix's bytes.  Each solved
+    row is copied into the matrix as it arrives, so no second copy of
+    the set is made.  A reused matrix is checked against the manifest
+    and read-only; the returned fields are views of its rows.
 
     Returns (snapshots, manifest).
     """
@@ -299,19 +353,13 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     if manifest_path.exists() and not force:
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("signature") == signature:
-            hasher = hashlib.sha256()
-            fields = []
-            for i in range(manifest["count"]):
-                text = (directory / f"snapshot_{i:03d}.csv").read_text()
-                hasher.update(text.encode())
-                fields.append(Field.from_text(text, mesh))
-            if hasher.hexdigest() != manifest["content_hash"]:
-                raise RuntimeError(
-                    f"snapshot files under {directory} do not match their "
-                    "manifest content hash; regenerate with force=True")
-            log.info("[snapshots] reusing %s/%s (%d files)", model, lattice,
-                     manifest["count"])
-            return SnapshotSet(fields=tuple(fields), alphas=tuple(alphas),
+            matrix = _read_matrix(directory / SNAPSHOT_FILE, manifest,
+                                  mesh.n_cells)
+            log.info("[snapshots] reusing %s/%s (%d snapshots)", model,
+                     lattice, manifest["count"])
+            return SnapshotSet(fields=tuple(Field(mesh, row)
+                                            for row in matrix),
+                               alphas=tuple(alphas),
                                model_tag=model), manifest
 
     log.info("[snapshots] solving %s/%s: %d problems on %d worker(s)",
@@ -319,6 +367,9 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     t0 = time.perf_counter()
     tasks = [(i, model, alpha, cfg.cross_sections, mesh, cfg.tolerances,
               cfg.sn_order, cfg.scheme) for i, alpha in enumerate(alphas)]
+    matrix = np.empty((len(alphas), mesh.n_cells))
+    keffs = [0.0] * len(alphas)
+    failures = {}
     # The solves made here, like those of the pool workers, run BLAS on
     # one thread: the caller's count is restored afterwards.
     previous = _one_blas_thread()
@@ -327,39 +378,33 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
         own = [i for i, alpha in enumerate(alphas)
                if converged and alpha == PARENT_ALPHA]
         rest = [t for t in tasks if t[0] not in own]
-        if cfg.threads > 1:
-            with Pool(cfg.threads, initializer=_init_pool_worker,
-                      initargs=(parent,)) as pool:
-                results = pool.map(_pool_worker, rest)
-        else:
-            results = [_snapshot_worker(t, parent) for t in rest]
-        results += [_snapshot_worker(tasks[i], parent, solved=True)
-                    for i in own]
-        results.sort(key=lambda r: r[0])
+        solved = itertools.chain(
+            _solve_points(rest, parent, cfg.threads),
+            (_snapshot_worker(tasks[i], parent, solved=True) for i in own))
+        for index, k_eff, values, error in solved:
+            if error is not None:
+                failures[index] = error
+            else:
+                matrix[index] = values
+                keffs[index] = k_eff
     finally:
         for set_threads, count in previous:
             set_threads(count)
-
-    fields, keffs = [], []
-    for (index, k_eff, values, error), alpha in zip(results, alphas):
-        if error is not None:
-            raise RuntimeError(
-                f"{model} solve failed at alpha = {alpha}: {error}")
-        fields.append(Field(mesh, values))
-        keffs.append(k_eff)
+    if failures:
+        index = min(failures)
+        raise RuntimeError(f"{model} solve failed at alpha = "
+                           f"{alphas[index]}: {failures[index]}")
+    matrix.setflags(write=False)
+    fields = tuple(Field(mesh, row) for row in matrix)
 
     directory.mkdir(parents=True, exist_ok=True)
-    hasher = hashlib.sha256()
-    for i, f in enumerate(fields):
-        text = f.to_text()
-        hasher.update(text.encode())
-        (directory / f"snapshot_{i:03d}.csv").write_text(text)
+    np.save(directory / SNAPSHOT_FILE, matrix)
     manifest = {
         "signature": signature,
         "count": len(fields),
         "alphas": [list(a) for a in alphas],
         "k_eff": keffs,
-        "content_hash": hasher.hexdigest(),
+        "content_hash": _content_hash(matrix),
         "field_manifest": {"nx": mesh.nx, "ny": mesh.ny,
                            "extent_x": mesh.extent_x,
                            "extent_y": mesh.extent_y},
@@ -368,7 +413,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                              + "\n")
     log.info("[snapshots] %s/%s done in %.1f s", model, lattice,
              time.perf_counter() - t0)
-    return SnapshotSet(fields=tuple(fields), alphas=tuple(alphas),
+    return SnapshotSet(fields=fields, alphas=tuple(alphas),
                        model_tag=model), manifest
 
 

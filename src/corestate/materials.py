@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,10 +80,6 @@ class RegionXS:
     @property
     def fissile(self) -> bool:
         return bool((self.nu_sigma_f > 0).any())
-
-    def with_balanced_total(self) -> "RegionXS":
-        """Rebuild sigma_t from absorption plus total outscatter."""
-        return replace(self, sigma_t=self.sigma_a + self.sigma_s.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -202,17 +198,17 @@ def map_alpha_to_mu(alpha, base: CrossSectionSet) -> CrossSectionSet:
     for name, xs in base.regions.items():
         sigma_s = xs.sigma_s.copy()
         sigma_s[0, 1] *= a3
-        scaled = RegionXS(
+        sigma_a = np.array([a1 * xs.sigma_a[0], a2 * xs.sigma_a[1]])
+        regions[name] = RegionXS(
             d=np.array([xs.d[0] / a1, xs.d[1] / a2]),
-            sigma_a=np.array([a1 * xs.sigma_a[0], a2 * xs.sigma_a[1]]),
+            sigma_a=sigma_a,
             sigma_s=sigma_s,
             nu_sigma_f=np.array([a4 * xs.nu_sigma_f[0],
                                  a5 * xs.nu_sigma_f[1]]),
             chi=xs.chi,
             kappa_sigma_f=xs.kappa_sigma_f,
-            sigma_t=xs.sigma_t,
+            sigma_t=sigma_a + sigma_s.sum(axis=1),
         )
-        regions[name] = scaled.with_balanced_total()
     return CrossSectionSet(regions)
 
 

@@ -30,16 +30,10 @@ from helpers import uniform_config
 #: content_hash of `small_config`'s test-lattice set per (model,
 #: SOLVER_REVISION[model]).
 PINNED_TEST_SET_HASHES = {
-    ("transport", 7):
-        "d4e7ff0008738e098525d73e3097abd84d2bbcf761ba851fcfec97745ecd1b93",
-    ("diffusion", 3):
-        "87afcead8cf6b198af6f5c235f6fc0fec0767a5c61c3d5fd4deea573954f51b0",
-    ("transport", 8):
-        "dba1935659b2c5971e86f0cebc1c97a9921fca58054d2784ffc377bd8589b2d9",
     ("diffusion", 4):
-        "b5263f1c90536fb1ba8335dfeaf18476d453a2f3c3c632575e08e88250123f6e",
+        "a7c8a31dfdc8fedf6cf4e0c05a34c772582332a6558800535a9c8d4c7c984ddf",
     ("transport", 9):
-        "0c9bc90aa82123b82e1b6545e533cd1c4a3cdc1545c7f3f2576dcbcbced79942",
+        "14d74aec914d39239d2f54913b1d7da9d38d0e7fd7522c0113b0c67edd4236ab",
 }
 
 
@@ -114,9 +108,11 @@ class TestSnapshots:
         assert len(snaps) == 243
         assert manifest["count"] == 243
         assert len(manifest["k_eff"]) == 243
-        files = sorted((Path(workdir) / "snapshots" /
-                        "diffusion_training").glob("snapshot_*.csv"))
-        assert len(files) == 243
+        directory = Path(workdir) / "snapshots" / "diffusion_training"
+        stored = np.load(directory / "snapshots.npy", allow_pickle=False)
+        assert stored.dtype == np.float64
+        assert stored.shape == (243, build_mesh(cfg.geometry).n_cells)
+        assert not list(directory.glob("snapshot_*.csv"))
 
     def test_transport_test_set(self, workdir):
         cfg = small_config(workdir)
@@ -153,8 +149,15 @@ class TestSnapshots:
         cfg = small_config(tmp_path)
         generate_snapshots(cfg, "diffusion", "test")
         victim = (Path(tmp_path) / "snapshots" / "diffusion_test"
-                  / "snapshot_003.csv")
-        victim.write_text("0.5\n" * 150)
+                  / "snapshots.npy")
+        stored = np.load(victim, allow_pickle=False)
+        changed = stored.copy()
+        changed[3, 7] = 0.5
+        np.save(victim, changed)
+        with pytest.raises(RuntimeError, match="content hash"):
+            generate_snapshots(cfg, "diffusion", "test")
+        np.save(victim, stored)
+        victim.write_bytes(victim.read_bytes()[:-8])
         with pytest.raises(RuntimeError, match="content hash"):
             generate_snapshots(cfg, "diffusion", "test")
 
@@ -179,6 +182,29 @@ class TestSnapshots:
         assert "solving" in err and "reusing" not in err
         assert m2["signature"]["solver_revision"] == revision + 1
 
+    def test_csv_layout_cache_regenerated(self, tmp_path, caplog):
+        # A set stored one CSV per lattice point, under a manifest
+        # signed and hashed the way that layout was, is solved again
+        # rather than read.
+        caplog.set_level(logging.INFO, logger="corestate.bench")
+        cfg = small_config(tmp_path)
+        snaps, manifest = generate_snapshots(cfg, "diffusion", "test")
+        directory = Path(tmp_path) / "snapshots" / "diffusion_test"
+        (directory / "snapshots.npy").unlink()
+        hasher = hashlib.sha256()
+        for i, f in enumerate(snaps.fields):
+            text = f.to_text()
+            hasher.update(text.encode())
+            (directory / f"snapshot_{i:03d}.csv").write_text(text)
+        del manifest["signature"]["store"]
+        manifest["content_hash"] = hasher.hexdigest()
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        caplog.clear()
+        again, _ = generate_snapshots(cfg, "diffusion", "test")
+        assert "solving" in caplog.text and "reusing" not in caplog.text
+        assert again.matrix.tobytes() == snaps.matrix.tobytes()
+        assert (directory / "snapshots.npy").exists()
+
     @pytest.mark.parametrize("model", ["diffusion", "transport"])
     def test_solver_output_pinned(self, tmp_path, model):
         # A solver change that moves any snapshot bit must come with a
@@ -202,13 +228,14 @@ class TestSnapshots:
         _, m2 = generate_snapshots(cfg2, model, "test")
         mesh = build_mesh(cfg1.geometry)
         parent, _ = bench._solve_parent(cfg1, model, mesh)
-        warm = hashlib.sha256()
-        for alpha in materials.test_lattice():
-            _, power = solve_power_map(
+        warm = np.stack([
+            solve_power_map(
                 model, map_alpha_to_mu(alpha, cfg1.cross_sections), mesh,
-                cfg1.tolerances, cfg1.sn_order, cfg1.scheme, start=parent)
-            warm.update(power.to_text().encode())
-        assert m1["content_hash"] == m2["content_hash"] == warm.hexdigest()
+                cfg1.tolerances, cfg1.sn_order, cfg1.scheme,
+                start=parent)[1].values
+            for alpha in materials.test_lattice()])
+        assert m1["content_hash"] == m2["content_hash"] \
+            == hashlib.sha256(warm.data).hexdigest()
 
     def test_parent_point_taken_from_the_parent(self, tmp_path,
                                                 monkeypatch):
@@ -291,12 +318,29 @@ class TestSnapshots:
         parsed = Field.from_text(text, mesh).values
         assert parsed.tobytes() == values.tobytes()
 
-    def test_solver_failure_identifies_alpha(self, tmp_path):
+    def test_solver_failure_identifies_alpha(self, tmp_path, monkeypatch):
         bad = small_config(
             tmp_path, tolerances=ToleranceConfig(k_tol=1e-14,
                                                  flux_tol=1e-14, max_outer=1))
         with pytest.raises(RuntimeError, match=r"alpha = \(0\.8"):
             generate_snapshots(bad, "diffusion", "test")
+        # Test points 9 and 26 fail, in different chunks of a 2-worker
+        # pool: on one worker or two the error names point 9.
+        failing = [materials.test_lattice()[i] for i in (26, 9)]
+        scale = bench.map_alpha_to_mu
+
+        def failing_scale(alpha, base):
+            if alpha in failing:
+                raise DegenerateProblemError(f"no solve at {alpha}")
+            return scale(alpha, base)
+
+        monkeypatch.setattr(bench, "map_alpha_to_mu", failing_scale)
+        for threads in (1, 2):
+            cfg = small_config(tmp_path / f"w{threads}", threads=threads)
+            with pytest.raises(RuntimeError) as info:
+                generate_snapshots(cfg, "diffusion", "test")
+            assert str(info.value).startswith(
+                f"diffusion solve failed at alpha = {failing[1]}: ")
 
     def test_unconverged_parent_starts_the_lattice_with_a_warning(
             self, tmp_path, monkeypatch):
