@@ -336,7 +336,9 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     `content_hash` is the sha256 of that matrix's bytes.  Each solved
     row is copied into the matrix as it arrives, so no second copy of
     the set is made.  A reused matrix is checked against the manifest
-    and read-only; the returned fields are views of its rows.
+    and read-only, and is the returned set's `matrix`.  Regenerating a
+    set written in the earlier one-CSV-per-point layout deletes its
+    `snapshot_NNN.csv` files.
 
     Returns (snapshots, manifest).
     """
@@ -357,10 +359,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                                   mesh.n_cells)
             log.info("[snapshots] reusing %s/%s (%d snapshots)", model,
                      lattice, manifest["count"])
-            return SnapshotSet(fields=tuple(Field(mesh, row)
-                                            for row in matrix),
-                               alphas=tuple(alphas),
-                               model_tag=model), manifest
+            return SnapshotSet(mesh, matrix, tuple(alphas), model), manifest
 
     log.info("[snapshots] solving %s/%s: %d problems on %d worker(s)",
              model, lattice, len(alphas), cfg.threads)
@@ -394,14 +393,13 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
         index = min(failures)
         raise RuntimeError(f"{model} solve failed at alpha = "
                            f"{alphas[index]}: {failures[index]}")
-    matrix.setflags(write=False)
-    fields = tuple(Field(mesh, row) for row in matrix)
+    snaps = SnapshotSet(mesh, matrix, tuple(alphas), model)
 
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / SNAPSHOT_FILE, matrix)
     manifest = {
         "signature": signature,
-        "count": len(fields),
+        "count": len(snaps),
         "alphas": [list(a) for a in alphas],
         "k_eff": keffs,
         "content_hash": _content_hash(matrix),
@@ -411,10 +409,11 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")
+    for stale in directory.glob("snapshot_[0-9][0-9][0-9].csv"):
+        stale.unlink()  # the earlier one-CSV-per-point layout
     log.info("[snapshots] %s/%s done in %.1f s", model, lattice,
              time.perf_counter() - t0)
-    return SnapshotSet(fields=fields, alphas=tuple(alphas),
-                       model_tag=model), manifest
+    return snaps, manifest
 
 
 @dataclass(frozen=True, eq=False)

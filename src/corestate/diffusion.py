@@ -205,13 +205,20 @@ def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,
     return float(np.sqrt(np.sum(r1**2 + r2**2)) / fnorm)
 
 
-def power_map_diffusion(sol: DiffusionSolution,
-                        xs: CrossSectionSet) -> Field:
-    """Energy-production map kappaSf1 phi1 + kappaSf2 phi2, unit L2 norm."""
-    mesh = sol.phi[0].mesh
+def group_power_map(flux: tuple[Field, Field],
+                    xs: CrossSectionSet) -> Field:
+    """Energy-production map kappaSf1 phi1 + kappaSf2 phi2 of two group
+    fluxes, unit L2 norm."""
+    mesh = flux[0].mesh
     (kappa,) = cell_values(xs, mesh, "kappa_sigma_f")
-    values = (kappa[0].ravel() * sol.phi[0].values
-              + kappa[1].ravel() * sol.phi[1].values)
+    values = (kappa[0].ravel() * flux[0].values
+              + kappa[1].ravel() * flux[1].values)
     if not (values != 0).any():
         raise DegenerateProblemError("power map is identically zero")
     return Field(mesh, values).normalized()
+
+
+def power_map_diffusion(sol: DiffusionSolution,
+                        xs: CrossSectionSet) -> Field:
+    """Energy-production map of the group fluxes, unit L2 norm."""
+    return group_power_map(sol.phi, xs)

@@ -25,35 +25,35 @@ RANK_RTOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
-    """Unit-norm power maps with their generating parameters."""
+    """Unit-norm power maps, one matrix row each, with their parameters."""
 
-    fields: tuple[Field, ...]
+    mesh: Mesh
+    matrix: np.ndarray             # (K, n_cells)
     alphas: tuple[tuple[float, ...], ...]
     model_tag: str
 
     def __post_init__(self):
-        if not self.fields:
+        matrix = self.matrix
+        if matrix.ndim != 2 or matrix.shape[1] != self.mesh.n_cells:
+            raise ValueError("snapshot rows need one value per mesh cell")
+        if not len(matrix):
             raise ValueError("snapshot set is empty")
-        if len(self.fields) != len(self.alphas):
+        if len(matrix) != len(self.alphas):
             raise ValueError("one alpha per snapshot required")
-        mesh = self.fields[0].mesh
-        for f in self.fields:
-            if not f.mesh.same_geometry(mesh):
-                raise ValueError("snapshots live on different meshes")
-            if abs(f.norm() - 1.0) > 1e-6:
-                raise ValueError("snapshots must have unit L2 norm")
+        # Any non-finite value makes its row's sum of squares non-finite.
+        norms2 = np.einsum("ij,ij->i", matrix, matrix) * self.mesh.cell_area
+        if not np.all(np.isfinite(norms2)):
+            raise ValueError("snapshot values must all be finite")
+        if np.any(np.abs(np.sqrt(norms2) - 1.0) > 1e-6):
+            raise ValueError("snapshots must have unit L2 norm")
+        matrix.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.fields)
-
-    @property
-    def mesh(self) -> Mesh:
-        return self.fields[0].mesh
+        return self.matrix.shape[0]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """(K, n_cells) stacked snapshot values."""
-        return np.stack([f.values for f in self.fields])
+    def fields(self) -> tuple[Field, ...]:
+        return tuple(Field(self.mesh, row) for row in self.matrix)
 
 
 @dataclass(frozen=True, eq=False)

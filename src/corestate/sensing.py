@@ -27,8 +27,8 @@ class MeasurementSystem:
     mesh: Mesh
     sx: int
     sy: int
-    block_cells: tuple[np.ndarray, ...]   # flat cell indices per sensor
-    block_areas: np.ndarray               # (m,)
+    block_cells: np.ndarray   # (m, cells per block) flat cell indices
+    block_areas: np.ndarray   # (m,)
 
     @property
     def m(self) -> int:
@@ -38,8 +38,8 @@ class MeasurementSystem:
     def psi_matrix(self) -> np.ndarray:
         """(m, n_cells) orthonormal-basis fields 1_R / sqrt(|R|)."""
         psi = np.zeros((self.m, self.mesh.n_cells))
-        for i, cells in enumerate(self.block_cells):
-            psi[i, cells] = 1.0 / np.sqrt(self.block_areas[i])
+        np.put_along_axis(psi, self.block_cells,
+                          1.0 / np.sqrt(self.block_areas)[:, None], axis=1)
         return psi
 
     def representer(self, i: int) -> Field:
@@ -72,22 +72,20 @@ def build_sensors(mesh: Mesh, grid: tuple[int, int] = (9, 6)) -> MeasurementSyst
             f"{mesh.nx} x {mesh.ny} mesh: block edges must fall on cell "
             "boundaries")
     bx, by = mesh.nx // sx, mesh.ny // sy
-    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-    blocks = []
-    for j in range(sy):
-        for i in range(sx):
-            cells = idx[j * by:(j + 1) * by, i * bx:(i + 1) * bx].ravel()
-            blocks.append(cells.copy())
+    # Block (j, i) is row j * sx + i; its cells run row-major inside it.
+    blocks = (np.arange(mesh.n_cells).reshape(sy, by, sx, bx)
+              .transpose(0, 2, 1, 3).reshape(sx * sy, bx * by))
+    blocks.setflags(write=False)
     areas = np.full(sx * sy, bx * by * mesh.cell_area)
     return MeasurementSystem(mesh=mesh, sx=sx, sy=sy,
-                             block_cells=tuple(blocks), block_areas=areas)
+                             block_cells=blocks, block_areas=areas)
 
 
 def observe(u: Field, sensors: MeasurementSystem) -> np.ndarray:
     """Sensor readings y_i = mean of u over block i."""
     if not u.mesh.same_geometry(sensors.mesh):
         raise ValueError("field and sensors live on different meshes")
-    return np.array([u.values[cells].mean() for cells in sensors.block_cells])
+    return u.values[sensors.block_cells].mean(axis=1)
 
 
 def observe_psi(u: Field, sensors: MeasurementSystem) -> np.ndarray:

@@ -61,13 +61,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .diffusion import GroupOperator
+from .diffusion import GroupOperator, group_power_map
 from .eigen import (ToleranceConfig, cached_factors, power_iteration,
                     save_solution)
-from .errors import (ConfigurationError, DegenerateProblemError,
-                     IterationLimitError)
+from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, Mesh
-from .materials import CrossSectionSet, cell_arrays, cell_values
+from .materials import CrossSectionSet, cell_arrays
 
 #: Minimum transport total accepted anywhere on the mesh (1/cm); void
 #: regions must carry at least this much to keep the sweeps well posed.
@@ -726,10 +725,4 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
 def power_map_transport(sol: TransportSolution,
                         xs: CrossSectionSet) -> Field:
     """Energy-production map from the group scalar fluxes, unit L2 norm."""
-    mesh = sol.scalar_flux[0].mesh
-    (kappa,) = cell_values(xs, mesh, "kappa_sigma_f")
-    values = (kappa[0].ravel() * sol.scalar_flux[0].values
-              + kappa[1].ravel() * sol.scalar_flux[1].values)
-    if not (values != 0).any():
-        raise DegenerateProblemError("power map is identically zero")
-    return Field(mesh, values).normalized()
+    return group_power_map(sol.scalar_flux, xs)

@@ -7,6 +7,7 @@ from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
                                 RegionBox, build_mesh)
 from corestate.materials import (CrossSectionSet, RegionXS, map_alpha_to_mu,
                                  training_lattice)
+from corestate.rom import SnapshotSet
 
 
 def uniform_config(nx, ny, lx=10.0, ly=10.0, region="Fuel",
@@ -75,3 +76,13 @@ def orthonormal_fields(mesh, count, rng):
         if norm > 1e-8:
             vectors.append(v / norm)
     return [Field(mesh, v) for v in vectors]
+
+
+def snapshot_set(fields, alphas=None) -> SnapshotSet:
+    """A "synthetic" snapshot set of the given unit-norm fields, at the
+    lattice origin unless `alphas` are given."""
+    fields = tuple(fields)
+    if alphas is None:
+        alphas = ((0.0,) * 5,) * len(fields)
+    return SnapshotSet(fields[0].mesh, np.stack([f.values for f in fields]),
+                       tuple(alphas), "synthetic")

@@ -7,11 +7,12 @@ from corestate.errors import SingularOperatorError
 from corestate.geometry import Field, build_mesh, inner_product
 from corestate.pbdw import (assemble, beta, error_bound, reconstruct,
                             reconstruct_batch)
-from corestate.rom import ReducedBasis, SnapshotSet, pod
+from corestate.rom import ReducedBasis, pod
 from corestate.sensing import (build_sensors, observe, observe_psi,
                                perturb_observations)
 
-from helpers import orthonormal_fields, random_field, uniform_config
+from helpers import (orthonormal_fields, random_field, snapshot_set,
+                     uniform_config)
 
 
 def make_basis(mesh, mode_rows, tag="synthetic"):
@@ -257,7 +258,7 @@ class TestWithPodBasis:
             cy = rng.uniform(2, 8)
             vals = np.exp(-((x - cx)**2 + (y2 - cy)**2) / 6.0)
             snaps.append(Field(mesh, vals.ravel()).normalized())
-        snapset = SnapshotSet(tuple(snaps), ((0.0,) * 5,) * 20, "synthetic")
+        snapset = snapshot_set(snaps)
         basis = pod(snapset, n_max=6)
         sensors = build_sensors(mesh, (4, 3))
         op = assemble(basis, 6, sensors)

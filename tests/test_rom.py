@@ -5,7 +5,7 @@ from corestate.geometry import Field, build_mesh, inner_product
 from corestate.rom import (ReducedBasis, SnapshotSet, delta_curves, pod,
                            projection_errors)
 
-from helpers import orthonormal_fields, uniform_config
+from helpers import orthonormal_fields, snapshot_set, uniform_config
 
 
 def gaussian_family(mesh, count, rng=None):
@@ -21,8 +21,7 @@ def gaussian_family(mesh, count, rng=None):
         w = rng.uniform(0.15, 0.45) * mesh.extent_x
         values = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * w * w))
         fields.append(Field(mesh, values.ravel()).normalized())
-    return SnapshotSet(tuple(fields), tuple((0.0,) * 5 for _ in fields),
-                       "synthetic")
+    return snapshot_set(fields)
 
 
 def svd_delta_oracle(snaps: SnapshotSet, testset: SnapshotSet, n_max: int):
@@ -67,7 +66,7 @@ class TestPod:
         mesh = build_mesh(uniform_config(5, 4))
         u = Field(mesh, np.abs(np.random.default_rng(0)
                                .standard_normal(20)) + 0.5).normalized()
-        snaps = SnapshotSet((u,) * 7, ((0.0,) * 5,) * 7, "synthetic")
+        snaps = snapshot_set((u,) * 7)
         with pytest.warns(UserWarning, match="rank"):
             basis = pod(snaps, n_max=3)
         assert basis.n_max == 1
@@ -81,7 +80,7 @@ class TestPod:
         mesh = build_mesh(uniform_config(4, 3))
         rng = np.random.default_rng(3)
         f1, f2 = orthonormal_fields(mesh, 2, rng)
-        snaps = SnapshotSet((f1, f2), ((0.0,) * 5,) * 2, "synthetic")
+        snaps = snapshot_set((f1, f2))
         basis = pod(snaps, n_max=2)
         assert basis.n_max == 2
         project = gram_schmidt_projector([f1, f2], mesh)
@@ -123,8 +122,8 @@ class TestPod:
     def test_training_set_reconstructed_at_full_rank(self):
         mesh = build_mesh(uniform_config(10, 8))
         unique = gaussian_family(mesh, 10)
-        snaps = SnapshotSet(unique.fields + unique.fields[:5],
-                            unique.alphas + unique.alphas[:5], "synthetic")
+        snaps = snapshot_set(unique.fields + unique.fields[:5],
+                             unique.alphas + unique.alphas[:5])
         with pytest.warns(UserWarning, match="rank"):
             basis = pod(snaps, n_max=15)
         dwc, _ = delta_curves(basis, snaps)
@@ -147,7 +146,7 @@ class TestPod:
     def test_bad_inputs(self):
         mesh = build_mesh(uniform_config(4, 3))
         with pytest.raises(ValueError, match="empty"):
-            SnapshotSet((), (), "synthetic")
+            SnapshotSet(mesh, np.empty((0, 12)), (), "synthetic")
         snaps = gaussian_family(mesh, 5)
         with pytest.raises(ValueError, match="n_max"):
             pod(snaps, n_max=6)
@@ -156,9 +155,37 @@ class TestPod:
 
     def test_snapshots_must_be_unit_norm(self):
         mesh = build_mesh(uniform_config(4, 3))
-        f = Field(mesh, np.full(12, 2.0))
         with pytest.raises(ValueError, match="unit"):
-            SnapshotSet((f,), ((0.0,) * 5,), "synthetic")
+            SnapshotSet(mesh, np.full((1, 12), 2.0), ((0.0,) * 5,),
+                        "synthetic")
+
+    @pytest.mark.parametrize("defect, message", [
+        ("NaN row", "finite"),
+        ("wrong width", "per mesh cell"),
+        ("alpha count", "one alpha"),
+    ])
+    def test_snapshot_set_rejects(self, defect, message):
+        # Each check runs once on the whole matrix; one bad row fails it.
+        mesh = build_mesh(uniform_config(4, 3))
+        matrix = gaussian_family(mesh, 3).matrix.copy()
+        alphas = ((0.0,) * 5,) * 3
+        if defect == "NaN row":
+            matrix[2, 5] = np.nan
+        elif defect == "wrong width":
+            matrix = matrix[:, :-1]
+        else:
+            alphas = alphas[:2]
+        with pytest.raises(ValueError, match=message):
+            SnapshotSet(mesh, matrix, alphas, "synthetic")
+
+    def test_snapshot_set_is_its_matrix(self):
+        mesh = build_mesh(uniform_config(4, 3))
+        snaps = gaussian_family(mesh, 3)
+        assert not snaps.matrix.flags.writeable
+        assert len(snaps) == 3
+        for row, f in zip(snaps.matrix, snaps.fields, strict=True):
+            assert np.shares_memory(f.values, row)
+            assert np.array_equal(f.values, row)
 
 
 class TestDeltaCurves:
@@ -166,7 +193,7 @@ class TestDeltaCurves:
         mesh = build_mesh(uniform_config(10, 8))
         basis = pod(gaussian_family(mesh, 20), n_max=6)
         u = Field(mesh, basis.mode_matrix[0]).normalized()
-        testset = SnapshotSet((u,), ((0.0,) * 5,), "synthetic")
+        testset = snapshot_set((u,))
         dwc, dms = delta_curves(basis, testset)
         assert np.all(dwc < 1e-10) and np.all(dms < 1e-10)
 
@@ -174,9 +201,9 @@ class TestDeltaCurves:
         mesh = build_mesh(uniform_config(6, 5))
         rng = np.random.default_rng(5)
         fields = orthonormal_fields(mesh, 4, rng)
-        snaps = SnapshotSet(tuple(fields[:3]), ((0.0,) * 5,) * 3, "synthetic")
+        snaps = snapshot_set(fields[:3])
         basis = pod(snaps, n_max=3)
-        testset = SnapshotSet((fields[3],), ((0.0,) * 5,), "synthetic")
+        testset = snapshot_set(fields[3:])
         dwc, dms = delta_curves(basis, testset)
         assert np.allclose(dwc, 1.0, atol=1e-10)
         assert np.allclose(dms, 1.0, atol=1e-10)

@@ -105,6 +105,23 @@ class TestObserve:
         assert np.allclose(observe(u, sensors),
                            per_block_mean_oracle(u, sensors), atol=1e-13)
 
+    @pytest.mark.parametrize("cells, grid", [((45, 30), (9, 6)),
+                                             ((15, 10), (3, 2))],
+                             ids=["45x30", "15x10"])
+    def test_equals_block_slice_means_bitwise(self, cells, grid):
+        # One mean per block, over the block's cells sliced out of the
+        # 2-D grid row by row: the readings the reports were made with.
+        mesh = build_mesh(uniform_config(*cells, lx=45.0, ly=30.0))
+        sensors = build_sensors(mesh, grid)
+        u = random_field(mesh, np.random.default_rng(4), positive=True)
+        (nx, ny), (sx, sy) = cells, grid
+        bx, by = nx // sx, ny // sy
+        idx = np.arange(mesh.n_cells).reshape(ny, nx)
+        expected = np.array([
+            u.values[idx[j * by:(j + 1) * by, i * bx:(i + 1) * bx].ravel()]
+            .mean() for j in range(sy) for i in range(sx)])
+        assert np.array_equal(observe(u, sensors), expected)
+
     def test_mesh_mismatch_rejected(self):
         sensors = build_sensors(build_mesh(uniform_config(6, 4)), (3, 2))
         other = build_mesh(uniform_config(6, 6))
