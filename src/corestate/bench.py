@@ -66,8 +66,11 @@ LATTICES = ("training", "test")
 #: 6: inner iterations stopped on their estimated error; 7: diamond on
 #: the upwind-ordered sweep system; 8 (diffusion 4): Anderson-mixed
 #: outer iteration, and the parent's lattice point taken from the parent;
-#: 9: inner tolerance 0.03 (was 0.01) times the outer flux change.
-SOLVER_REVISION = {"transport": 9, "diffusion": 4}
+#: 9: inner tolerance 0.03 (was 0.01) times the outer flux change;
+#: 10 (diffusion 5): the outer driver's in-place sources, one-dot
+#: fission integral and closed-form mixing fit round differently, and
+#: diffusion iterates in band cell order.
+SOLVER_REVISION = {"transport": 10, "diffusion": 5}
 
 #: Layout of a stored snapshot set, part of every snapshot signature:
 #: one `np.save` file of the (count, n_cells) float64 value matrix.  A

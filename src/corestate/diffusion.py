@@ -46,12 +46,23 @@ class DiffusionSolution:
         save_solution(directory, self.phi, self.k_eff, self.iterations)
 
 
+def _band_view(mesh: Mesh, a: np.ndarray) -> np.ndarray:
+    """The (ny, nx) cell array `a` seen in `GroupOperator`'s cell order,
+    as an (nx, ny) transposed view when nx > ny, else `a` itself; applied
+    to such a view it gives the (ny, nx) array back."""
+    return a.T if mesh.nx > mesh.ny else a
+
+
 class GroupOperator:
     """5-point finite-volume matrix of one group (face transmissibilities
     with harmonic-mean interface D, boundary losses, Sa * area) in LAPACK
     upper band storage, `band[w + i - j, j] = A[i, j]`.  Cells are
     numbered along the shorter mesh side (row-major when nx <= ny,
-    column-major otherwise), so the half-bandwidth w is min(nx, ny)."""
+    column-major otherwise), so the half-bandwidth w is min(nx, ny).
+    `matvec` and `factorize` take and give cells in natural order, flat
+    or as (ny, nx) arrays; one laid out in band order in memory (the
+    transpose of a C-ordered `_band_view`) is handed to LAPACK without
+    a copy."""
 
     @staticmethod
     def key(mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
@@ -89,20 +100,28 @@ class GroupOperator:
         self.band[w - 1].reshape(diag.shape)[:, 1:] = -tx
         self.band[0].reshape(diag.shape)[1:, :] = -ty
 
-    def _permute(self, x: np.ndarray, shape) -> np.ndarray:
-        """Natural to band cell order, or back with `shape` reversed."""
-        return x.reshape(shape).T.ravel() if self.transposed else x
+    def _to_band(self, x: np.ndarray) -> np.ndarray:
+        """Natural-order cells, flat or (ny, nx), as a flat band-order
+        vector: a view when `x` is laid out in band order."""
+        x = x.reshape(self.shape)
+        return (x.T if self.transposed else x).ravel()
+
+    def _from_band(self, y: np.ndarray, shape) -> np.ndarray:
+        """The flat band-order vector `y` as natural-order cells of
+        `shape`, flat or (ny, nx): a view when (ny, nx)."""
+        y = y.reshape(self.shape[::-1] if self.transposed else self.shape)
+        return (y.T if self.transposed else y).reshape(shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x (BLAS dsbmv) for a flat natural-order cell vector."""
-        y = dsbmv(len(self.band) - 1, 1.0, self.band,
-                  self._permute(x, self.shape))
-        return self._permute(y, self.shape[::-1])
+        """A x (BLAS dsbmv) for natural-order cells `x`."""
+        y = dsbmv(len(self.band) - 1, 1.0, self.band, self._to_band(x))
+        return self._from_band(y, x.shape)
 
     def factorize(self, group: int):
         """Band Cholesky (LAPACK dpbtrf); returns `solve(q)` (dpbtrs) for
-        flat natural-order vectors.  Raises `DegenerateProblemError`
-        naming `group` when the matrix is singular or indefinite."""
+        natural-order cells `q`, flat or (ny, nx), giving the shape of
+        `q`.  Raises `DegenerateProblemError` naming `group` when the
+        matrix is singular or indefinite."""
         factor, info = dpbtrf(self.band)
         # A closed matrix is singular, but round-off can pass its pivots.
         if self.closed or info:
@@ -111,25 +130,22 @@ class GroupOperator:
             raise DegenerateProblemError(
                 f"group {group} diffusion operator is not positive "
                 f"definite ({why})")
-        return lambda q: self._permute(
-            dpbtrs(factor, self._permute(q, self.shape))[0], self.shape[::-1])
+        return lambda q: self._from_band(
+            dpbtrs(factor, self._to_band(q))[0], q.shape)
 
 
 def _diffusion_cells(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
     """Validated cell cross sections and the area-scaled coupling and
-    fission vectors (s21, s12, nusf1, nusf2, chi1, chi2), flat per
-    cell."""
+    fission arrays (s21, s12, nusf1, nusf2, chi1, chi2), (ny, nx) each."""
     if vacuum_model not in VACUUM_MODELS:
         raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
     cx = cell_arrays(xs, mesh)
     if (cx.d <= 0).any():
         raise ConfigurationError("diffusion needs D > 0 in every region")
     area = mesh.cell_area
-    return cx, (cx.sigma_s[1, 0].ravel() * area,
-                cx.sigma_s[0, 1].ravel() * area,
-                cx.nu_sigma_f[0].ravel() * area,
-                cx.nu_sigma_f[1].ravel() * area,
-                cx.chi[0].ravel(), cx.chi[1].ravel())
+    return cx, (cx.sigma_s[1, 0] * area, cx.sigma_s[0, 1] * area,
+                cx.nu_sigma_f[0] * area, cx.nu_sigma_f[1] * area,
+                cx.chi[0], cx.chi[1])
 
 
 def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
@@ -145,7 +161,7 @@ def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
     cx, vectors = _diffusion_cells(xs, mesh, vacuum_model)
     return (GroupOperator(mesh, cx.d[0], cx.sigma_a[0], vacuum_model),
             GroupOperator(mesh, cx.d[1], cx.sigma_a[1], vacuum_model)) \
-        + vectors
+        + tuple(v.ravel() for v in vectors)
 
 
 def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
@@ -156,7 +172,9 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
     """Power iteration on the fission source (`corestate.eigen`), each
     group solved directly by band Cholesky of its `GroupOperator`,
     factorized once for a run of solves with equal matrices
-    (`eigen.cached_factors`) and assembled only when factorized.
+    (`eigen.cached_factors`) and assembled only when factorized.  The
+    iteration's vectors are laid out in the operators' band order, so
+    the cells are permuted once per solve, not in every group solve.
     `start`, the solution of a nearby problem on a mesh of the same
     shape (else `ConfigurationError`), replaces the flat start.
 
@@ -171,8 +189,10 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             raise ConfigurationError(
                 f"solve_diffusion: a start on a {shape[0]} x {shape[1]} "
                 f"mesh given for a {mesh.nx} x {mesh.ny} one")
-    cx, (s21, s12, nusf1, nusf2, chi1, chi2) = _diffusion_cells(
-        xs, mesh, vacuum_model)
+    # The iteration runs on (ny, nx) cell arrays seen in band order, so
+    # that each group solve hands its source to LAPACK without a copy.
+    cx, cells = _diffusion_cells(xs, mesh, vacuum_model)
+    s21, s12, nusf1, nusf2, chi1, chi2 = (_band_view(mesh, a) for a in cells)
 
     def factor(g):
         d, sa = cx.d[g - 1], cx.sigma_a[g - 1]
@@ -182,14 +202,18 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
 
     solves = [factor(1), factor(2)]
 
+    def solve_group(g, q, _phi, _tol):
+        return _band_view(mesh, solves[g](_band_view(mesh, q)))
+
+    def solution(k, phi, iterations, residual):
+        return DiffusionSolution(k, tuple(
+            Field(mesh, _band_view(mesh, p).ravel()) for p in phi),
+            iterations, residual)
+
     return power_iteration(
-        lambda g, q, _phi, _tol: solves[g](q), (nusf1, nusf2), (chi1, chi2),
-        (s21, s12), tol, "diffusion",
-        lambda k, phi, iterations, residual: DiffusionSolution(
-            k, (Field(mesh, phi[0]), Field(mesh, phi[1])), iterations,
-            residual),
-        start=None if start is None else (
-            start.k_eff, [f.values for f in start.phi]))
+        solve_group, (nusf1, nusf2), (chi1, chi2), (s21, s12), tol,
+        "diffusion", solution, start=None if start is None else (
+            start.k_eff, [_band_view(mesh, f.values2d) for f in start.phi]))
 
 
 def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,

@@ -20,15 +20,24 @@ last change, to this tolerance.
 
 The outer iteration contracts at a near-constant ratio (0.22 per outer
 in diffusion, 0.27 in transport on the default problem), so each
-unconverged outer is Anderson-mixed (type II, Walker & Ni 2011): the
-two groups' normalized fluxes, stacked into one vector x, are mapped to
-G(x) by the outer step, and the next iterate is G(x) corrected by the
-least-squares fit of the last `ANDERSON_DEPTH` differences of the
-residual f = G(x) - x, solved on their small Gram matrix.  Each G(x)
+unconverged outer is Anderson-mixed (type II of depth 2, Walker & Ni
+2011): the two groups' normalized fluxes, stacked into one vector x,
+are mapped to G(x) by the outer step, and the next iterate is G(x)
+corrected by the least-squares fit of the last two differences of the
+residual f = G(x) - x.  The mixer keeps those differences, the matching
+differences of G and their squared norms across outers, so each outer
+forms only the new difference and its dot products and solves the
+2 x 2 normal equations in closed form (the plain step G(x) when they
+are singular or give a non-finite fit).  Depth 2 takes default cold
+solves from 11-14 to 8-11 outers; depth 1 left some diffusion
+certificates near 2e-8 and depth 3 saved no more outers.  Each G(x)
 has fission integral one, so the mixed iterate keeps it.  The
 convergence test, |dk|, the inner tolerance and every returned
 solution use the unmixed G(x), so a solution's scalar flux is the one
 its group solvers left (transport's angular flux is not mixed).
+The iterate, the step and its residual are each one stacked (2, n)
+array: sources are built in place, the fission integral is one dot
+product and both groups' flux changes come from one max-abs pass.
 Exhausting the outer budget, the group-pass cap or a group solver's own
 cap raises `IterationLimitError` carrying the last iterate.
 Both solvers keep their group factorizations across solves in
@@ -38,6 +47,7 @@ Both solvers keep their group factorizations across solves in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -61,12 +71,6 @@ MAX_GROUP_PASSES = 200
 #: certifies at 1.7e-9 (0.01: 5.5e-10, 0.1: 8.7e-9) and fails at 0.3
 #: (1.2e-7 > flux_tol).
 INNER_TOL_FACTOR = 0.03
-
-#: Residual differences in the Anderson mixing of the outer iteration
-#: (0: plain power iteration).  Depth 2 takes default cold solves from
-#: 11-14 to 8-11 outers; depth 1 left some diffusion certificates near
-#: 2e-8 and depth 3 saved no more outers.
-ANDERSON_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -140,23 +144,56 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
                  / max(float(np.max(np.abs(new))), 1e-300))
 
 
-def _anderson(history: list) -> np.ndarray:
-    """The type-II Anderson iterate G_k - dG gamma from `history`, the
-    last (G(x), f) pairs oldest first, where gamma solves the normal
-    equations (dF^T dF) gamma = dF^T f_k of the residual differences dF;
-    G_k itself while there is no difference yet or the solve fails."""
-    g, f = history[-1]
-    if len(history) < 2:
-        return g
-    dg = np.array([b[0] - a[0] for a, b in zip(history, history[1:])])
-    df = np.array([b[1] - a[1] for a, b in zip(history, history[1:])])
-    try:
-        gamma = np.linalg.solve(df @ df.T, df @ f)
-    except np.linalg.LinAlgError:
-        return g
-    if not np.isfinite(gamma).all():
-        return g
-    return g - gamma @ dg
+class _Anderson:
+    """Type-II Anderson mixing of depth 2 (Walker & Ni 2011) of vectors
+    of `size`, called once per step.  It keeps the last step and
+    residual, the last two differences of each, and the residual
+    differences' squared norms, so a call forms only the new
+    differences and their dot products, and solves the 2 x 2 normal
+    equations of the fit in closed form."""
+
+    def __init__(self, size: int):
+        self.last = None  # copies of the previous (G(x), f)
+        self.dg = np.zeros((2, size))
+        self.df = np.zeros((2, size))
+        self.norms = [0.0, 0.0]  # df[i] @ df[i]
+        self.held = 0  # differences held
+        self.slot = 0  # the row the next difference overwrites
+
+    def __call__(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The type-II Anderson iterate g - dG gamma of the step g = G(x)
+        and its residual f = g - x, where gamma solves the normal
+        equations (dF^T dF) gamma = dF^T f of the last one or two
+        residual differences dF; g itself while no difference is held or
+        when the fit is singular or not finite."""
+        if self.last is None:
+            self.last = (g.copy(), f.copy())
+            return g
+        j, o = self.slot, 1 - self.slot
+        g_old, f_old = self.last
+        np.subtract(g, g_old, out=self.dg[j])
+        np.subtract(f, f_old, out=self.df[j])
+        np.copyto(g_old, g)
+        np.copyto(f_old, f)
+        self.slot, self.held = o, min(self.held + 1, 2)
+        cross = (self.df @ self.df[j]).tolist()  # [df0 . df_j, df1 . df_j]
+        rhs = (self.df @ f).tolist()
+        a, b, c = cross[j], cross[o], self.norms[o]
+        self.norms[j] = a
+        gamma = [0.0, 0.0]
+        if self.held == 1:
+            if a == 0.0:
+                return g
+            gamma[j] = rhs[j] / a
+        else:
+            det = a * c - b * b
+            if det == 0.0:
+                return g
+            gamma[j] = (c * rhs[j] - b * rhs[o]) / det
+            gamma[o] = (a * rhs[o] - b * rhs[j]) / det
+        if not (math.isfinite(gamma[0]) and math.isfinite(gamma[1])):
+            return g
+        return g - np.array(gamma) @ self.dg
 
 
 def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
@@ -172,59 +209,83 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
     frozen source `q` (fission plus in-scatter), starting from its
     current flux `phi_g`; an iterative solver may stop once its error
     relative to the flux falls below `inner_tol` (infinite on the first
-    outer step).
+    outer step).  `q` and `phi_g` are the driver's buffers, valid only
+    during the call.
     An `IterationLimitError` it raises without a last iterate leaves
     here with the current one attached.  `nusf`, `chi` and `inscatter`
-    are per-cell arrays shaped like the fluxes; `inscatter[g]` is the
-    scatter into g from the other group.  The fission integral is the
-    cell sum times `volume`.  `rescale(factor)` runs whenever the
-    fluxes are scaled, so a solver can scale state of its own along
-    with them.  `start = (k, phi)` replaces the flat start with the
-    eigenpair of a nearby problem; phi is renormalized first.
+    are per-cell arrays of one shape, which the C-ordered fluxes and
+    sources handed around take too; `inscatter[g]` is the scatter into
+    g from the other group.  The fission integral is the cell sum times
+    `volume`.  `rescale(factor)` runs whenever the fluxes are scaled, so
+    a solver can scale state of its own along with them.  `start = (k,
+    phi)` replaces the flat start with the eigenpair of a nearby
+    problem; phi is renormalized first.
 
-    Every unconverged outer hands the next one the Anderson mix
-    (`ANDERSON_DEPTH`) of its step G(x) with the last ones, not G(x)
-    itself; see the module docstring.  Only the scalar fluxes are
-    mixed, and nothing this returns or raises carries a mixed iterate
-    except the current one of a failing group pass.
+    Every unconverged outer hands the next one the Anderson mix of its
+    step G(x) with the last ones, not G(x) itself; see the module
+    docstring.  Only the scalar fluxes are mixed, and nothing this
+    returns or raises carries a mixed iterate except the current one of
+    a failing group pass.
     """
     if not any((f > 0).any() for f in nusf):
         raise DegenerateProblemError("no fissile cell: not an eigenproblem")
     upscatter = bool((inscatter[0] > 0).any())
     group_tol = max(0.01 * tol.flux_tol, 1e-13)
+    shape = nusf[0].shape
+    nusf, chi, inscatter = (np.stack(a).reshape(2, -1)
+                            for a in (nusf, chi, inscatter))
+    n = nusf.shape[1]
+    nusf_all = nusf.ravel()
 
     def normalize(phi, message):
-        fint = float((nusf[0] * phi[0] + nusf[1] * phi[1]).sum() * volume)
+        """Scale the stacked fluxes `phi` in place to fission integral
+        one; return the integral they had."""
+        fint = float(nusf_all @ phi.ravel()) * volume
         if fint <= 0:
             raise DegenerateProblemError(message)
+        phi /= fint
         if rescale is not None:
             rescale(1.0 / fint)
-        return [p / fint for p in phi], fint
+        return fint
 
-    k, phi = (1.0, [np.ones_like(f) for f in nusf]) if start is None \
-        else (float(start[0]), list(start[1]))
-    phi, _ = normalize(phi, "initial fission source vanished")
+    x = np.empty((2, n))  # the iterate an outer starts from
+    if start is None:
+        k = 1.0
+        x.fill(1.0)
+    else:
+        k = float(start[0])
+        x[0], x[1] = (np.ravel(p) for p in start[1])
+    normalize(x, "initial fission source vanished")
+    # The outer step G(x) and its residual G(x) - x, stacked so that one
+    # max-abs pass gives both groups' flux changes.
+    work, magnitude = np.empty((4, n)), np.empty((4, n))
+    step, residual = work[:2], work[2:]
+    phi = [step[0].reshape(shape), step[1].reshape(shape)]
+    fission, q, scatter = np.empty(n), np.empty(n), np.empty(n)
+    q_view = q.reshape(shape)
+    mix = _Anderson(2 * n)
     dk = flux_change = np.inf
-    shape, n = phi[0].shape, phi[0].size
-    x = np.concatenate([p.ravel() for p in phi])  # the stacked iterate
-    history = []  # the last ANDERSON_DEPTH + 1 (G(x), G(x) - x) pairs
     for it in range(1, tol.max_outer + 1):
-        fission = nusf[0] * phi[0] + nusf[1] * phi[1]
-        phi_old = list(phi)
+        np.einsum("gi,gi->i", nusf, x, out=fission)
+        fission /= k
+        np.copyto(step, x)
         inner_tol = INNER_TOL_FACTOR * flux_change
         for _ in range(MAX_GROUP_PASSES):
-            phi_before = phi[1]
+            phi_before = step[1].copy() if upscatter else None
             for g in range(2):
-                q = chi[g] * fission / k + inscatter[g] * phi[1 - g]
+                np.multiply(chi[g], fission, out=q)
+                if g or upscatter:
+                    np.multiply(inscatter[g], step[1 - g], out=scatter)
+                    q += scatter
                 try:
-                    phi[g] = solve_group(g, q, phi[g], inner_tol)
+                    phi[g][...] = solve_group(g, q_view, phi[g], inner_tol)
                 except IterationLimitError as exc:
                     if exc.last_solution is None:
                         exc.last_solution = make_solution(k, phi, it, dk)
                     raise
             if not upscatter:
                 break
-            change = _relative_change(phi[1], phi_before)
+            change = _relative_change(step[1], phi_before)
             if change < group_tol:
                 break
         else:
@@ -234,21 +295,18 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
                 f"{it} (change = {change:.3e})",
                 last_solution=make_solution(k, phi, it, dk))
 
-        phi, fint = normalize(phi, "fission source vanished")
+        fint = normalize(step, "fission source vanished")
         k_new = k * fint
-        flux_change = max(_relative_change(phi[g], phi_old[g])
-                          for g in range(2))
+        np.subtract(step, x, out=residual)
+        top = np.abs(work, out=magnitude).max(axis=1).tolist()
+        flux_change = max(top[2] / max(top[0], 1e-300),
+                          top[3] / max(top[1], 1e-300))
         dk = abs(k_new - k)
         k = k_new
         if dk < tol.k_tol and flux_change < tol.flux_tol:
             return make_solution(k, phi, it, dk)
-        step = phi
-        gx = np.concatenate([p.ravel() for p in phi])
-        history.append((gx, gx - x))
-        del history[:-ANDERSON_DEPTH - 1]
-        x = _anderson(history)
-        phi = [x[:n].reshape(shape), x[n:].reshape(shape)]
+        np.copyto(x.reshape(-1), mix(step.reshape(-1), residual.reshape(-1)))
     raise IterationLimitError(
         f"{label} eigensolve: no convergence in {tol.max_outer} "
         f"outer iterations (|dk| = {dk:.3e})",
-        last_solution=make_solution(k, step, tol.max_outer, dk))
+        last_solution=make_solution(k, phi, tol.max_outer, dk))

@@ -81,11 +81,6 @@ class Reconstruction:
     correction_coords: np.ndarray  # eta, length m
     residual: float                # ||y - A z||_2
 
-    @property
-    def correction_norm(self) -> float:
-        """L2 norm of the observation-space correction component."""
-        return float(np.linalg.norm(self.correction_coords))
-
 
 def reconstruct(op: PbdwOperator, y: np.ndarray) -> Reconstruction:
     """Reconstruct a state from its observation vector (psi coordinates)."""

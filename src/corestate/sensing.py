@@ -56,9 +56,6 @@ class MeasurementSystem:
         """Convert block means to orthonormal-basis coordinates."""
         return np.asarray(y, dtype=float) * np.sqrt(self.block_areas)
 
-    def from_psi_coordinates(self, y_psi: np.ndarray) -> np.ndarray:
-        return np.asarray(y_psi, dtype=float) / np.sqrt(self.block_areas)
-
 
 def build_sensors(mesh: Mesh, grid: tuple[int, int] = (9, 6)) -> MeasurementSystem:
     """Partition the domain into an sx x sy uniform grid of sensor

@@ -566,8 +566,7 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
         for _ in range(_MAX_INNER):
             phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)
             if dsa[g] is not None:
-                delta = dsa[g](((sigma_s * phi_g - s_old) * area).ravel()
-                               ).reshape(phi_g.shape)
+                delta = dsa[g]((sigma_s * phi_g - s_old) * area)
                 phi_g = phi_g + delta
                 sweepers[g].correct(delta)
             s_new = sigma_s * phi_g

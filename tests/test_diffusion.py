@@ -13,7 +13,7 @@ from corestate.errors import (ConfigurationError, DegenerateProblemError,
 from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
                                 RegionBox, build_mesh)
 from corestate.materials import (CrossSectionSet, default_cross_sections,
-                                 map_alpha_to_mu)
+                                 map_alpha_to_mu, training_lattice)
 
 from helpers import (default_lattice_problem, fuel_xs, homogeneous_problem,
                      make_region_xs, reflective_bc, uniform_config)
@@ -142,6 +142,17 @@ class TestGroupOperator:
         q = rng.standard_normal(nx * ny)
         np.testing.assert_allclose(op.factorize(1)(q),
                                    np.linalg.solve(oracle, q), rtol=1e-12)
+
+    @pytest.mark.parametrize("nx, ny", [(30, 20), (20, 30), (24, 24)])
+    def test_band_order_solve_certifies(self, nx, ny):
+        # The iteration runs in the band's cell order, column-major when
+        # nx > ny and row-major otherwise; either way the solution it
+        # hands back, in natural order, is a certified eigenpair.
+        base = GeometryConfig.default()
+        mesh = build_mesh(replace(base, nx=nx, ny=ny))
+        xs = map_alpha_to_mu(training_lattice()[60], default_cross_sections())
+        sol = solve_diffusion(xs, mesh)
+        assert eigen_residual(sol, xs) <= 10 * ToleranceConfig().flux_tol
 
     def test_transposed_layout_gives_same_k(self):
         # A non-square two-region layout and its x <-> y mirror image
@@ -412,7 +423,7 @@ class TestFactorCache:
 
 
 class TestAndersonMixing:
-    """The Anderson-mixed outer iteration (`eigen.ANDERSON_DEPTH`):
+    """The Anderson-mixed outer iteration (`eigen._Anderson`, depth 2):
     the mixing step itself, and its effect on diffusion solves."""
 
     def test_two_differences_solve_a_linear_map_in_the_plane(self):
@@ -422,18 +433,38 @@ class TestAndersonMixing:
         a = np.array([[0.3, 0.1], [-0.2, 0.25]])
         b = np.array([1.0, 2.0])
         fixed = np.linalg.solve(np.eye(2) - a, b)
-        x, history = np.zeros(2), []
+        x, mix = np.zeros(2), eigen._Anderson(2)
         for _ in range(3):
             g = a @ x + b
-            history = (history + [(g, g - x)])[-3:]
-            x = eigen._anderson(history)
+            x = mix(g, g - x)
         np.testing.assert_allclose(x, fixed, rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_singular_or_nan_fit_takes_the_plain_step(self, bad):
         g, f = np.arange(4.0), np.ones(4)
-        history = [(g, f), (g, f + bad), (g, f)]
-        assert eigen._anderson(history) is g
+        mix = eigen._Anderson(4)
+        for pair in [(g, f), (g, f + bad)]:
+            mix(*pair)
+        assert mix(g, f) is g
+
+    def test_matches_least_squares_step(self):
+        # The kept differences and the closed-form fit give the type-II
+        # step of a least-squares solve on the last (up to) two
+        # differences, formed afresh from the whole history.
+        rng = np.random.default_rng(7)
+        mix, history = eigen._Anderson(50), []
+        for _ in range(8):
+            g, f = rng.standard_normal(50), rng.standard_normal(50)
+            history = (history + [(g, f)])[-3:]
+            mixed = mix(g, f)
+            if len(history) == 1:
+                assert mixed is g
+                continue
+            dg = np.array([b[0] - a[0] for a, b in zip(history, history[1:])])
+            df = np.array([b[1] - a[1] for a, b in zip(history, history[1:])])
+            gamma = np.linalg.lstsq(df.T, f, rcond=None)[0]
+            np.testing.assert_allclose(mixed, g - gamma @ dg, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(g)))
 
     @pytest.mark.parametrize("index", [0, 60, 121, 180, 242])
     def test_cold_default_points_take_fewer_outers(self, index):

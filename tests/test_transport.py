@@ -558,7 +558,7 @@ class TestEigenResidual:
 
 
 class TestAndersonMixing:
-    """The Anderson-mixed outer iteration (`eigen.ANDERSON_DEPTH`) on
+    """The Anderson-mixed outer iteration (`eigen._Anderson`, depth 2) on
     transport."""
 
     @pytest.mark.parametrize("index", [0, 60, 121, 180, 242])
