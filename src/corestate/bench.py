@@ -37,7 +37,8 @@ from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
 from .materials import (CrossSectionSet, default_cross_sections,
                         map_alpha_to_mu, test_lattice, training_lattice)
-from .pbdw import assemble, error_bound, reconstruct_batch
+from .pbdw import (assemble, error_bound, reconstruct_batch,
+                   reconstruct_coordinates)
 from .rom import ReducedBasis, SnapshotSet, delta_curves, pod
 from .sensing import (build_sensors, observe, perturb_observations,
                       save_observations)
@@ -490,14 +491,38 @@ def _write_csv(path: Path, columns, rows):
 
 def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext, observations,
                  flags: list):
-    """Yield (n, beta, estimates, eta, relative errors) of the test set
-    for each n of `cfg.n_range` up to the basis rank and each observation
-    matrix of `observations`; stop at the first beta below `BETA_FLOOR`,
-    appending a flag to `flags`."""
-    area = ctx.mesh.cell_area
-    test_values = ctx.testset.matrix
-    test_norms = np.sqrt(np.sum(test_values**2, axis=1) * area)
+    """Yield (operator, relative errors of the test set) for each n of
+    `cfg.n_range` up to the basis rank and each observation matrix of
+    `observations`; stop at the first beta below `BETA_FLOOR`, appending
+    a flag to `flags`.
+
+    No estimate is formed as a field.  Every estimate lies in the span
+    of the modes zeta_j and sensor fields psi_i, so with Q R the reduced
+    QR of their area-weighted values [zeta; psi]^T, the estimate's
+    coordinates in Q are c* = R_zeta z + R_psi eta, and a truth with
+    coordinates c_t and out-of-span norm r_t = ||u_t - Q c_t|| (all
+    norms area-weighted) is off it by sqrt(||c_t - c*||^2 + r_t^2).
+
+    Each truth is taken as its mode coordinates a_t plus a remainder
+    e_t, c_t = R_zeta a_t + Q^T e_t, and c_t - c* is summed as
+    R_zeta (a_t - z) - R_psi eta + Q^T e_t: the large part shared by a
+    truth and its estimate cancels in a_t - z, where it carries no
+    rounding of the frame."""
+    sqrt_area = np.sqrt(ctx.mesh.cell_area)
     n_hi = min(cfg.n_range[1], ctx.basis.n_max)
+    modes = sqrt_area * ctx.basis.mode_matrix[:n_hi]
+    q, r = np.linalg.qr(
+        np.vstack([modes, sqrt_area * ctx.sensors.psi_matrix]).T)
+    r_modes, r_psi = r[:, :n_hi], r[:, n_hi:]
+    truths = sqrt_area * ctx.testset.matrix
+    a_test = truths @ modes.T
+    rest = truths - a_test @ modes
+    c_rest = rest @ q
+    out_of_span = np.sum((rest - c_rest @ q.T)**2, axis=1)
+    test_norms = np.linalg.norm(truths, axis=1)
+    # The cell-sized arrays would otherwise stay alive beside the fields
+    # that `run_case` forms per n, raising its peak memory.
+    del modes, q, truths, rest
     for n in range(cfg.n_range[0], n_hi + 1):
         op = assemble(ctx.basis, n, ctx.sensors)
         if op.beta < BETA_FLOOR:
@@ -505,10 +530,12 @@ def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext, observations,
                           "reason": f"beta below {BETA_FLOOR:g}"})
             return
         for y in observations:
-            estimates, _, eta = reconstruct_batch(op, y)
-            errs = np.sqrt(np.sum((test_values - estimates)**2, axis=1)
-                           * area) / test_norms
-            yield n, op.beta, estimates, eta, errs
+            z, eta = reconstruct_coordinates(op, y)
+            a_off = a_test.copy()
+            a_off[:, :n] -= z
+            diff = c_rest + a_off @ r_modes.T - eta @ r_psi.T
+            errs = np.sqrt(np.sum(diff**2, axis=1) + out_of_span) / test_norms
+            yield op, errs
 
 
 def run_case(cfg: ExperimentConfig, case: int,
@@ -528,11 +555,13 @@ def run_case(cfg: ExperimentConfig, case: int,
     rows = []
     flags = []
     interp_max = 0.0
-    for n, b, estimates, eta, errs in _reconstruct(cfg, ctx, [ctx.y_psi],
-                                                   flags):
+    for op, errs in _reconstruct(cfg, ctx, [ctx.y_psi], flags):
+        # The fields, formed here only, check the interpolation property.
+        estimates, _, eta = reconstruct_batch(op, ctx.y_psi)
         obs_back = estimates @ psi_t
         interp_max = max(interp_max, float(
             np.max(np.linalg.norm(obs_back - ctx.y_psi, axis=1))))
+        n, b = op.n, op.beta
         rows.append({
             "n": n,
             "beta": b,
@@ -590,11 +619,19 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     full-rank diffusion span.  eps = 0 rows reproduce the Case-2 report.
     Each (eps, seed) observation matrix is drawn once, for every n, and
     the noiseless one is reconstructed once per n for all its seeds.
+    An empty `eps_list` or `n_seeds` below 1 raises `ValueError` before
+    any snapshot set is read.
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ValueError("the noise sweep needs at least one noise level")
     if any(e < 0 for e in eps_list):
         raise ValueError("noise levels must be nonnegative")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    t_start = time.perf_counter()
     ctx = prepare_case(cfg, 2, force=force)
+    t_setup = time.perf_counter()
 
     # (eps, seed, index of its observation matrix) per sample.  Every
     # eps = 0 sample is ctx.y_psi, which is reconstructed once.
@@ -612,9 +649,11 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
                     _noise_seed(cfg.seed, eps_idx, seed_idx, t))
                 for t in range(len(ctx.testset))]))
 
+    t_draws = time.perf_counter()
+
     rows = []
     flags = []
-    worst = ((n, b, float(errs.max())) for n, b, _, _, errs
+    worst = ((op.n, op.beta, float(errs.max())) for op, errs
              in _reconstruct(cfg, ctx, observations, flags))
     # One pass through the observation matrices per n, each matrix's
     # worst error then given to every sample of it.
@@ -637,6 +676,10 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
         "eps_list": eps_list, "n_seeds": n_seeds,
         "eps_model": ctx.eps_model, "basis_rank": ctx.basis.n_max,
         "flags": flags,
+        "timings_s": {"setup": t_setup - t_start,
+                      "draws": t_draws - t_setup,
+                      "reconstruction": time.perf_counter() - t_draws,
+                      "total": time.perf_counter() - t_start},
     }
     (out_dir / "noise_sweep_run_info.json").write_text(
         json.dumps(run_info, indent=2, sort_keys=True) + "\n")

@@ -100,22 +100,11 @@ class GroupOperator:
         self.band[w - 1].reshape(diag.shape)[:, 1:] = -tx
         self.band[0].reshape(diag.shape)[1:, :] = -ty
 
-    def _to_band(self, x: np.ndarray) -> np.ndarray:
-        """Natural-order cells, flat or (ny, nx), as a flat band-order
-        vector: a view when `x` is laid out in band order."""
-        x = x.reshape(self.shape)
-        return (x.T if self.transposed else x).ravel()
-
-    def _from_band(self, y: np.ndarray, shape) -> np.ndarray:
-        """The flat band-order vector `y` as natural-order cells of
-        `shape`, flat or (ny, nx): a view when (ny, nx)."""
-        y = y.reshape(self.shape[::-1] if self.transposed else self.shape)
-        return (y.T if self.transposed else y).reshape(shape)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x (BLAS dsbmv) for natural-order cells `x`."""
-        y = dsbmv(len(self.band) - 1, 1.0, self.band, self._to_band(x))
-        return self._from_band(y, x.shape)
+        y = dsbmv(len(self.band) - 1, 1.0, self.band,
+                  _to_band(x, self.shape, self.transposed))
+        return _from_band(y, self.shape, self.transposed, x.shape)
 
     def factorize(self, group: int):
         """Band Cholesky (LAPACK dpbtrf); returns `solve(q)` (dpbtrs) for
@@ -130,8 +119,27 @@ class GroupOperator:
             raise DegenerateProblemError(
                 f"group {group} diffusion operator is not positive "
                 f"definite ({why})")
-        return lambda q: self._from_band(
-            dpbtrs(factor, self._to_band(q))[0], q.shape)
+        # The solve holds the factor alone, not the operator's band.
+        shape, transposed = self.shape, self.transposed
+        return lambda q: _from_band(
+            dpbtrs(factor, _to_band(q, shape, transposed))[0], shape,
+            transposed, q.shape)
+
+
+def _to_band(x: np.ndarray, shape, transposed: bool) -> np.ndarray:
+    """Natural-order cells, flat or of the (ny, nx) `shape`, as a flat
+    band-order vector (`GroupOperator`): a view when `x` is laid out in
+    band order."""
+    x = x.reshape(shape)
+    return (x.T if transposed else x).ravel()
+
+
+def _from_band(y: np.ndarray, shape, transposed: bool,
+               out_shape) -> np.ndarray:
+    """The flat band-order vector `y` as natural-order cells of
+    `out_shape`, flat or the (ny, nx) `shape`: a view when (ny, nx)."""
+    y = y.reshape(shape[::-1] if transposed else shape)
+    return (y.T if transposed else y).reshape(out_shape)
 
 
 def _diffusion_cells(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):

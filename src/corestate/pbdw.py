@@ -90,12 +90,11 @@ def reconstruct(op: PbdwOperator, y: np.ndarray) -> Reconstruction:
                           residual=float(np.linalg.norm(eta[0])))
 
 
-def reconstruct_batch(op: PbdwOperator, y_matrix: np.ndarray):
-    """Vectorized reconstruction of many observation vectors.
-
-    `y_matrix` is (K, m); returns (estimates (K, n_cells), z (K, n),
-    eta (K, m)).
-    """
+def reconstruct_coordinates(op: PbdwOperator, y_matrix: np.ndarray):
+    """The coordinates (z (K, n), eta (K, m)) of the estimates of many
+    observation vectors, `y_matrix` (K, m), without forming a field.
+    Raises `SingularOperatorError` when the cross Gramian has lost
+    rank."""
     y_matrix = np.asarray(y_matrix, dtype=float)
     if y_matrix.ndim != 2 or y_matrix.shape[1] != op.m:
         raise ValueError(f"each observation vector must have length {op.m}")
@@ -105,7 +104,16 @@ def reconstruct_batch(op: PbdwOperator, y_matrix: np.ndarray):
             f"cross Gramian is numerically rank deficient "
             f"(beta = {float(s[-1]):.3e}); reduce n or move sensors")
     z = (y_matrix @ u / s) @ vt
-    eta = y_matrix - z @ op.cross_gramian.T
+    return z, y_matrix - z @ op.cross_gramian.T
+
+
+def reconstruct_batch(op: PbdwOperator, y_matrix: np.ndarray):
+    """Vectorized reconstruction of many observation vectors.
+
+    `y_matrix` is (K, m); returns (estimates (K, n_cells), z (K, n),
+    eta (K, m)).
+    """
+    z, eta = reconstruct_coordinates(op, y_matrix)
     estimates = z @ op.basis.mode_matrix[:op.n] + eta @ op.sensors.psi_matrix
     return estimates, z, eta
 

@@ -19,12 +19,15 @@ from corestate.errors import ConfigurationError, DegenerateProblemError
 from corestate.geometry import Field, GeometryConfig, build_mesh
 from corestate.materials import (default_cross_sections, map_alpha_to_mu,
                                  training_lattice)
+from corestate.pbdw import reconstruct_batch
+from corestate.rom import ReducedBasis
 from corestate.sensing import build_sensors, observe, perturb_observations
 from corestate.transport import eigen_residual as transport_residual
 from corestate.transport import (build_quadrature, power_map_transport,
                                  solve_transport)
 from corestate import bench, cli, materials
-from helpers import uniform_config
+from helpers import (orthonormal_fields, random_field, snapshot_set,
+                     uniform_config)
 
 
 #: content_hash of `small_config`'s test-lattice set per (model,
@@ -524,6 +527,22 @@ class TestRunCase:
         with pytest.raises(ValueError, match="case"):
             run_case(cfg, 3)
 
+    def test_fields_formed_once_per_row_and_never_by_the_sweep(
+            self, case2_config, monkeypatch):
+        # Errors come from coordinates; only the interpolation check of
+        # `run_case` forms the estimates as fields.
+        calls = []
+
+        def counting(op, y):
+            calls.append(op.n)
+            return reconstruct_batch(op, y)
+
+        monkeypatch.setattr(bench, "reconstruct_batch", counting)
+        noise = sweep_noise(case2_config, [0.0, 1e-3], n_seeds=2)
+        assert len(noise.rows) > 0 and calls == []
+        report = run_case(case2_config, 2)
+        assert calls == report.column("n").tolist() == [1, 2, 3, 4]
+
 
 class TestSweepNoise:
     def test_zero_eps_matches_case_report(self, case2_report):
@@ -585,6 +604,113 @@ class TestSweepNoise:
         cfg, _ = case2_report
         with pytest.raises(ValueError):
             sweep_noise(cfg, [-1e-3], n_seeds=1)
+
+    @pytest.mark.parametrize("eps_list, n_seeds",
+                             [([], 2), ([0.0, 1e-3], 0), ([1e-3], -1)])
+    def test_empty_sweep_rejected_before_any_read(self, tmp_path, monkeypatch,
+                                                  eps_list, n_seeds):
+        def no_snapshots(*args, **kwargs):
+            raise AssertionError("snapshot set read")
+
+        monkeypatch.setattr(bench, "generate_snapshots", no_snapshots)
+        with pytest.raises(ValueError):
+            sweep_noise(small_config(tmp_path), eps_list, n_seeds=n_seeds)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_info_times_each_stage(self, case2_config):
+        noise = sweep_noise(case2_config, [0.0, 1e-3], n_seeds=2)
+        on_disk = json.loads((case2_config.output_dir
+                              / "noise_sweep_run_info.json").read_text())
+        timings = on_disk["timings_s"]
+        assert timings == noise.run_info["timings_s"]
+        assert set(timings) == {"setup", "draws", "reconstruction", "total"}
+        assert all(t >= 0 for t in timings.values())
+        assert timings["total"] >= (timings["setup"] + timings["draws"]
+                                    + timings["reconstruction"]) - 1e-9
+
+
+def field_errors(ctx, op, y):
+    """Relative errors of the test set against its estimates from `y`,
+    formed as fields."""
+    estimates, _, _ = reconstruct_batch(op, y)
+    truths = ctx.testset.matrix
+    return (np.linalg.norm(truths - estimates, axis=1)
+            / np.linalg.norm(truths, axis=1))
+
+
+def assert_frame_matches_fields(cfg, ctx, y):
+    pairs = list(bench._reconstruct(cfg, ctx, [y], []))
+    assert pairs
+    for op, errs in pairs:
+        np.testing.assert_allclose(errs, field_errors(ctx, op, y),
+                                   rtol=1e-9, atol=0)
+
+
+def synthetic_context(mesh, mode_values, truths, grid):
+    """A `CaseContext` on `mesh` with the given modes, test truths and
+    sensor grid; only what `_reconstruct` reads is filled in."""
+    n = len(mode_values)
+    basis = ReducedBasis(mesh=mesh, mode_matrix=np.stack(mode_values),
+                         singular_values=np.ones(n),
+                         gram_eigenvalues=np.ones(n), model_tag="synthetic")
+    sensors = build_sensors(mesh, grid)
+    testset = snapshot_set(truths)
+    y_psi = testset.matrix @ sensors.psi_matrix.T * mesh.cell_area
+    return bench.CaseContext(
+        case=2, mesh=mesh, basis=basis, sensors=sensors, testset=testset,
+        delta_wc=np.zeros(n), delta_ms=np.zeros(n), y_psi=y_psi,
+        eps_model=0.0, train_manifest={}, test_manifest={})
+
+
+class TestFrameErrors:
+    """The test errors `_reconstruct` takes in the span of the modes and
+    sensor fields equal those of the estimates formed as fields."""
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_noiseless_cases(self, workdir, case):
+        cfg = small_config(workdir)
+        ctx = prepare_case(cfg, case)
+        assert_frame_matches_fields(cfg, ctx, ctx.y_psi)
+
+    def test_noisy_observations(self, case2_report):
+        cfg, _ = case2_report
+        ctx = prepare_case(cfg, 2)
+        y = np.stack([perturb_observations(y, 1e-2, 11 + t)
+                      for t, y in enumerate(ctx.y_psi)])
+        assert_frame_matches_fields(cfg, ctx, y)
+
+    def test_fewer_cells_than_modes_and_sensors(self, tmp_path):
+        # One cell per sensor: the 3 + 6 frame fields span only 6 cells.
+        mesh = build_mesh(uniform_config(3, 2))
+        rng = np.random.default_rng(5)
+        modes = [f.values for f in orthonormal_fields(mesh, 3, rng)]
+        truths = [random_field(mesh, rng).normalized() for _ in range(4)]
+        ctx = synthetic_context(mesh, modes, truths, (3, 2))
+        cfg = small_config(tmp_path, n_range=(1, 3))
+        noisy = ctx.y_psi + 1e-3 * rng.standard_normal(ctx.y_psi.shape)
+        assert_frame_matches_fields(cfg, ctx, noisy)
+
+    def test_modes_nearly_in_the_sensor_span(self, tmp_path):
+        # The first mode is a sensor field up to 1e-9: the frame is
+        # numerically rank deficient, and R is never inverted.
+        mesh = build_mesh(uniform_config(6, 4))
+        sensors = build_sensors(mesh, (3, 2))
+        rng = np.random.default_rng(6)
+        first = sensors.psi_matrix[0] + 1e-9 * rng.standard_normal(
+            mesh.n_cells)
+        first /= np.sqrt(first @ first * mesh.cell_area)
+        modes = [first]
+        for f in orthonormal_fields(mesh, 8, rng):
+            v = f.values
+            for q in modes:
+                v = v - (q @ v) * mesh.cell_area * q
+            modes.append(v / np.sqrt(v @ v * mesh.cell_area))
+            if len(modes) == 4:
+                break
+        truths = [random_field(mesh, rng).normalized() for _ in range(5)]
+        ctx = synthetic_context(mesh, modes, truths, (3, 2))
+        cfg = small_config(tmp_path, n_range=(1, 4))
+        assert_frame_matches_fields(cfg, ctx, ctx.y_psi)
 
 
 class TestConfig:
@@ -687,6 +813,18 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert Path(out["csv"]).exists()
+
+    @pytest.mark.parametrize("option", [["--seeds", "0"], ["--eps", ""]])
+    def test_empty_noise_sweep_fails_before_any_work(self, tmp_path, capsys,
+                                                     option):
+        rc = cli.main(["noise-sweep", *option,
+                       "--config", str(self._config_file(tmp_path))])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert not (tmp_path / "out").exists()
 
     def test_progress_goes_to_stderr(self, tmp_path, capsys):
         argv = ["snapshots", "--model", "diffusion", "--set", "test",

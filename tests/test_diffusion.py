@@ -143,6 +143,25 @@ class TestGroupOperator:
         np.testing.assert_allclose(op.factorize(1)(q),
                                    np.linalg.solve(oracle, q), rtol=1e-12)
 
+    @pytest.mark.parametrize("nx, ny", [(5, 3), (3, 5)])
+    def test_solve_outlives_its_operator(self, nx, ny):
+        # A cached solve keeps its factor only: the operator, and with
+        # it the band matrix, goes once the caller drops it.
+        mesh = build_mesh(uniform_config(nx, ny))
+        rng = np.random.default_rng(nx * 10 + ny)
+        op = GroupOperator(mesh, rng.uniform(0.3, 2.0, (ny, nx)),
+                           rng.uniform(0.01, 0.2, (ny, nx)), "robin")
+        solve = op.factorize(1)
+        q = rng.standard_normal((ny, nx))
+        before = solve(q)
+        alive = weakref.ref(op)
+        del op
+        assert alive() is None
+        after = solve(q)
+        assert after.shape == (ny, nx)
+        assert after.tobytes() == before.tobytes()
+        assert solve(q.ravel()).tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("nx, ny", [(30, 20), (20, 30), (24, 24)])
     def test_band_order_solve_certifies(self, nx, ny):
         # The iteration runs in the band's cell order, column-major when
