@@ -42,7 +42,7 @@ from .pbdw import (assemble, error_bound, reconstruct_batch,
 from .rom import ReducedBasis, SnapshotSet, delta_curves, pod
 from .sensing import (build_sensors, observe, perturb_observations,
                       save_observations)
-from .transport import (build_quadrature, power_map_transport,
+from .transport import (SCHEMES, build_quadrature, power_map_transport,
                         solve_transport)
 
 REPORT_COLUMNS = ("n", "beta", "delta_wc", "delta_ms", "err_wc", "bound",
@@ -70,8 +70,9 @@ LATTICES = ("training", "test")
 #: 9: inner tolerance 0.03 (was 0.01) times the outer flux change;
 #: 10 (diffusion 5): the outer driver's in-place sources, one-dot
 #: fission integral and closed-form mixing fit round differently, and
-#: diffusion iterates in band cell order.
-SOLVER_REVISION = {"transport": 10, "diffusion": 5}
+#: diffusion iterates in band cell order; 11: each group's sweep is one
+#: lower-triangular solve, its fresh reflective inflows matrix entries.
+SOLVER_REVISION = {"transport": 11, "diffusion": 5}
 
 #: Layout of a stored snapshot set, part of every snapshot signature:
 #: one `np.save` file of the (count, n_cells) float64 value matrix.  A
@@ -116,6 +117,12 @@ class ExperimentConfig:
                 f"n_range {self.n_range} must lie inside [1, m = {m}]")
         if self.model_for_truth not in MODELS:
             raise ConfigurationError(f"models must be one of {MODELS}")
+        if self.scheme not in SCHEMES:
+            raise ConfigurationError(
+                f"scheme {self.scheme!r} must be one of {SCHEMES}")
+        if self.sn_order < 2 or self.sn_order % 2 != 0:
+            raise ConfigurationError(
+                f"sn_order must be even and >= 2, got {self.sn_order}")
 
     @staticmethod
     def default(output_dir: str | Path = "bench_out",

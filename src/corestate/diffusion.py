@@ -29,7 +29,7 @@ from .eigen import (ToleranceConfig, cached_factors, power_iteration,
                     save_solution)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
-from .materials import CrossSectionSet, cell_arrays, cell_values
+from .materials import CrossSectionSet, cell_values
 
 VACUUM_MODELS = ("robin", "zero_flux")
 
@@ -143,17 +143,19 @@ def _from_band(y: np.ndarray, shape, transposed: bool,
 
 
 def _diffusion_cells(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
-    """Validated cell cross sections and the area-scaled coupling and
-    fission arrays (s21, s12, nusf1, nusf2, chi1, chi2), (ny, nx) each."""
+    """Validated cell D and sigma_a, (2, ny, nx) each, and the
+    area-scaled coupling and fission arrays (s21, s12, nusf1, nusf2,
+    chi1, chi2), (ny, nx) each."""
     if vacuum_model not in VACUUM_MODELS:
         raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
-    cx = cell_arrays(xs, mesh)
-    if (cx.d <= 0).any():
+    d, sigma_a, sigma_s, nu_sigma_f, chi = cell_values(
+        xs, mesh, "d", "sigma_a", "sigma_s", "nu_sigma_f", "chi")
+    if (d <= 0).any():
         raise ConfigurationError("diffusion needs D > 0 in every region")
     area = mesh.cell_area
-    return cx, (cx.sigma_s[1, 0] * area, cx.sigma_s[0, 1] * area,
-                cx.nu_sigma_f[0] * area, cx.nu_sigma_f[1] * area,
-                cx.chi[0], cx.chi[1])
+    return d, sigma_a, (sigma_s[1, 0] * area, sigma_s[0, 1] * area,
+                        nu_sigma_f[0] * area, nu_sigma_f[1] * area,
+                        chi[0], chi[1])
 
 
 def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
@@ -166,9 +168,9 @@ def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
         M1 phi1 - diag(s21) phi2 = (chi1/k) (nusf1 phi1 + nusf2 phi2)
         M2 phi2 - diag(s12) phi1 = (chi2/k) (nusf1 phi1 + nusf2 phi2)
     """
-    cx, vectors = _diffusion_cells(xs, mesh, vacuum_model)
-    return (GroupOperator(mesh, cx.d[0], cx.sigma_a[0], vacuum_model),
-            GroupOperator(mesh, cx.d[1], cx.sigma_a[1], vacuum_model)) \
+    d, sigma_a, vectors = _diffusion_cells(xs, mesh, vacuum_model)
+    return (GroupOperator(mesh, d[0], sigma_a[0], vacuum_model),
+            GroupOperator(mesh, d[1], sigma_a[1], vacuum_model)) \
         + tuple(v.ravel() for v in vectors)
 
 
@@ -199,11 +201,11 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                 f"mesh given for a {mesh.nx} x {mesh.ny} one")
     # The iteration runs on (ny, nx) cell arrays seen in band order, so
     # that each group solve hands its source to LAPACK without a copy.
-    cx, cells = _diffusion_cells(xs, mesh, vacuum_model)
+    d_cells, sigma_a, cells = _diffusion_cells(xs, mesh, vacuum_model)
     s21, s12, nusf1, nusf2, chi1, chi2 = (_band_view(mesh, a) for a in cells)
 
     def factor(g):
-        d, sa = cx.d[g - 1], cx.sigma_a[g - 1]
+        d, sa = d_cells[g - 1], sigma_a[g - 1]
         return cached_factors(
             "diffusion", g, GroupOperator.key(mesh, d, sa, vacuum_model),
             lambda: GroupOperator(mesh, d, sa, vacuum_model).factorize(g))

@@ -10,14 +10,15 @@ the step scheme's positivity guarantee for second-order accuracy.
 Either is written as a sparse lower-triangular system per direction:
 its cells are numbered in the direction's upwind order, and diamond
 adds each cell's outgoing x and y face fluxes as unknowns after its
-flux, so the LU factorization (once per problem) adds no fill and a
-solve is one forward substitution.  The directions of one quadrant
-share a single block-diagonal system and solve.  Orders and sparsity
-patterns depend only on the mesh, the quadrature and the scheme, so
-they are built once (`_sweep_plan`); a problem writes its diagonal and
-factorizes.  The factors of each group are kept across solves
+flux, so the LU factorization adds no fill and a solve is one forward
+substitution.  A whole sweep is one such system (`_sweep_system`), so
+a group's sweep is one triangular solve, and its solve vector, holding
+the angular flux and the exit-face fluxes, is the sweeper's state.
+The system depends only on the mesh, its side conditions, the
+quadrature and the scheme; a problem writes its diagonal and
+factorizes.  The factor of each group is kept across solves
 (`eigen.cached_factors`, keyed by the bytes of the group's totals), so
-consecutive lattice points that share them, and `eigen_residual` after
+consecutive lattice points that share it, and `eigen_residual` after
 its solve, factorize nothing.
 
 The eigenpair is found by power iteration on the fission source with a
@@ -38,16 +39,17 @@ Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
 (-div D grad + sigma_t - sigma_s,gg) delta = sigma_s,gg (phi_swept -
 phi_old), D = 1/(3 sigma_t), is solved on the diffusion solver's
 finite-volume matrix, factorized once per group, and phi_swept + delta
-is the new iterate; delta/4pi also enters the outgoing face fluxes, so
-reflected inflows carry the correction.  On the default layout this
+is the new iterate; delta/4pi also enters the exit-face fluxes that
+feed lagged reflective inflows (below).  On the default layout this
 takes the contraction per sweep from 0.63-0.72 to 0.18-0.19.  The
 correction is inconsistent with the step (and diamond) sweep in thick
 cells and diverges there, so a group whose thickest cell exceeds
 `_DSA_MAX_MFP` mean free paths runs plain source iteration.
 
 Vacuum sides impose zero inflow, reflective sides mirror the outgoing
-face flux of the opposite direction; quadrants are swept in an order
-that reuses freshly computed outgoing fluxes on the reflective sides.
+face flux of the opposite direction: on xmin and ymin that of the same
+sweep, whose quadrant order (`_SWEEP_ORDER`) sweeps the mirror first,
+on xmax and ymax that of the previous sweep (a lagged inflow).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .eigen import (ToleranceConfig, cached_factors, power_iteration,
                     save_solution)
 from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, Mesh
-from .materials import CrossSectionSet, cell_arrays
+from .materials import CrossSectionSet, cell_values
 
 #: Minimum transport total accepted anywhere on the mesh (1/cm); void
 #: regions must carry at least this much to keep the sweeps well posed.
@@ -201,9 +203,8 @@ class TransportSolution:
 
 
 class _SweepBlock(NamedTuple):
-    """Step or diamond sweep system of directions that do not feed each
-    other (one direction, or the directions of one quadrant), everything
-    but its diagonal values, as read-only arrays.
+    """Step or diamond sweep system of a set of directions
+    (`_sweep_block`), everything but its diagonal values.
 
     Each direction's cells are numbered in its upwind order: counting i
     down when ox < 0 and j down when oy < 0 gives every upstream
@@ -215,29 +216,20 @@ class _SweepBlock(NamedTuple):
     f_out - 2 psi + f_in = 0, f_in being the upstream cell's f_out.
     Every entry refers to an earlier unknown, so the matrix is lower
     triangular and its `NATURAL` LU adds no fill (L holds the matrix's
-    nonzeros, U its diagonal).  The directions are stacked
-    block-diagonally, so one factorization and one triangular solve
-    cover them all; one factorization per quadrant also holds ~6x less
-    SuperLU memory than one per direction.
+    nonzeros, U its diagonal): a solve is one forward substitution.
 
     `src` is each unknown's natural cell, or n = nx ny for a face: the
     right-hand side gathers the area-weighted emission, a zero appended
-    at n, and the diagonal sigma_t A (likewise) + `diag_add`.  The
-    boundary inflow, one row per direction indexed by natural row j
-    (column i), enters it at `x_in_pos` (`y_in_pos`) times
-    `x_in_weight` (`y_in_weight`), one layer per kind of row it enters.
-    `rank` is psi's unknown per direction and natural cell, `x_out_pos`
-    (`y_out_pos`) that of the exit-side outgoing face flux per natural
-    row (column).  `indices`, `indptr` and `data` are the CSC matrix
-    with the off-diagonals in place and zeros at `diag_pos`.
+    at n, and the diagonal sigma_t A (likewise) + `diag_add`.  `rank`
+    is psi's unknown per direction and natural cell (a diamond cell's
+    face fluxes are the next two), `x_out_pos` (`y_out_pos`) that of the
+    exit-side outgoing face flux per natural row (column).  `indices`,
+    `indptr` and `data` are the CSC matrix with the off-diagonals in
+    place and zeros at `diag_pos`.
     """
 
     src: np.ndarray
     rank: np.ndarray
-    x_in_pos: np.ndarray
-    x_in_weight: np.ndarray
-    y_in_pos: np.ndarray
-    y_in_weight: np.ndarray
     x_out_pos: np.ndarray
     y_out_pos: np.ndarray
     indices: np.ndarray
@@ -260,23 +252,20 @@ class _SweepBlock(NamedTuple):
                          permc_spec="NATURAL", diag_pivot_thresh=0.0,
                          panel_size=1, relax=1)
 
-    def solve(self, lu, emission_area: np.ndarray, inflow_x, inflow_y):
-        """(cell flux (directions, ny, nx), outgoing x and y face fluxes)
-        of the system factorized as `lu` for the area-weighted emission
-        `emission_area` (flat, a zero appended) plus the boundary
-        inflows (None for zero inflow; one row per direction)."""
-        rhs = emission_area[self.src]
-        if inflow_x is not None:
-            rhs[self.x_in_pos] += self.x_in_weight * inflow_x
-        if inflow_y is not None:
-            rhs[self.y_in_pos] += self.y_in_weight * inflow_y
-        x = lu.solve(rhs)
-        return x[self.rank], x[self.x_out_pos], x[self.y_out_pos]
-
 
 def _sweep_block(nx: int, ny: int, dx: float, dy: float, omega_x,
-                 omega_y, scheme: str = "step") -> _SweepBlock:
-    """`_SweepBlock` of the directions (omega_x[k], omega_y[k])."""
+                 omega_y, scheme: str = "step", feed=None):
+    """`_SweepBlock` of the directions (omega_x[k], omega_y[k]) in that
+    order, its boundary inflows (per upstream side x and y, the positions
+    and weights with which an inflow, one row per direction indexed by
+    natural row j (column i), enters the right-hand side, one layer per
+    kind of row it enters) and its lagged couplings.  `feed` gives per
+    side the direction whose exit face is each direction's inflow there,
+    or -1 (the default).  From an earlier direction that coupling (the
+    weights, negated) is a matrix entry, and the system stays lower
+    triangular; from a later one the weights are entries of the lagged
+    sparse matrix, which takes a previous solve vector to its share of
+    the right-hand side."""
     n, nd = nx * ny, len(omega_x)
     diamond = scheme == "diamond"
     m = 3 if diamond else 1            # unknowns per cell
@@ -301,12 +290,11 @@ def _sweep_block(nx: int, ny: int, dx: float, dy: float, omega_x,
     # Cells fed through an x (y) face, and their upstream neighbours.
     x_down, x_up = pos[:, 1:].ravel(), pos[:, :-1].ravel()
     y_down, y_up = pos[1:, :].ravel(), pos[:-1, :].ravel()
-    rows, cols, vals = [], [], []
+    entries, lagged = ([], [], []), ([], [], [])
 
-    def couple(row, col, val):
-        rows.append(row.ravel())
-        cols.append(col.ravel())
-        vals.append(np.broadcast_to(val, row.shape).ravel())
+    def couple(row, col, val, into=entries):
+        for part, value in zip(into, (row, col, val)):
+            part.append(np.broadcast_to(value, row.shape).ravel())
 
     # Diagonal (placeholder ones), then each cell fed through its
     # upstream x and y faces.
@@ -318,10 +306,28 @@ def _sweep_block(nx: int, ny: int, dx: float, dy: float, omega_x,
         for c, up, down in ((fx, x_up, x_down), (fy, y_up, y_down)):
             couple(at(cell, c), at(cell), -2.0)
             couple(at(down, c), at(up, c), 1.0)
+    # The inflow enters the cell rows times w a (w b) and, as -f_in,
+    # diamond's face rows.
+    layer = np.arange(2 if diamond else 1)[:, None, None]
+    inflows = (
+        (at(np.stack([pos[::sy, 0] for sy, _ in steps])) + fx * layer,
+         np.where(layer == 0, w * a, -1.0)),
+        (at(np.stack([pos[0, ::sx] for _, sx in steps])) + fy * layer,
+         np.where(layer == 0, w * b, -1.0)))
+    out = (at(np.stack([pos[::sy, -1] for sy, _ in steps]), fx),
+           at(np.stack([pos[-1, ::sx] for _, sx in steps]), fy))
+    own = np.arange(nd)
+    for (in_pos, weight), out_pos, source in zip(
+            inflows, out, feed or [np.full(nd, -1)] * 2):
+        k = np.flatnonzero((source >= 0) & (source < own))
+        couple(in_pos[:, k], out_pos[source[k]], -weight[:, k])
+        k = np.flatnonzero(source > own)
+        couple(in_pos[:, k], out_pos[source[k]], weight[:, k], lagged)
     size = m * n * nd
-    mat = sp.csc_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(size, size))
+    mat, lag = (sp.csc_matrix((np.concatenate(val), (np.concatenate(row),
+                                                     np.concatenate(col))),
+                              shape=(size, size))
+                for row, col, val in (entries, lagged))
     mat.sort_indices()
     # Lower triangular: each column starts at its diagonal.
     diag_pos = mat.indptr[:-1].copy()
@@ -331,39 +337,43 @@ def _sweep_block(nx: int, ny: int, dx: float, dy: float, omega_x,
     src[:, :, 0] = order
     diag_add = np.ones((nd, n, m))
     diag_add[:, :, 0] = w * (a + b)
-    # The inflow enters the cell rows times w a (w b) and, as -f_in,
-    # diamond's face rows.
-    layer = np.arange(2 if diamond else 1)[:, None, None]
-    x_in = at(np.stack([pos[::sy, 0] for sy, _ in steps])) + fx * layer
-    y_in = at(np.stack([pos[0, ::sx] for _, sx in steps])) + fy * layer
-    block = _SweepBlock(
+    return _SweepBlock(
         src=src.ravel(), rank=at(order).reshape(nd, ny, nx),
-        x_in_pos=x_in, x_in_weight=np.where(layer == 0, w * a, -1.0),
-        y_in_pos=y_in, y_in_weight=np.where(layer == 0, w * b, -1.0),
-        x_out_pos=at(np.stack([pos[::sy, -1] for sy, _ in steps]), fx),
-        y_out_pos=at(np.stack([pos[-1, ::sx] for _, sx in steps]), fy),
+        x_out_pos=out[0], y_out_pos=out[1],
         indices=mat.indices.astype(np.intc),
         indptr=mat.indptr.astype(np.intc), data=mat.data,
-        diag_pos=diag_pos, diag_add=diag_add.ravel())
-    for value in block:
-        value.setflags(write=False)
-    return block
+        diag_pos=diag_pos, diag_add=diag_add.ravel()), inflows, lag
 
 
 @functools.lru_cache(maxsize=4)
-def _sweep_plan(nx: int, ny: int, dx: float, dy: float, order: int,
-                scheme: str) -> tuple[_SweepBlock, ...]:
-    """The fixed set-up of the `scheme` sweep on an nx x ny mesh of
-    dx x dy cells with the S_order quadrature of `build_quadrature`: one
-    `_SweepBlock` per quadrant, by quadrant id.  It depends on no cross
-    section, so the sweepers of both groups, every lattice point and
+def _sweep_system(nx: int, ny: int, dx: float, dy: float, order: int,
+                  scheme: str, bc):
+    """The whole `scheme` sweep on an nx x ny mesh of dx x dy cells with
+    side conditions `bc` and the S_order quadrature: the read-only
+    `_SweepBlock` of all directions, stacked quadrant by quadrant in
+    `_SWEEP_ORDER` (`rank`, `x_out_pos` and `y_out_pos` by direction),
+    each reflective inflow fed by its mirror direction, and the lagged
+    couplings (xmax and ymax sides) or None.  It depends on no cross
+    section, so both groups' sweepers, every lattice point and
     `eigen_residual` share it and only refill its diagonal."""
     quad = build_quadrature(order)
     nb = quad.n_directions // 4
-    return tuple(_sweep_block(nx, ny, dx, dy,
-                              quad.omega_x[q * nb:(q + 1) * nb],
-                              quad.omega_y[q * nb:(q + 1) * nb], scheme)
-                 for q in range(4))
+    # The directions in sweep order, and the place of each in it.
+    dirs = np.concatenate([np.arange(q * nb, (q + 1) * nb)
+                           for q in _SWEEP_ORDER])
+    place = np.argsort(dirs)
+    feed = [np.where([getattr(bc, low if o > 0 else high) == "reflective"
+                      for o in omega[dirs]], place[mirror[dirs]], -1)
+            for omega, mirror, low, high in (
+                (quad.omega_x, quad.mirror_x, "xmin", "xmax"),
+                (quad.omega_y, quad.mirror_y, "ymin", "ymax"))]
+    block, _, lag = _sweep_block(nx, ny, dx, dy, quad.omega_x[dirs],
+                                 quad.omega_y[dirs], scheme, feed)
+    system = block._replace(**{name: getattr(block, name)[place] for name
+                               in ("rank", "x_out_pos", "y_out_pos")})
+    for value in system:
+        value.setflags(write=False)
+    return system, lag.tocsr() if lag.nnz else None
 
 
 def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
@@ -378,24 +388,27 @@ def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
     ox, oy = float(omega[0]), float(omega[1])
     if ox == 0.0 or oy == 0.0:
         raise ValueError("sweep directions must have nonzero components")
-    block = _sweep_block(mesh.nx, mesh.ny, mesh.dx, mesh.dy, [ox], [oy])
-    emission_area = np.append(np.asarray(emission2d, dtype=float)
-                              * mesh.cell_area, 0.0)
-    inflows = [None if f is None else np.asarray(f, dtype=float)
-               for f in (inflow_x, inflow_y)]
+    block, inflows, _ = _sweep_block(mesh.nx, mesh.ny, mesh.dx, mesh.dy,
+                                     [ox], [oy])
+    rhs = np.append(np.asarray(emission2d, dtype=float) * mesh.cell_area,
+                    0.0)[block.src]
+    for (pos, weight), inflow in zip(inflows, (inflow_x, inflow_y)):
+        if inflow is not None:
+            rhs[pos] += weight * np.asarray(inflow, dtype=float)
     lu = block.factorize(np.asarray(sigma_t2d, dtype=float), mesh.cell_area)
-    return block.solve(lu, emission_area, *inflows)[0][0]
+    return lu.solve(rhs)[block.rank[0]]
 
 
 def _trim_heap():
     """Give the malloc heap's free pages back to the system (glibc
     `malloc_trim`; skipped where the C library has none).
 
-    Each SuperLU quadrant factorization reserves ~8 MB of heap and
-    touches a few hundred KB.  While cached factors pin the heap, the
-    pages a dropped set touched stay resident: peak RSS of perfbench's
-    `transport_lattice` (45 x 30, S4) read 89-95 MB without this trim
-    after each drop and 74.3-74.4 MB with it (4 runs each)."""
+    A SuperLU factorization of a whole 45 x 30 S4 sweep reserves ~33 MB
+    of heap; the factor keeps ~1 MB resident, its work arrays touch ~2
+    MB more.  While cached factors pin the heap, the pages a dropped
+    factor touched can stay resident: peak RSS of perfbench's
+    `transport_lattice` read 75.0, 75.2 and 80.8 MB without this trim
+    after each drop and 75.0-75.1 MB with it."""
     try:
         trim = ctypes.CDLL(None).malloc_trim
     except (OSError, TypeError, AttributeError):  # no C library, or no
@@ -405,73 +418,60 @@ def _trim_heap():
 
 
 class _GroupSweeper:
-    """Per-group sweep machinery: one factorized `scheme` system per
-    quadrant (`_sweep_plan` refilled with the group's totals, from
-    `eigen.cached_factors`) plus the current angular flux and outgoing
-    boundary face fluxes.  `sweeps` counts the calls of `sweep`."""
+    """Per-group sweep: the whole-sweep system (`_sweep_system`) factorized
+    with the group's totals (from `eigen.cached_factors`), and its solve
+    vector `x`, the angular flux and exit-face fluxes of the last sweep
+    or of the start.  `sweeps` counts the calls of `sweep`."""
 
     def __init__(self, mesh: Mesh, quad: AngularQuadrature,
                  sigt2d: np.ndarray, scheme: str, group: int):
-        self.mesh = mesh
-        self.quad = quad
-        self.sweeps = 0
-        nd = quad.n_directions
-        self.psi = np.full((nd, mesh.ny, mesh.nx), 1.0 / FOUR_PI)
-        # Outgoing face flux per direction on its exit sides.
-        self.out_x = np.full((nd, mesh.ny), 1.0 / FOUR_PI)
-        self.out_y = np.full((nd, mesh.nx), 1.0 / FOUR_PI)
-        # Exit column (row) of each direction, whose cells give out_x
-        # (out_y).
-        self._exit_col = np.where(quad.omega_x > 0, mesh.nx - 1, 0)
-        self._exit_row = np.where(quad.omega_y > 0, mesh.ny - 1, 0)
-        nb = nd // 4
-        # Per quadrant in sweep order: its directions, and the mirror
-        # directions feeding its reflective inflow sides (None on a
-        # vacuum side).
-        self._quadrants = []
-        for q in _SWEEP_ORDER:
-            ds = slice(q * nb, (q + 1) * nb)
-            side_x = "xmin" if quad.omega_x[ds.start] > 0 else "xmax"
-            side_y = "ymin" if quad.omega_y[ds.start] > 0 else "ymax"
-            mirror_x = (quad.mirror_x[ds]
-                        if getattr(mesh.bc, side_x) == "reflective" else None)
-            mirror_y = (quad.mirror_y[ds]
-                        if getattr(mesh.bc, side_y) == "reflective" else None)
-            self._quadrants.append((q, ds, mirror_x, mirror_y))
-        plan = (mesh.nx, mesh.ny, mesh.dx, mesh.dy, quad.order, scheme)
-        self._blocks = _sweep_plan(*plan)
+        self.mesh, self.quad, self.sweeps = mesh, quad, 0
+        plan = (mesh.nx, mesh.ny, mesh.dx, mesh.dy, quad.order, scheme,
+                mesh.bc)
+        self._system, self._lag = _sweep_system(*plan)
         self._lu = cached_factors(
             "sweep", group, (plan, mesh.cell_area, sigt2d.tobytes()),
-            lambda: [block.factorize(sigt2d, mesh.cell_area)
-                     for block in self._blocks], on_drop=_trim_heap)
+            lambda: self._system.factorize(sigt2d, mesh.cell_area),
+            on_drop=_trim_heap)
+        self.x = np.full(self._system.diag_pos.size, 1.0 / FOUR_PI)
+        # What `scale` owes `x`; the DSA share of the next lagged inflows.
+        self._factor, self._lag_fix = 1.0, 0.0
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The angular flux (directions, ny, nx), a copy."""
+        return self._factor * self.x[self._system.rank]
+
+    def _fill(self, cells: np.ndarray) -> np.ndarray:
+        """A solve vector with `cells` (directions, ny, nx) in each cell's
+        psi and, in diamond, its face fluxes, exit faces included."""
+        x = np.empty_like(self.x)
+        for c in range(x.size // self._system.rank.size):
+            x[self._system.rank + c] = cells
+        return x
 
     def seed(self, psi: np.ndarray):
-        """Start from the angular flux `psi` (directions, ny, nx) of a
-        nearby solve, each exit-face flux taken from its exit cell."""
-        self.psi = np.array(psi, dtype=float)
-        d = np.arange(len(psi))
-        self.out_x = self.psi[d, :, self._exit_col]
-        self.out_y = self.psi[d, self._exit_row, :]
+        """Start from the angular flux `psi` (directions, ny, nx; or
+        (ny, nx), isotropic), each exit-face flux from its exit cell."""
+        self.x = self._fill(psi)
+        self._factor, self._lag_fix = 1.0, 0.0
 
     def sweep(self, emission2d: np.ndarray) -> np.ndarray:
         """One full sweep over all directions with the isotropic angular
         emission density `emission2d`; returns the scalar flux (ny, nx).
 
-        The sweep keeps its emission, scalar flux and outgoing face
-        fluxes, before `correct` or `scale` change them, for
-        `balance_residual`."""
-        mesh = self.mesh
-        emission_area = np.append(emission2d * mesh.cell_area, 0.0)
+        The sweep keeps its emission, scalar flux and solve vector for
+        `balance_residual`; `correct` and `scale` change none of them."""
+        rhs = np.append(emission2d * self.mesh.cell_area,
+                        0.0)[self._system.src]
+        if self._lag is not None:
+            rhs += self._factor * (self._lag @ self.x) + self._lag_fix
+        self._factor, self._lag_fix = 1.0, 0.0
         self.sweeps += 1
-        for q, ds, mirror_x, mirror_y in self._quadrants:
-            self.psi[ds], self.out_x[ds], self.out_y[ds] = \
-                self._blocks[q].solve(
-                    self._lu[q], emission_area,
-                    None if mirror_x is None else self.out_x[mirror_x],
-                    None if mirror_y is None else self.out_y[mirror_y])
-        phi = (self.quad.weight @ self.psi.reshape(len(self.psi), -1)
-               ).reshape(mesh.ny, mesh.nx)
-        self._last = (emission2d, phi, self.out_x.copy(), self.out_y.copy())
+        self.x = self._lu.solve(rhs)
+        phi = (self.quad.weight @ self.x[self._system.rank].reshape(
+            self.quad.n_directions, -1)).reshape(self.mesh.ny, self.mesh.nx)
+        self._last = (emission2d, phi, self.x)
         return phi
 
     def balance_residual(self, sigt2d: np.ndarray) -> float:
@@ -479,25 +479,26 @@ class _GroupSweeper:
         last sweep, with cell totals `sigt2d`: production is its
         emission, removal sigma_t times its scalar flux, and leakage
         leaves through its outgoing face fluxes."""
-        emission, phi, out_x, out_y = self._last
+        emission, phi, x = self._last
         area = self.mesh.cell_area
         prod = FOUR_PI * float(emission.sum()) * area
-        loss = float((sigt2d * phi).sum() * area) \
-            + _vacuum_leakage(self.mesh, self.quad, out_x, out_y)
+        loss = float((sigt2d * phi).sum() * area) + _vacuum_leakage(
+            self.mesh, self.quad, x[self._system.x_out_pos],
+            x[self._system.y_out_pos])
         return abs(prod - loss) / prod
 
     def correct(self, delta: np.ndarray):
         """Add the isotropic flux correction `delta` (ny, nx) / 4 pi to
-        every direction's outgoing face fluxes, so the inflows mirrored
-        on reflective sides carry it into the next sweep."""
-        corr = delta / FOUR_PI
-        self.out_x += corr[:, self._exit_col].T
-        self.out_y += corr[self._exit_row, :]
+        the exit faces that feed the next sweep's lagged inflows.  The
+        other reflective inflows are solved within the sweep, so without
+        lagged ones this does nothing."""
+        if self._lag is not None:
+            self._lag_fix = self._lag @ self._fill(delta / FOUR_PI)
 
     def scale(self, factor: float):
-        self.psi *= factor
-        self.out_x *= factor
-        self.out_y *= factor
+        # Owed: only `psi` and lagged inflows read `x` before a sweep.
+        self._factor *= factor
+        self._lag_fix *= factor
 
 
 def _vacuum_leakage(mesh: Mesh, quad: AngularQuadrature, out_x: np.ndarray,
@@ -537,20 +538,22 @@ def _dsa_factor(mesh: Mesh, sigt2d: np.ndarray, sigs2d: np.ndarray,
 
 def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
                    quad: AngularQuadrature, scheme: str):
-    """Validated cell cross sections, one sweeper per group, and the
-    within-group source iteration `solve(g, q, phi_g, inner_tol)` that
-    `power_iteration` calls, with each group's DSA factorization
-    (`_dsa_factor`) bound in."""
+    """The validated cell cross sections that transport reads (sigma_t,
+    sigma_s, nu_sigma_f, chi; `materials.cell_values`), one sweeper per
+    group, and the within-group source iteration `solve(g, q, phi_g,
+    inner_tol)` that `power_iteration` calls, with each group's DSA
+    factorization (`_dsa_factor`) bound in."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-    cx = cell_arrays(xs, mesh)
-    if (cx.sigma_t < MIN_SIGMA_T).any():
+    cells = cell_values(xs, mesh, "sigma_t", "sigma_s", "nu_sigma_f", "chi")
+    sigma_t, sigma_s = cells[:2]
+    if (sigma_t < MIN_SIGMA_T).any():
         raise ConfigurationError(
             f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
             "give void regions a small positive total")
-    sweepers = [_GroupSweeper(mesh, quad, cx.sigma_t[g], scheme, g + 1)
+    sweepers = [_GroupSweeper(mesh, quad, sigma_t[g], scheme, g + 1)
                 for g in range(2)]
-    dsa = [_dsa_factor(mesh, cx.sigma_t[g], cx.sigma_s[g, g], g + 1)
+    dsa = [_dsa_factor(mesh, sigma_t[g], sigma_s[g, g], g + 1)
            for g in range(2)]
     area = mesh.cell_area
     # Each group's measured contraction per sweep, kept across calls.
@@ -560,16 +563,16 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
                          inner_tol: float = _INNER_TOL):
         stop = max(_INNER_TOL, inner_tol)
         q_fixed = q / FOUR_PI
-        sigma_s = cx.sigma_s[g, g]
-        s_old = sigma_s * phi_g
+        sigma_gg = sigma_s[g, g]
+        s_old = sigma_gg * phi_g
         last = None
         for _ in range(_MAX_INNER):
             phi_g = sweepers[g].sweep(q_fixed + s_old / FOUR_PI)
             if dsa[g] is not None:
-                delta = dsa[g]((sigma_s * phi_g - s_old) * area)
+                delta = dsa[g]((sigma_gg * phi_g - s_old) * area)
                 phi_g = phi_g + delta
                 sweepers[g].correct(delta)
-            s_new = sigma_s * phi_g
+            s_new = sigma_gg * phi_g
             denom = max(float(np.max(np.abs(s_new))), 1e-300)
             change = float(np.max(np.abs(s_new - s_old))) / denom
             s_old = s_new
@@ -586,7 +589,7 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
             f"transport source iteration: group {g + 1} reached "
             f"_MAX_INNER = {_MAX_INNER} sweeps (change = {change:.3e})")
 
-    return cx, sweepers, source_iteration
+    return cells, sweepers, source_iteration
 
 
 def _check_start(start: TransportSolution, mesh: Mesh,
@@ -637,16 +640,15 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     """
     quad = quad or build_quadrature(4)
     tol = tol or ToleranceConfig()
-    cx, sweepers, source_iteration = _group_solvers(xs, mesh, quad, scheme)
+    (sigma_t, sigma_s, nusf, chi), sweepers, source_iteration = \
+        _group_solvers(xs, mesh, quad, scheme)
     if start is not None:
         _check_start(start, mesh, quad, scheme)
         for sweeper, psi in zip(sweepers, start.angular_flux):
             sweeper.seed(psi)
 
     area = mesh.cell_area
-    nusf = [cx.nu_sigma_f[g] for g in range(2)]
-    chi = [cx.chi[g] for g in range(2)]
-    inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
+    inscatter = [sigma_s[1, 0], sigma_s[0, 1]]
 
     def rescale(factor: float):
         for sweeper in sweepers:
@@ -657,7 +659,7 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
             k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
             iterations, sum(s.sweeps for s in sweepers), residual,
             balance_residual=np.nan, quadrature_order=quad.order,
-            scheme=scheme, angular_flux=tuple(s.psi.copy() for s in sweepers)
+            scheme=scheme, angular_flux=tuple(s.psi for s in sweepers)
             if retain_angular else None)
 
     sol = power_iteration(
@@ -666,7 +668,7 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
             start.k_eff, [f.values.reshape(mesh.ny, mesh.nx)
                           for f in start.scalar_flux]))
     return replace(sol, balance_residual=max(
-        s.balance_residual(cx.sigma_t[g]) for g, s in enumerate(sweepers)))
+        s.balance_residual(sigma_t[g]) for g, s in enumerate(sweepers)))
 
 
 def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
@@ -683,8 +685,8 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
     so a solve stopped early scores well above its tolerances.  It
     builds its own sweepers on the factors its solve left in
     `eigen.cached_factors` and sweeps its inners to 1e-9 (two sweeps per
-    group on converged default solves): ~4 ms (2.3-4.3) right after its
-    solve on the default 45 x 30 S4 problem, ~15 ms when the factors
+    group on converged default solves): ~2 ms (1.1-3.9) right after its
+    solve on the default 45 x 30 S4 problem, ~8 ms when the factors
     must be rebuilt (2-vCPU machine, BLAS on one thread).  `quad` and
     `scheme` default to those of the solve; others raise
     `ConfigurationError`, since they certify a different discrete
@@ -700,21 +702,19 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
             f"{sol.scheme!r} solve")
     mesh = sol.scalar_flux[0].mesh
     quad = quad or build_quadrature(sol.quadrature_order)
-    cx, sweepers, source_iteration = _group_solvers(xs, mesh, quad,
-                                                    sol.scheme)
-    inscatter = [cx.sigma_s[1, 0], cx.sigma_s[0, 1]]
+    (_, sigma_s, nusf, chi), sweepers, source_iteration = _group_solvers(
+        xs, mesh, quad, sol.scheme)
+    inscatter = [sigma_s[1, 0], sigma_s[0, 1]]
     phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
-    # Reflective inflows start from the isotropic estimate phi / 4 pi
-    # of the exit-side cells rather than the sweepers' flat guess.
+    # Lagged reflective inflows start from the isotropic estimate
+    # phi / 4 pi of the exit-side cells rather than the flat guess.
     for sweeper, p in zip(sweepers, phi):
-        sweeper.out_x[:] = 0.0
-        sweeper.out_y[:] = 0.0
-        sweeper.correct(p)
-    fission = cx.nu_sigma_f[0] * phi[0] + cx.nu_sigma_f[1] * phi[1]
+        sweeper.seed(p / FOUR_PI)
+    fission = nusf[0] * phi[0] + nusf[1] * phi[1]
     for g in range(2):
-        q = cx.chi[g] * fission / sol.k_eff + inscatter[g] * phi[1 - g]
+        q = chi[g] * fission / sol.k_eff + inscatter[g] * phi[1 - g]
         phi[g] = source_iteration(g, q, phi[g])
-    new = cx.nu_sigma_f[0] * phi[0] + cx.nu_sigma_f[1] * phi[1]
+    new = nusf[0] * phi[0] + nusf[1] * phi[1]
     ratio = float(new.sum() / fission.sum())
     source_change = float(np.max(np.abs(new / ratio - fission))
                           / np.max(np.abs(fission)))

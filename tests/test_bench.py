@@ -35,8 +35,8 @@ from helpers import (orthonormal_fields, random_field, snapshot_set,
 PINNED_TEST_SET_HASHES = {
     ("diffusion", 5):
         "f54cda9535a25fb4506be7115738004986d5e749ffc592165a365688a7a6e6bc",
-    ("transport", 10):
-        "b0ce4be018624b3e5c16373eee4c4ee0345a1fb0336df31c0811732bc76cfa20",
+    ("transport", 11):
+        "c5ead85d4b6482c17086c3c20a644351858989379722fd28e91b1ed9b12627e8",
 }
 
 
@@ -747,6 +747,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="n_range"):
             small_config(tmp_path, n_range=(1, 7))  # m = 6
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("scheme", "diamnod", "scheme 'diamnod'"),
+        ("sn_order", 3, "sn_order"), ("sn_order", 0, "sn_order")])
+    def test_scheme_and_order_validated(self, key, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_dict({key: value})
+
     def test_default_config_is_aligned(self):
         cfg = ExperimentConfig.default()
         mesh = build_mesh(cfg.geometry)
@@ -843,6 +850,18 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    def test_bad_scheme_fails_info(self, tmp_path, capsys):
+        path = self._config_file(tmp_path)
+        config = json.loads(path.read_text())
+        path.write_text(json.dumps({**config, "scheme": "diamnod",
+                                    "sn_order": 3}))
+        assert cli.main(["info", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigurationError"
+        assert "diamnod" in err["message"]
 
     def test_out_override(self, tmp_path, capsys):
         rc = cli.main(["snapshots", "--model", "diffusion", "--set", "test",

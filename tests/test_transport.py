@@ -8,7 +8,7 @@ from corestate import eigen, transport
 from corestate.diffusion import ToleranceConfig
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
-from corestate.geometry import Field, GeometryConfig, build_mesh
+from corestate.geometry import BoundaryTags, Field, GeometryConfig, build_mesh
 from corestate.materials import (CrossSectionSet, default_cross_sections,
                                  map_alpha_to_mu)
 from corestate.sensing import build_sensors, observe
@@ -17,17 +17,18 @@ from corestate.transport import (AngularQuadrature, build_quadrature,
                                  solve_transport, sweep_direction)
 
 from helpers import (default_lattice_problem, fuel_xs, homogeneous_problem,
-                     uniform_config)
+                     reflective_bc, uniform_config)
 
 FOUR_PI = 4.0 * np.pi
 
 
-def small_default_mesh(n=3):
-    """Default region layout on an aligned coarse grid (15n x 10n)."""
+def small_default_mesh(n=3, bc=None):
+    """Default region layout on an aligned coarse grid (15n x 10n), with
+    the default side conditions unless `bc` is given."""
     base = GeometryConfig.default()
     return build_mesh(GeometryConfig(
         extent_x=base.extent_x, extent_y=base.extent_y,
-        nx=15 * n, ny=10 * n, regions=base.regions, bc=base.bc))
+        nx=15 * n, ny=10 * n, regions=base.regions, bc=bc or base.bc))
 
 
 def infinite_medium_k_transport(xs):
@@ -150,25 +151,29 @@ class TestAttenuation:
         assert np.allclose(profile[1:] / profile[:-1], r, rtol=1e-12)
 
     def test_direction_factors_have_no_fill(self):
-        # Upwind numbering makes each direction system, and the
-        # block-diagonal system of a quadrant, lower triangular for
-        # either scheme: L keeps exactly the matrix's nonzeros and U is
-        # its diagonal.  The same holds for the cached plan's blocks
-        # refilled with another group's (here spatially varying) totals.
-        mesh = small_default_mesh(1)
-        sig = np.full((mesh.ny, mesh.nx), 0.5)
-        varied = 0.2 + np.random.default_rng(1).random((mesh.ny, mesh.nx))
+        # Upwind numbering makes each direction system, and the system
+        # of a whole sweep with its reflective couplings to quadrants
+        # swept earlier, lower triangular for either scheme: L keeps
+        # exactly the matrix's nonzeros and U is its diagonal.  The
+        # same holds for the cached system refilled with another
+        # group's (here spatially varying) totals, on the default,
+        # all-vacuum and all-reflective layouts.
+        sig = np.full((10, 15), 0.5)
+        varied = 0.2 + np.random.default_rng(1).random((10, 15))
         quad = build_quadrature(4)
         factors = []
-        for scheme in transport.SCHEMES:
-            sweepers = [transport._GroupSweeper(mesh, quad, s, scheme, g)
-                        for g, s in enumerate((sig, varied), start=1)]
-            assert sweepers[0]._blocks is sweepers[1]._blocks
-            factors += [(block, lu) for sweeper in sweepers
-                        for block, lu in zip(sweeper._blocks, sweeper._lu)]
+        for bc in (None, BoundaryTags(xmin="vacuum", ymin="vacuum"),
+                   reflective_bc()):
+            mesh = small_default_mesh(1, bc)
+            for scheme in transport.SCHEMES:
+                sweepers = [transport._GroupSweeper(mesh, quad, s, scheme, g)
+                            for g, s in enumerate((sig, varied), start=1)]
+                assert sweepers[0]._system is sweepers[1]._system
+                factors += [(sweeper._system, sweeper._lu)
+                            for sweeper in sweepers]
         directions = [transport._sweep_block(
             mesh.nx, mesh.ny, mesh.dx, mesh.dy, [quad.omega_x[d]],
-            [quad.omega_y[d]]) for d in range(quad.n_directions)]
+            [quad.omega_y[d]])[0] for d in range(quad.n_directions)]
         factors += [(block, block.factorize(sig, mesh.cell_area))
                     for block in directions]
         for block, lu in factors:
@@ -250,39 +255,144 @@ def assembled_diamond_solve(mesh, sig, ox, oy, emission_area, inflow_x,
 
 @pytest.mark.parametrize("nx, ny", [(7, 4), (4, 7)])
 def test_planned_sweep_matches_assembled_system(nx, ny):
-    # Non-square mesh and cells, varied totals, emission and inflows:
-    # each quadrant solve of a sweeper refilled from the cached plan,
-    # for either scheme, and the step `sweep_direction`, match a system
-    # assembled cell by cell, in the cell flux and the exit-face fluxes.
-    mesh = build_mesh(uniform_config(nx, ny, lx=7.0, ly=3.0))
+    # Non-square mesh and cells, varied totals, emission and start: one
+    # sweep of a sweeper refilled from the cached system, for either
+    # scheme, and the step `sweep_direction`, match a system assembled
+    # cell by cell per direction, in the cell flux and the exit-face
+    # fluxes.  A reflective inflow is the mirror direction's exit face:
+    # of this sweep when its quadrant is swept earlier, of the start
+    # when later (xmax, ymax); the layouts cover both and vacuum sides.
     rng = np.random.default_rng(nx)
     sig = 0.3 + rng.random((ny, nx))
     quad = build_quadrature(4)
-    emission_area = rng.random(nx * ny) * mesh.cell_area
-    inflow_x = rng.random((quad.n_directions, ny))
-    inflow_y = rng.random((quad.n_directions, nx))
-    for scheme, assembled in (("step", assembled_step_solve),
-                              ("diamond", assembled_diamond_solve)):
-        sweeper = transport._GroupSweeper(mesh, quad, sig, scheme, 1)
-        for q, ds, _, _ in sweeper._quadrants:
-            parts = sweeper._blocks[q].solve(
-                sweeper._lu[q], np.append(emission_area, 0.0),
-                inflow_x[ds], inflow_y[ds])
-            for k, d in enumerate(range(ds.start, ds.stop)):
-                ox, oy = quad.omega_x[d], quad.omega_y[d]
-                expected = assembled(mesh, sig, ox, oy, emission_area,
-                                     inflow_x[d], inflow_y[d])
-                pairs = [(got[k], want)
-                         for got, want in zip(parts, expected)]
-                if scheme == "step":
-                    direct = sweep_direction(
-                        mesh, sig, (ox, oy),
-                        emission_area.reshape(ny, nx) / mesh.cell_area,
-                        inflow_x[d], inflow_y[d])
-                    pairs.append((direct, expected[0]))
-                for got, want in pairs:
-                    assert (np.max(np.abs(got - want))
-                            <= 1e-14 * np.max(np.abs(want)))
+    nb = quad.n_directions // 4
+    emission = rng.random((ny, nx))
+    start = rng.random((quad.n_directions, ny, nx))
+    for bc in (reflective_bc(), BoundaryTags(),
+               BoundaryTags(xmin="vacuum", xmax="reflective")):
+        mesh = build_mesh(uniform_config(nx, ny, lx=7.0, ly=3.0, bc=bc))
+        emission_area = emission.ravel() * mesh.cell_area
+        for scheme, assembled in (("step", assembled_step_solve),
+                                  ("diamond", assembled_diamond_solve)):
+            sweeper = transport._GroupSweeper(mesh, quad, sig, scheme, 1)
+            sweeper.seed(start)
+            sweeper.sweep(emission)
+            psi = sweeper.psi
+            out_x = sweeper.x[sweeper._system.x_out_pos]
+            out_y = sweeper.x[sweeper._system.y_out_pos]
+            swept = {}
+            for q in transport._SWEEP_ORDER:
+                for d in range(q * nb, (q + 1) * nb):
+                    ox, oy = quad.omega_x[d], quad.omega_y[d]
+                    inflows = []
+                    for side, mirror, k in (
+                            ("xmin" if ox > 0 else "xmax",
+                             quad.mirror_x[d], 1),
+                            ("ymin" if oy > 0 else "ymax",
+                             quad.mirror_y[d], 2)):
+                        if getattr(bc, side) == "vacuum":
+                            inflows.append(np.zeros(ny if k == 1 else nx))
+                        elif mirror in swept:
+                            inflows.append(swept[mirror][k])
+                        else:
+                            inflows.append(exit_faces(
+                                start[mirror], quad.omega_x[mirror],
+                                quad.omega_y[mirror])[k - 1])
+                    swept[d] = assembled(mesh, sig, ox, oy, emission_area,
+                                         *inflows)
+                    pairs = list(zip((psi[d], out_x[d], out_y[d]), swept[d]))
+                    if scheme == "step":
+                        pairs.append((sweep_direction(
+                            mesh, sig, (ox, oy), emission, *inflows),
+                            swept[d][0]))
+                    for got, want in pairs:
+                        assert (np.max(np.abs(got - want))
+                                <= 1e-14 * np.max(np.abs(want)))
+
+
+class TestSweepSystem:
+    """The whole sweep as one lower-triangular solve, with reflective
+    inflows from quadrants swept later lagged by one sweep."""
+
+    def test_one_superlu_solve_per_sweep(self, monkeypatch):
+        solves = []
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(rhs.size)
+                return self.lu.solve(rhs)
+
+        cached = transport.cached_factors
+
+        def counting(kind, *args, **kwargs):
+            value = cached(kind, *args, **kwargs)
+            return Counting(value) if kind == "sweep" else value
+
+        monkeypatch.setattr(transport, "cached_factors", counting)
+        for mesh, xs in ((small_default_mesh(1), default_cross_sections()),
+                         homogeneous_problem(5, 4)):
+            solves.clear()
+            sol = solve_transport(xs, mesh, build_quadrature(2))
+            assert len(solves) == sol.sweeps > 0
+
+    @pytest.mark.parametrize("scheme", transport.SCHEMES)
+    def test_default_layout_has_no_lagged_inflows(self, scheme):
+        # Its reflective sides, xmin and ymin, are fed within the sweep,
+        # so the DSA correction of the exit faces has nothing to feed.
+        mesh = small_default_mesh(1)
+        rng = np.random.default_rng(3)
+        sig = 0.3 + rng.random((mesh.ny, mesh.nx))
+        emission = rng.random((mesh.ny, mesh.nx))
+        sweeper, twin = (transport._GroupSweeper(
+            mesh, build_quadrature(4), sig, scheme, 1) for _ in range(2))
+        assert sweeper._lag is None
+        sweeper.sweep(emission)
+        twin.sweep(emission)
+        state = sweeper.x.copy()
+        sweeper.correct(rng.random((mesh.ny, mesh.nx)))
+        assert sweeper.x.tobytes() == state.tobytes()
+        assert (sweeper.sweep(emission).tobytes()
+                == twin.sweep(emission).tobytes())
+
+    @pytest.mark.parametrize("scheme", transport.SCHEMES)
+    def test_reflective_layout_lags_its_dsa_correction(self, scheme):
+        # All four sides reflective: the xmax and ymax inflows come from
+        # the previous sweep, and the DSA correction reaches them.
+        mesh, _ = homogeneous_problem(5, 4)
+        rng = np.random.default_rng(4)
+        sig = 0.3 + rng.random((mesh.ny, mesh.nx))
+        emission = rng.random((mesh.ny, mesh.nx))
+        sweeper, twin = (transport._GroupSweeper(
+            mesh, build_quadrature(4), sig, scheme, 1) for _ in range(2))
+        assert sweeper._lag is not None and sweeper._lag.nnz > 0
+        sweeper.sweep(emission)
+        twin.sweep(emission)
+        sweeper.correct(rng.random((mesh.ny, mesh.nx)))
+        corrected, plain = sweeper.sweep(emission), twin.sweep(emission)
+        assert np.max(np.abs(corrected - plain)) > 1e-3 * np.max(plain)
+
+    @pytest.mark.parametrize("scheme", transport.SCHEMES)
+    def test_scale_reaches_lagged_inflows(self, scheme):
+        # A sweep is linear in its emission and its lagged inflows, so
+        # after `scale(3)` three times the emission gives three times
+        # the twin's scalar flux, the DSA correction included.
+        mesh, _ = homogeneous_problem(5, 4)
+        rng = np.random.default_rng(5)
+        sig = 0.3 + rng.random((mesh.ny, mesh.nx))
+        emission = rng.random((mesh.ny, mesh.nx))
+        delta = rng.random((mesh.ny, mesh.nx))
+        sweeper, twin = (transport._GroupSweeper(
+            mesh, build_quadrature(4), sig, scheme, 1) for _ in range(2))
+        for s in (sweeper, twin):
+            s.sweep(emission)
+            s.correct(delta)
+        sweeper.scale(3.0)
+        np.testing.assert_allclose(sweeper.psi, 3.0 * twin.psi, rtol=1e-15)
+        np.testing.assert_allclose(sweeper.sweep(3.0 * emission),
+                                   3.0 * twin.sweep(emission), rtol=1e-13)
 
 
 def manufactured_error(n, scheme, omega=(0.6, 0.35), a=1.3, b=2.1):
@@ -299,10 +409,13 @@ def manufactured_error(n, scheme, omega=(0.6, 0.35), a=1.3, b=2.1):
     exact = np.outer(g_bar, f_bar)
     source = (ox * np.outer(g_bar, np.diff(f) / h)
               + oy * np.outer(np.diff(g) / h, f_bar) + exact)
-    block = transport._sweep_block(n, n, h, h, [ox], [oy], scheme)
+    block, inflows, _ = transport._sweep_block(n, n, h, h, [ox], [oy],
+                                               scheme)
+    rhs = np.append(source.ravel() * h * h, 0.0)[block.src]
+    for (pos, weight), inflow in zip(inflows, (f[0] * g_bar, f_bar * g[0])):
+        rhs[pos] += weight * inflow
     lu = block.factorize(np.ones((n, n)), h * h)
-    psi = block.solve(lu, np.append(source.ravel() * h * h, 0.0),
-                      f[0] * g_bar[None], f_bar[None] * g[0])[0][0]
+    psi = lu.solve(rhs)[block.rank[0]]
     return np.sqrt(np.mean((psi - exact) ** 2))
 
 
@@ -658,10 +771,10 @@ class TestFactorCache:
         assert results == [expected] * 3
 
     def test_one_set_per_kind_and_group(self, monkeypatch):
-        # Each quadrant factor is tracked while alive.  A miss drops the
-        # group's old set before factorizing, so while the second
-        # problem factorizes its group 1, at most group 2's old set and
-        # group 1's new factors are alive; after it, one set per group.
+        # Each sweep factor, one per group, is tracked while alive.  A
+        # miss drops the group's old factor before factorizing, so while
+        # the second problem factorizes either group, only the other
+        # group's factor is alive; after it, one set per group.
         class Tracked:
             def __init__(self, lu):
                 self.solve = lu.solve
@@ -680,7 +793,7 @@ class TestFactorCache:
         solve_transport(a, mesh, quad)
         peak.clear()
         solve_transport(b, mesh, quad)
-        assert len(live) == 8 and max(peak) == 7
+        assert len(live) == 2 and max(peak) == 1
         assert set(eigen._FACTOR_SETS) == {
             (kind, g) for kind in ("sweep", "dsa") for g in (1, 2)}
 
@@ -697,7 +810,7 @@ class TestFactorCache:
             region, sigma_t=np.nextafter(region.sigma_t,
                                           region.sigma_t + [1.0, 0.0]))})
         solve_transport(nudged, mesh, quad)
-        assert calls == {"sweep": 4, "dsa": 1}
+        assert calls == {"sweep": 1, "dsa": 1}
 
     def test_eigen_residual_after_its_solve_factorizes_nothing(
             self, monkeypatch):
