@@ -308,6 +308,22 @@ def _solve_points(tasks, parent, threads: int):
         yield from pool.imap(_pool_worker, tasks, chunksize=chunksize)
 
 
+def _solve_order(tasks):
+    """`tasks` sorted so that consecutive lattice points share factors:
+    by a2, which sets group 2's operators; then by (a1, a3), which set
+    group 1's, reversed on every other a2 level so that a level starts
+    on the pair the previous one ended on; then by a4 and a5, which
+    scale only fission."""
+    levels = sorted({task[2][1] for task in tasks})
+
+    def key(task):
+        a1, a2, a3, a4, a5 = task[2]
+        sign = -1 if levels.index(a2) % 2 else 1
+        return a2, sign * a1, sign * a3, a4, a5
+
+    return sorted(tasks, key=key)
+
+
 def _content_hash(matrix: np.ndarray) -> str:
     """sha256 of the row-major float64 bytes of a snapshot matrix."""
     return hashlib.sha256(matrix.data).hexdigest()
@@ -339,7 +355,8 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     matches the current configuration.  Every point's solve starts from
     the `PARENT_ALPHA` solution (`_solve_parent`), solved first; the
     point at `PARENT_ALPHA` itself takes that solution when it
-    converged.
+    converged.  The other points are solved in `_solve_order`, which
+    only decides which cached factors are reused, not the values.
 
     A set lives in `snapshots/<model>_<lattice>/` under the output
     directory: `snapshots.npy`, the C-order float64 (count, n_cells)
@@ -387,7 +404,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
         parent, converged = _solve_parent(cfg, model, mesh)
         own = [i for i, alpha in enumerate(alphas)
                if converged and alpha == PARENT_ALPHA]
-        rest = [t for t in tasks if t[0] not in own]
+        rest = _solve_order([t for t in tasks if t[0] not in own])
         solved = itertools.chain(
             _solve_points(rest, parent, cfg.threads),
             (_snapshot_worker(tasks[i], parent, solved=True) for i in own))
@@ -496,12 +513,14 @@ def _write_csv(path: Path, columns, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext, observations,
-                 flags: list):
-    """Yield (operator, relative errors of the test set) for each n of
-    `cfg.n_range` up to the basis rank and each observation matrix of
-    `observations`; stop at the first beta below `BETA_FLOOR`, appending
-    a flag to `flags`.
+def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext,
+                 observations: np.ndarray, flags: list):
+    """Yield (operator, relative errors (M, K) of the test set) for each
+    n of `cfg.n_range` up to the basis rank, given the M stacked
+    observation matrices `observations` (M, K, m): per n, one operator
+    and one reconstruction of the whole stack.  Stop at the first beta
+    below `BETA_FLOOR`, appending a flag to `flags`; a range that starts
+    above the basis rank yields nothing, and is flagged and logged.
 
     No estimate is formed as a field.  Every estimate lies in the span
     of the modes zeta_j and sensor fields psi_i, so with Q R the reduced
@@ -514,9 +533,18 @@ def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext, observations,
     e_t, c_t = R_zeta a_t + Q^T e_t, and c_t - c* is summed as
     R_zeta (a_t - z) - R_psi eta + Q^T e_t: the large part shared by a
     truth and its estimate cancels in a_t - z, where it carries no
-    rounding of the frame."""
+    rounding of the frame.  The per-truth terms are broadcast over the
+    stack, and each matrix's products are taken on their own."""
+    rank = ctx.basis.n_max
+    if cfg.n_range[0] > rank:
+        reason = (f"n_range starts at {cfg.n_range[0]}, above the basis "
+                  f"rank {rank}")
+        flags.append({"n": cfg.n_range[0], "basis_rank": rank,
+                      "reason": reason})
+        log.warning("[reconstruct] no rows: %s", reason)
+        return
     sqrt_area = np.sqrt(ctx.mesh.cell_area)
-    n_hi = min(cfg.n_range[1], ctx.basis.n_max)
+    n_hi = min(cfg.n_range[1], rank)
     modes = sqrt_area * ctx.basis.mode_matrix[:n_hi]
     q, r = np.linalg.qr(
         np.vstack([modes, sqrt_area * ctx.sensors.psi_matrix]).T)
@@ -530,19 +558,21 @@ def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext, observations,
     # The cell-sized arrays would otherwise stay alive beside the fields
     # that `run_case` forms per n, raising its peak memory.
     del modes, q, truths, rest
+    count, k, m = observations.shape
+    stack = observations.reshape(count * k, m)
+    a_off = np.empty((count, k, n_hi))
     for n in range(cfg.n_range[0], n_hi + 1):
         op = assemble(ctx.basis, n, ctx.sensors)
         if op.beta < BETA_FLOOR:
             flags.append({"n": n, "beta": op.beta,
                           "reason": f"beta below {BETA_FLOOR:g}"})
             return
-        for y in observations:
-            z, eta = reconstruct_coordinates(op, y)
-            a_off = a_test.copy()
-            a_off[:, :n] -= z
-            diff = c_rest + a_off @ r_modes.T - eta @ r_psi.T
-            errs = np.sqrt(np.sum(diff**2, axis=1) + out_of_span) / test_norms
-            yield op, errs
+        z, eta = reconstruct_coordinates(op, stack)
+        a_off[...] = a_test
+        a_off[:, :, :n] -= z.reshape(count, k, n)
+        eta = eta.reshape(count, k, m)
+        diff = c_rest + a_off @ r_modes.T - eta @ r_psi.T
+        yield op, np.sqrt(np.sum(diff**2, axis=2) + out_of_span) / test_norms
 
 
 def run_case(cfg: ExperimentConfig, case: int,
@@ -562,7 +592,7 @@ def run_case(cfg: ExperimentConfig, case: int,
     rows = []
     flags = []
     interp_max = 0.0
-    for op, errs in _reconstruct(cfg, ctx, [ctx.y_psi], flags):
+    for op, errs in _reconstruct(cfg, ctx, ctx.y_psi[None], flags):
         # The fields, formed here only, check the interpolation property.
         estimates, _, eta = reconstruct_batch(op, ctx.y_psi)
         obs_back = estimates @ psi_t
@@ -624,8 +654,9 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     against the extended bound beta^-1 (delta_wc + eps + eps_model),
     with eps_model the measured distance of the test truths to the
     full-rank diffusion span.  eps = 0 rows reproduce the Case-2 report.
-    Each (eps, seed) observation matrix is drawn once, for every n, and
-    the noiseless one is reconstructed once per n for all its seeds.
+    Each (eps, seed) observation matrix is drawn once into one stack,
+    with the noiseless one once for all its seeds, and the stack is
+    reconstructed in one pass per n.
     An empty `eps_list` or `n_seeds` below 1 raises `ValueError` before
     any snapshot set is read.
     """
@@ -641,35 +672,38 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     t_setup = time.perf_counter()
 
     # (eps, seed, index of its observation matrix) per sample.  Every
-    # eps = 0 sample is ctx.y_psi, which is reconstructed once.
+    # eps = 0 sample is ctx.y_psi, matrix 0 of the stack.
+    noiseless = 0.0 in eps_list
+    noisy = sum(eps != 0.0 for eps in eps_list) * n_seeds
+    observations = np.empty((noiseless + noisy,) + ctx.y_psi.shape)
+    if noiseless:
+        observations[0] = ctx.y_psi
     samples = []
-    observations = [ctx.y_psi] if 0.0 in eps_list else []
+    drawn = int(noiseless)
     for eps_idx, eps in enumerate(eps_list):
         for seed_idx in range(n_seeds):
             if eps == 0.0:
                 samples.append((eps, seed_idx, 0))
                 continue
-            samples.append((eps, seed_idx, len(observations)))
-            observations.append(np.stack([
-                perturb_observations(
+            for t in range(len(ctx.testset)):
+                observations[drawn, t] = perturb_observations(
                     ctx.y_psi[t], eps,
                     _noise_seed(cfg.seed, eps_idx, seed_idx, t))
-                for t in range(len(ctx.testset))]))
+            samples.append((eps, seed_idx, drawn))
+            drawn += 1
 
     t_draws = time.perf_counter()
 
     rows = []
     flags = []
-    worst = ((op.n, op.beta, float(errs.max())) for op, errs
-             in _reconstruct(cfg, ctx, observations, flags))
-    # One pass through the observation matrices per n, each matrix's
-    # worst error then given to every sample of it.
-    for per_matrix in zip(*[worst] * len(observations)):
-        n, b, _ = per_matrix[0]
+    for op, errs in _reconstruct(cfg, ctx, observations, flags):
+        # Each matrix's worst error, given to every sample of it.
+        worst = errs.max(axis=1).tolist()
+        n, b = op.n, op.beta
         for eps, seed_idx, index in samples:
             rows.append({
                 "n": n, "eps": eps, "seed": seed_idx, "beta": b,
-                "err_wc": per_matrix[index][2],
+                "err_wc": worst[index],
                 "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
                                      eps_noise=eps,
                                      eps_model=ctx.eps_model),

@@ -600,6 +600,22 @@ class TestSweepNoise:
         for name in ("case2_run_info.json", "noise_sweep_run_info.json"):
             assert json.loads((out / name).read_text())["flags"] == flags
 
+    def test_range_above_the_basis_rank_flags_both_reports(self,
+                                                           case2_config):
+        # small_config's case-2 basis has rank 12; 5 x 5 sensors allow
+        # n up to 25.
+        out = case2_config.output_dir
+        cfg = small_config(out, sensor_grid=(5, 5), n_range=(13, 25))
+        report = run_case(cfg, 2)
+        noise = sweep_noise(cfg, [0.0, 1e-3], n_seeds=2)
+        assert report.rows == () and noise.rows == ()
+        assert report.csv_path.read_text() == ",".join(REPORT_COLUMNS) + "\n"
+        expected = [{"n": 13, "basis_rank": 12, "reason":
+                     "n_range starts at 13, above the basis rank 12"}]
+        for name in ("case2_run_info.json", "noise_sweep_run_info.json"):
+            assert json.loads((out / name).read_text())["flags"] == expected
+        assert report.run_info["flags"] == noise.run_info["flags"] == expected
+
     def test_negative_eps_rejected(self, case2_report):
         cfg, _ = case2_report
         with pytest.raises(ValueError):
@@ -638,12 +654,26 @@ def field_errors(ctx, op, y):
             / np.linalg.norm(truths, axis=1))
 
 
-def assert_frame_matches_fields(cfg, ctx, y):
-    pairs = list(bench._reconstruct(cfg, ctx, [y], []))
+def assert_frame_matches_fields(cfg, ctx, observations):
+    """Each (M, K) error array `_reconstruct` yields for the stacked
+    observation matrices `observations` (M, K, m) equals, row by row,
+    the errors of the estimates formed as fields."""
+    pairs = list(bench._reconstruct(cfg, ctx, observations, []))
     assert pairs
     for op, errs in pairs:
-        np.testing.assert_allclose(errs, field_errors(ctx, op, y),
-                                   rtol=1e-9, atol=0)
+        assert errs.shape == observations.shape[:2]
+        for y, row in zip(observations, errs):
+            np.testing.assert_allclose(row, field_errors(ctx, op, y),
+                                       rtol=1e-9, atol=0)
+
+
+def noisy_stack(ctx, levels, seed):
+    """The noiseless observations of `ctx` perturbed at each noise level
+    of `levels`, stacked (len(levels), K, m), each draw seeded apart."""
+    return np.stack([
+        [perturb_observations(y, eps, seed + 100 * i + t)
+         for t, y in enumerate(ctx.y_psi)]
+        for i, eps in enumerate(levels)])
 
 
 def synthetic_context(mesh, mode_values, truths, grid):
@@ -670,14 +700,14 @@ class TestFrameErrors:
     def test_noiseless_cases(self, workdir, case):
         cfg = small_config(workdir)
         ctx = prepare_case(cfg, case)
-        assert_frame_matches_fields(cfg, ctx, ctx.y_psi)
+        assert_frame_matches_fields(cfg, ctx, ctx.y_psi[None])
 
     def test_noisy_observations(self, case2_report):
         cfg, _ = case2_report
         ctx = prepare_case(cfg, 2)
-        y = np.stack([perturb_observations(y, 1e-2, 11 + t)
-                      for t, y in enumerate(ctx.y_psi)])
-        assert_frame_matches_fields(cfg, ctx, y)
+        stack = np.concatenate([ctx.y_psi[None],
+                                noisy_stack(ctx, [1e-2, 1e-3, 1e-2], 11)])
+        assert_frame_matches_fields(cfg, ctx, stack)
 
     def test_fewer_cells_than_modes_and_sensors(self, tmp_path):
         # One cell per sensor: the 3 + 6 frame fields span only 6 cells.
@@ -687,7 +717,7 @@ class TestFrameErrors:
         truths = [random_field(mesh, rng).normalized() for _ in range(4)]
         ctx = synthetic_context(mesh, modes, truths, (3, 2))
         cfg = small_config(tmp_path, n_range=(1, 3))
-        noisy = ctx.y_psi + 1e-3 * rng.standard_normal(ctx.y_psi.shape)
+        noisy = ctx.y_psi + 1e-3 * rng.standard_normal((2,) + ctx.y_psi.shape)
         assert_frame_matches_fields(cfg, ctx, noisy)
 
     def test_modes_nearly_in_the_sensor_span(self, tmp_path):
@@ -710,7 +740,45 @@ class TestFrameErrors:
         truths = [random_field(mesh, rng).normalized() for _ in range(5)]
         ctx = synthetic_context(mesh, modes, truths, (3, 2))
         cfg = small_config(tmp_path, n_range=(1, 4))
-        assert_frame_matches_fields(cfg, ctx, ctx.y_psi)
+        assert_frame_matches_fields(cfg, ctx, ctx.y_psi[None])
+
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_stack_matches_one_matrix_at_a_time(self, case2_report, count):
+        # One reconstruction of the stack per n gives each matrix the
+        # errors it gets on its own, bit for bit.
+        cfg, _ = case2_report
+        ctx = prepare_case(cfg, 2)
+        stack = noisy_stack(ctx, [1e-3, 1e-2, 3e-2, 1e-3, 1e-2][:count], 7)
+        stacked = [(op.n, errs)
+                   for op, errs in bench._reconstruct(cfg, ctx, stack, [])]
+        alone = [[(op.n, errs[0]) for op, errs
+                  in bench._reconstruct(cfg, ctx, y[None], [])]
+                 for y in stack]
+        assert [n for n, _ in stacked] == [1, 2, 3, 4]
+        for i, per_n in enumerate(alone):
+            assert [n for n, _ in per_n] == [n for n, _ in stacked]
+            for (_, errs), (_, own) in zip(stacked, per_n):
+                assert errs.shape == (count, len(ctx.testset))
+                assert errs[i].tobytes() == own.tobytes()
+
+    def test_range_above_the_basis_rank_is_flagged(self, tmp_path, caplog):
+        mesh = build_mesh(uniform_config(6, 4))
+        rng = np.random.default_rng(8)
+        modes = [f.values for f in orthonormal_fields(mesh, 3, rng)]
+        truths = [random_field(mesh, rng).normalized() for _ in range(4)]
+        ctx = synthetic_context(mesh, modes, truths, (3, 2))
+        flags = []
+        caplog.set_level(logging.WARNING, logger="corestate.bench")
+        cfg = small_config(tmp_path, n_range=(4, 6))
+        assert list(bench._reconstruct(cfg, ctx, ctx.y_psi[None],
+                                       flags)) == []
+        assert flags == [{"n": 4, "basis_rank": 3, "reason":
+                          "n_range starts at 4, above the basis rank 3"}]
+        assert "above the basis rank 3" in caplog.text
+        # A range ending above the rank is cut at it, without a flag.
+        cfg = small_config(tmp_path, n_range=(3, 6))
+        pairs = list(bench._reconstruct(cfg, ctx, ctx.y_psi[None], flags))
+        assert [op.n for op, _ in pairs] == [3] and len(flags) == 1
 
 
 class TestConfig:

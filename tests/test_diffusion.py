@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corestate import eigen
+from corestate import bench, eigen
 from corestate.diffusion import (GroupOperator, ToleranceConfig,
                                  eigen_residual, power_map_diffusion,
                                  solve_diffusion)
@@ -425,6 +425,15 @@ class TestFactorCache:
         assert calls == [1]
         solve_diffusion(nudged, mesh, vacuum_model="zero_flux")
         assert calls == [1, 1, 2]
+
+    def test_lattice_order_shares_factors(self, monkeypatch, tmp_path):
+        # Group 1's operator follows a1 and group 2's a2.  After the
+        # parent's two, a2 runs twice and a1 three times (0.85, 0.95 on
+        # the first a2 level, then 0.95, 0.85).
+        calls = self.count_factorizations(monkeypatch)
+        bench.generate_snapshots(bench.ExperimentConfig.default(tmp_path),
+                                 "diffusion", "test")
+        assert calls == [1, 2, 1, 2, 1, 2, 1]
 
     def test_hit_assembles_no_operator(self, monkeypatch):
         mesh, (a, _) = self.problems()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corestate import eigen, transport
+from corestate import bench, eigen, transport
 from corestate.diffusion import ToleranceConfig
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
@@ -811,6 +811,15 @@ class TestFactorCache:
                                           region.sigma_t + [1.0, 0.0]))})
         solve_transport(nudged, mesh, quad)
         assert calls == {"sweep": 1, "dsa": 1}
+
+    def test_lattice_order_shares_factors(self, monkeypatch, tmp_path):
+        # The parent's 2 factor sets, then 7 group-1 runs (4 pairs of
+        # (a1, a3) on one a2 level, 3 more on the other) and 2 group-2
+        # runs.
+        calls = self.count_factorizations(monkeypatch)
+        bench.generate_snapshots(bench.ExperimentConfig.default(tmp_path),
+                                 "transport", "test")
+        assert calls == {"sweep": 11, "dsa": 11}
 
     def test_eigen_residual_after_its_solve_factorizes_nothing(
             self, monkeypatch):
