@@ -20,7 +20,6 @@ live in a separate run_info JSON, outside the determinism contract.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import time
@@ -224,26 +223,28 @@ def _solve_parent(cfg: ExperimentConfig, model: str, mesh: Mesh):
             f"{type(exc).__name__}: {exc}") from exc
 
 
-def _snapshot_worker(task, start, solved: bool = False):
-    """(index, k_eff, power values, error) of one lattice point, solved
-    from `start`, or taken from it when `solved`: a converged parent is
-    the solution of its own lattice point."""
-    index, model, alpha, base_xs, mesh, tol, sn_order, scheme = task
-    try:
-        xs = map_alpha_to_mu(alpha, base_xs)
-        if solved:
-            k_eff, power = start.k_eff, _power_map(model, start, xs)
-        else:
-            k_eff, power = solve_power_map(model, xs, mesh, tol, sn_order,
-                                           scheme, start=start)
-        return index, k_eff, power.values, None
-    except Exception as exc:  # surfaced with the failing alpha by the caller
-        return index, None, None, f"{type(exc).__name__}: {exc}"
+def _solve_points(problem, points):
+    """Yield (index, k_eff, power values, error) of each (index, alpha)
+    in `points`, in order, solved from the parent solution of `problem`
+    = (model, cfg, mesh, parent).  A failed point yields the failure's
+    text as `error`, which the caller raises with the alpha of the
+    lowest failing index."""
+    model, cfg, mesh, parent = problem
+    for index, alpha in points:
+        try:
+            xs = map_alpha_to_mu(alpha, cfg.cross_sections)
+            k_eff, power = solve_power_map(model, xs, mesh, cfg.tolerances,
+                                           cfg.sn_order, cfg.scheme,
+                                           start=parent)
+            result = index, k_eff, power.values, None
+        except Exception as exc:
+            result = index, None, None, f"{type(exc).__name__}: {exc}"
+        yield result
 
 
-#: The parent solution in a pool worker process, set once by its
-#: initializer rather than sent with every task.
-_POOL_START = None
+def _solve_run(task) -> list:
+    """The `_solve_points(*task)` results of one pool task."""
+    return list(_solve_points(*task))
 
 
 #: Thread-count setters of the OpenBLAS copies numpy (64-bit integer
@@ -285,43 +286,22 @@ def _one_blas_thread() -> list:
     return previous
 
 
-def _init_pool_worker(start):
-    global _POOL_START
-    _POOL_START = start
-    _one_blas_thread()
+def _solve_order(points):
+    """The (index, alpha) `points` sorted so that consecutive lattice
+    points share factors: by a2, which sets group 2's operators; then by
+    (a1, a3), which set group 1's, reversed on every other a2 level so
+    that a level starts on the pair the previous one ended on; then by
+    a4 and a5, which scale only fission.  A contiguous run of the order
+    shares factors the same way, so the pool hands out runs, not
+    points."""
+    levels = sorted({alpha[1] for _, alpha in points})
 
-
-def _pool_worker(task):
-    return _snapshot_worker(task, _POOL_START)
-
-
-def _solve_points(tasks, parent, threads: int):
-    """Yield the `_snapshot_worker` result of each task, solved from
-    `parent`, in task order as it arrives: here, or on `threads` pool
-    workers in the chunks `Pool.map` would send."""
-    if threads <= 1:
-        yield from (_snapshot_worker(t, parent) for t in tasks)
-        return
-    chunksize = max(1, -(-len(tasks) // (threads * 4)))
-    with Pool(threads, initializer=_init_pool_worker,
-              initargs=(parent,)) as pool:
-        yield from pool.imap(_pool_worker, tasks, chunksize=chunksize)
-
-
-def _solve_order(tasks):
-    """`tasks` sorted so that consecutive lattice points share factors:
-    by a2, which sets group 2's operators; then by (a1, a3), which set
-    group 1's, reversed on every other a2 level so that a level starts
-    on the pair the previous one ended on; then by a4 and a5, which
-    scale only fission."""
-    levels = sorted({task[2][1] for task in tasks})
-
-    def key(task):
-        a1, a2, a3, a4, a5 = task[2]
+    def key(point):
+        a1, a2, a3, a4, a5 = point[1]
         sign = -1 if levels.index(a2) % 2 else 1
         return a2, sign * a1, sign * a3, a4, a5
 
-    return sorted(tasks, key=key)
+    return sorted(points, key=key)
 
 
 def _content_hash(matrix: np.ndarray) -> str:
@@ -356,14 +336,18 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     the `PARENT_ALPHA` solution (`_solve_parent`), solved first; the
     point at `PARENT_ALPHA` itself takes that solution when it
     converged.  The other points are solved in `_solve_order`, which
-    only decides which cached factors are reused, not the values.
+    only decides which cached factors are reused, not the values: on
+    one worker here, as one run; on `cfg.threads` workers cut into at
+    most that many contiguous runs of about equal length, one pool task
+    and one worker each.
 
     A set lives in `snapshots/<model>_<lattice>/` under the output
     directory: `snapshots.npy`, the C-order float64 (count, n_cells)
     matrix whose row i is lattice point i, and `manifest.json`, whose
-    `content_hash` is the sha256 of that matrix's bytes.  Each solved
-    row is copied into the matrix as it arrives, so no second copy of
-    the set is made.  A reused matrix is checked against the manifest
+    `content_hash` is the sha256 of that matrix's bytes.  On one worker
+    each row is copied into the matrix as it is solved, so no second
+    copy of the set is made; pool workers return each run's rows as one
+    list.  A reused matrix is checked against the manifest
     and read-only, and is the returned set's `matrix`.  Regenerating a
     set written in the earlier one-CSV-per-point layout deletes its
     `snapshot_NNN.csv` files.
@@ -392,8 +376,6 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     log.info("[snapshots] solving %s/%s: %d problems on %d worker(s)",
              model, lattice, len(alphas), cfg.threads)
     t0 = time.perf_counter()
-    tasks = [(i, model, alpha, cfg.cross_sections, mesh, cfg.tolerances,
-              cfg.sn_order, cfg.scheme) for i, alpha in enumerate(alphas)]
     matrix = np.empty((len(alphas), mesh.n_cells))
     keffs = [0.0] * len(alphas)
     failures = {}
@@ -402,18 +384,32 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     previous = _one_blas_thread()
     try:
         parent, converged = _solve_parent(cfg, model, mesh)
-        own = [i for i, alpha in enumerate(alphas)
-               if converged and alpha == PARENT_ALPHA]
-        rest = _solve_order([t for t in tasks if t[0] not in own])
-        solved = itertools.chain(
-            _solve_points(rest, parent, cfg.threads),
-            (_snapshot_worker(tasks[i], parent, solved=True) for i in own))
-        for index, k_eff, values, error in solved:
-            if error is not None:
-                failures[index] = error
+        points = []
+        for index, alpha in enumerate(alphas):
+            if converged and alpha == PARENT_ALPHA:
+                xs = map_alpha_to_mu(alpha, cfg.cross_sections)
+                matrix[index] = _power_map(model, parent, xs).values
+                keffs[index] = parent.k_eff
             else:
-                matrix[index] = values
-                keffs[index] = k_eff
+                points.append((index, alpha))
+        problem, order = (model, cfg, mesh, parent), _solve_order(points)
+        workers = min(max(cfg.threads, 1), len(order))
+        runs = [order[len(order) * i // workers:
+                      len(order) * (i + 1) // workers]
+                for i in range(workers)]
+        if workers > 1:
+            with Pool(workers, initializer=_one_blas_thread) as pool:
+                solved = pool.map(_solve_run,
+                                  [(problem, run) for run in runs])
+        else:
+            solved = [_solve_points(problem, run) for run in runs]
+        for run in solved:
+            for index, k_eff, values, error in run:
+                if error is not None:
+                    failures[index] = error
+                else:
+                    matrix[index] = values
+                    keffs[index] = k_eff
     finally:
         for set_threads, count in previous:
             set_threads(count)

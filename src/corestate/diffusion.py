@@ -189,7 +189,7 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
     shape (else `ConfigurationError`), replaces the flat start.
 
     Raises `IterationLimitError`, carrying the last iterate, when
-    `tol.max_outer` outer steps or the group-pass cap are exhausted, and
+    `tol.max_outer` outer steps are exhausted, and
     `DegenerateProblemError` when a group operator is singular.
     """
     tol = tol or ToleranceConfig()

@@ -10,8 +10,10 @@ only in how one group's equation L_g phi_g = q is solved for a frozen
 source q.  The iteration starts from a flat flux, or from the eigenpair
 of a nearby problem (a warm start), keeps the fission integral at one,
 and updates k by that integral's ratio after each outer step.  Within
-an outer step the groups are solved Gauss-Seidel style, group 1 then
-group 2, repeating the pass only when upscatter couples them.  A group
+an outer step the groups are solved once each, Gauss-Seidel style:
+group 1, whose upscatter source comes from the outer's starting iterate,
+then group 2 from the new group 1, so the outer iteration converges the
+upscatter coupling along with everything else.  A group
 solver that iterates may stop its inner iteration at `INNER_TOL_FACTOR`
 times the last outer flux change: early outers then cost a sweep or
 two, and the inner tolerance tightens as the outer iteration converges.
@@ -38,8 +40,8 @@ its group solvers left (transport's angular flux is not mixed).
 The iterate, the step and its residual are each one stacked (2, n)
 array: sources are built in place, the fission integral is one dot
 product and both groups' flux changes come from one max-abs pass.
-Exhausting the outer budget, the group-pass cap or a group solver's own
-cap raises `IterationLimitError` carrying the last iterate.
+Exhausting the outer budget or a group solver's own cap raises
+`IterationLimitError` carrying the last iterate.
 Both solvers keep their group factorizations across solves in
 `cached_factors`.
 """
@@ -56,9 +58,6 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateProblemError,
                      IterationLimitError)
-
-#: Most Gauss-Seidel passes over the two groups in one outer step.
-MAX_GROUP_PASSES = 200
 
 #: Inner tolerance handed to `solve_group`, relative to the last outer
 #: flux change: transport's source iteration stops once its estimated
@@ -137,11 +136,6 @@ def cached_factors(kind: str, group: int, key, build: Callable,
     value = build()
     _FACTOR_SETS[slot] = (key, value)
     return value
-
-
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    return float(np.max(np.abs(new - old))
-                 / max(float(np.max(np.abs(new))), 1e-300))
 
 
 class _Anderson:
@@ -225,12 +219,11 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
     step G(x) with the last ones, not G(x) itself; see the module
     docstring.  Only the scalar fluxes are mixed, and nothing this
     returns or raises carries a mixed iterate except the current one of
-    a failing group pass.
+    a failing group solve.
     """
     if not any((f > 0).any() for f in nusf):
         raise DegenerateProblemError("no fissile cell: not an eigenproblem")
     upscatter = bool((inscatter[0] > 0).any())
-    group_tol = max(0.01 * tol.flux_tol, 1e-13)
     shape = nusf[0].shape
     nusf, chi, inscatter = (np.stack(a).reshape(2, -1)
                             for a in (nusf, chi, inscatter))
@@ -270,30 +263,17 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
         fission /= k
         np.copyto(step, x)
         inner_tol = INNER_TOL_FACTOR * flux_change
-        for _ in range(MAX_GROUP_PASSES):
-            phi_before = step[1].copy() if upscatter else None
-            for g in range(2):
-                np.multiply(chi[g], fission, out=q)
-                if g or upscatter:
-                    np.multiply(inscatter[g], step[1 - g], out=scatter)
-                    q += scatter
-                try:
-                    phi[g][...] = solve_group(g, q_view, phi[g], inner_tol)
-                except IterationLimitError as exc:
-                    if exc.last_solution is None:
-                        exc.last_solution = make_solution(k, phi, it, dk)
-                    raise
-            if not upscatter:
-                break
-            change = _relative_change(step[1], phi_before)
-            if change < group_tol:
-                break
-        else:
-            raise IterationLimitError(
-                f"{label} eigensolve: group iteration reached "
-                f"MAX_GROUP_PASSES = {MAX_GROUP_PASSES} passes in outer "
-                f"{it} (change = {change:.3e})",
-                last_solution=make_solution(k, phi, it, dk))
+        for g in range(2):
+            np.multiply(chi[g], fission, out=q)
+            if g or upscatter:
+                np.multiply(inscatter[g], step[1 - g], out=scatter)
+                q += scatter
+            try:
+                phi[g][...] = solve_group(g, q_view, phi[g], inner_tol)
+            except IterationLimitError as exc:
+                if exc.last_solution is None:
+                    exc.last_solution = make_solution(k, phi, it, dk)
+                raise
 
         fint = normalize(step, "fission source vanished")
         k_new = k * fint

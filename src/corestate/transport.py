@@ -628,8 +628,8 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     stops once its estimated error (see the module docstring) falls
     below `eigen.INNER_TOL_FACTOR` times the last outer flux change, or
     its relative change below 1e-9.  Raises
-    `IterationLimitError` when `tol.max_outer` outer steps, the
-    group-pass cap or the `_MAX_INNER` = 500 inner sweeps are exhausted;
+    `IterationLimitError` when `tol.max_outer` outer steps or the
+    `_MAX_INNER` = 500 inner sweeps are exhausted;
     with `retain_angular` its last iterate carries the angular flux.
 
     `start`, a solution of a nearby problem solved with

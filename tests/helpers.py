@@ -1,5 +1,9 @@
 """Shared builders for the test suite."""
 
+import multiprocessing
+from collections.abc import Mapping
+from dataclasses import replace
+
 import numpy as np
 
 from corestate.bench import ExperimentConfig
@@ -36,6 +40,18 @@ def make_region_xs(sigma_a=(0.012, 0.10), sigma_s_within=(0.10, 0.20),
         nu_sigma_f=np.array(nu_sigma_f), chi=np.array(chi),
         kappa_sigma_f=np.array(kappa_sigma_f),
         sigma_t=np.array(sigma_a) + sigma_s.sum(axis=1))
+
+
+def with_upscatter(xs: CrossSectionSet, fraction: float) -> CrossSectionSet:
+    """`xs` with each region's 2 -> 1 scatter set to `fraction` of its
+    within-group thermal scatter, the totals balanced again."""
+    regions = {}
+    for name, region in xs.regions.items():
+        sigma_s = region.sigma_s.copy()
+        sigma_s[1, 0] = fraction * sigma_s[1, 1]
+        regions[name] = replace(region, sigma_s=sigma_s,
+                                sigma_t=region.sigma_a + sigma_s.sum(axis=1))
+    return CrossSectionSet(regions)
 
 
 def fuel_xs(**kwargs) -> CrossSectionSet:
@@ -86,3 +102,30 @@ def snapshot_set(fields, alphas=None) -> SnapshotSet:
         alphas = ((0.0,) * 5,) * len(fields)
     return SnapshotSet(fields[0].mesh, np.stack([f.values for f in fields]),
                        tuple(alphas), "synthetic")
+
+
+class SharedCounts(Mapping):
+    """Counts by name that forked pool workers add to as well as this
+    process: each is a `multiprocessing.Value` made before the fork.
+    It compares equal to a dict of the same counts."""
+
+    def __init__(self, names):
+        self._values = {name: multiprocessing.Value("q", 0)
+                        for name in names}
+
+    def add(self, name):
+        value = self._values[name]
+        with value.get_lock():
+            value.value += 1
+
+    def __getitem__(self, name):
+        return self._values[name].value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __repr__(self):
+        return repr(dict(self))

@@ -268,9 +268,10 @@ class TestSnapshots:
         assert pooled["content_hash"] == manifest["content_hash"]
 
     def test_pool_worker_runs_one_blas_thread(self):
-        # A forked worker inherits the parent's BLAS threads, so two
-        # workers oversubscribed a 2-core machine: 2-worker snapshots
-        # were slower than serial ones.
+        # A worker not forked from the caller's one-thread setting
+        # (spawn, forkserver) starts with multi-threaded BLAS, and two
+        # such workers oversubscribe a 2-core machine: 2-worker
+        # snapshots were slower than serial ones.
         controls = openblas_thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS library is loaded")
@@ -278,12 +279,42 @@ class TestSnapshots:
         for _, set_threads in controls:
             set_threads(2)
         try:
-            with Pool(1, initializer=bench._init_pool_worker,
-                      initargs=(None,)) as pool:
+            with Pool(1, initializer=bench._one_blas_thread) as pool:
                 assert pool.map(openblas_threads, [0]) == [[1] * len(before)]
         finally:
             for (_, set_threads), n in zip(controls, before):
                 set_threads(n)
+
+    def test_pool_takes_contiguous_runs_of_the_solve_order(
+            self, tmp_path, monkeypatch):
+        # A stand-in pool solves its tasks here and records them.
+        started, runs = [], []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, func, tasks):
+                runs.extend([index for index, _ in run] for _, run in tasks)
+                return [func(task) for task in tasks]
+
+        _, serial = generate_snapshots(small_config(tmp_path / "serial"),
+                                       "diffusion", "test")
+        monkeypatch.setattr(bench, "Pool", RecordingPool)
+        _, pooled = generate_snapshots(
+            small_config(tmp_path / "pooled", threads=64), "diffusion",
+            "test")
+        order = bench._solve_order(list(enumerate(materials.test_lattice())))
+        assert len(started) == 1 and started[0] <= 32
+        assert len(runs) == started[0] and all(runs)
+        assert sum(runs, []) == [index for index, _ in order]
+        assert pooled["content_hash"] == serial["content_hash"]
 
     def test_serial_solves_run_one_blas_thread(self, tmp_path,
                                                monkeypatch):
@@ -328,9 +359,11 @@ class TestSnapshots:
                                                  flux_tol=1e-14, max_outer=1))
         with pytest.raises(RuntimeError, match=r"alpha = \(0\.8"):
             generate_snapshots(bad, "diffusion", "test")
-        # Test points 9 and 26 fail, in different chunks of a 2-worker
-        # pool: on one worker or two the error names point 9.
-        failing = [materials.test_lattice()[i] for i in (26, 9)]
+        # Test points 6 (a2 = 0.85) and 26 (a2 = 0.95) fail.  Two
+        # workers take one a2 level each, so the failures come from
+        # different workers: on one worker or two the error names
+        # point 6.
+        failing = [materials.test_lattice()[i] for i in (26, 6)]
         scale = bench.map_alpha_to_mu
 
         def failing_scale(alpha, base):

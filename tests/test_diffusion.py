@@ -16,7 +16,8 @@ from corestate.materials import (CrossSectionSet, default_cross_sections,
                                  map_alpha_to_mu, training_lattice)
 
 from helpers import (default_lattice_problem, fuel_xs, homogeneous_problem,
-                     make_region_xs, reflective_bc, uniform_config)
+                     make_region_xs, reflective_bc, uniform_config,
+                     with_upscatter)
 
 
 def infinite_medium_k(xs):
@@ -49,7 +50,7 @@ class TestInfiniteMedium:
         k_expected = 0.011 / xs["Fuel"].sigma_a[0]
         assert sol.k_eff == pytest.approx(k_expected, abs=1e-8)
 
-    def test_upscatter_exercises_group_iteration(self):
+    def test_upscatter_matches_two_group_oracle(self):
         # 2x2 analytic oracle of the flat limit with Ss21 > 0
         mesh, xs = homogeneous_problem(5, 4, sigma_s_21=0.004)
         r = xs["Fuel"]
@@ -206,6 +207,15 @@ class TestConvergedState:
         sol = solve_diffusion(xs, mesh, tol)
         assert eigen_residual(sol, xs) < 10 * tol.flux_tol
 
+    def test_upscatter_on_default_layout_certifies(self):
+        # One group pass per outer takes group 1's upscatter source from
+        # the outer's starting iterate; the outer iteration converges
+        # the coupling (9 outers, certificate 3.6e-10 at 2%).
+        mesh = build_mesh(GeometryConfig.default())
+        xs = with_upscatter(default_cross_sections(), 0.02)
+        sol = solve_diffusion(xs, mesh)
+        assert eigen_residual(sol, xs) < ToleranceConfig().flux_tol
+
     def test_flux_nonnegative(self):
         mesh = build_mesh(GeometryConfig.default())
         sol = solve_diffusion(default_cross_sections(), mesh)
@@ -306,14 +316,6 @@ class TestErrors:
                                             max_outer=2))
         last = err.value.last_solution
         assert last is not None and last.k_eff > 0
-
-    def test_group_pass_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(eigen, "MAX_GROUP_PASSES", 1)
-        mesh, xs = homogeneous_problem(5, 4, sigma_s_21=0.004)
-        with pytest.raises(IterationLimitError,
-                           match="MAX_GROUP_PASSES = 1") as err:
-            solve_diffusion(xs, mesh)
-        assert err.value.last_solution.k_eff > 0
 
     @pytest.mark.parametrize("nx, ny", [(6, 4), (5, 5)])
     def test_singular_group_operator_rejected(self, nx, ny):
