@@ -122,6 +122,11 @@ class ExperimentConfig:
         if self.sn_order < 2 or self.sn_order % 2 != 0:
             raise ConfigurationError(
                 f"sn_order must be even and >= 2, got {self.sn_order}")
+        if self.threads < 1:
+            raise ConfigurationError(
+                f"threads must be >= 1, got {self.threads}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     @staticmethod
     def default(output_dir: str | Path = "bench_out",
@@ -393,7 +398,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
             else:
                 points.append((index, alpha))
         problem, order = (model, cfg, mesh, parent), _solve_order(points)
-        workers = min(max(cfg.threads, 1), len(order))
+        workers = min(cfg.threads, len(order))
         runs = [order[len(order) * i // workers:
                       len(order) * (i + 1) // workers]
                 for i in range(workers)]
@@ -636,12 +641,6 @@ def run_case(cfg: ExperimentConfig, case: int,
                             run_info=run_info)
 
 
-def _noise_seed(base_seed: int, eps_idx: int, seed_idx: int,
-                sample_idx: int) -> int:
-    seq = np.random.SeedSequence([base_seed, eps_idx, seed_idx, sample_idx])
-    return int(seq.generate_state(1)[0])
-
-
 def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
                 force: bool = False) -> ExperimentReport:
     """Repeat the Case-2 reconstruction with perturbed observations.
@@ -650,9 +649,10 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     against the extended bound beta^-1 (delta_wc + eps + eps_model),
     with eps_model the measured distance of the test truths to the
     full-rank diffusion span.  eps = 0 rows reproduce the Case-2 report.
-    Each (eps, seed) observation matrix is drawn once into one stack,
-    with the noiseless one once for all its seeds, and the stack is
-    reconstructed in one pass per n.
+    Each nonzero level draws its n_seeds observation matrices in one
+    `perturb_observations` call seeded with (cfg.seed, level index);
+    they are stacked after the noiseless matrix, which serves every
+    eps = 0 seed, and the stack is reconstructed in one pass per n.
     An empty `eps_list` or `n_seeds` below 1 raises `ValueError` before
     any snapshot set is read.
     """
@@ -667,27 +667,19 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     ctx = prepare_case(cfg, 2, force=force)
     t_setup = time.perf_counter()
 
-    # (eps, seed, index of its observation matrix) per sample.  Every
-    # eps = 0 sample is ctx.y_psi, matrix 0 of the stack.
-    noiseless = 0.0 in eps_list
-    noisy = sum(eps != 0.0 for eps in eps_list) * n_seeds
-    observations = np.empty((noiseless + noisy,) + ctx.y_psi.shape)
-    if noiseless:
-        observations[0] = ctx.y_psi
-    samples = []
-    drawn = int(noiseless)
+    # Matrix 0 is ctx.y_psi, every eps = 0 sample; each nonzero level
+    # appends its n_seeds matrices, drawn in one call.
+    stack = [ctx.y_psi[None]]
+    samples = []   # (eps, seed, index of its observation matrix)
     for eps_idx, eps in enumerate(eps_list):
-        for seed_idx in range(n_seeds):
-            if eps == 0.0:
-                samples.append((eps, seed_idx, 0))
-                continue
-            for t in range(len(ctx.testset)):
-                observations[drawn, t] = perturb_observations(
-                    ctx.y_psi[t], eps,
-                    _noise_seed(cfg.seed, eps_idx, seed_idx, t))
-            samples.append((eps, seed_idx, drawn))
-            drawn += 1
-
+        first = 1 + n_seeds * (len(stack) - 1)
+        if eps != 0.0:
+            stack.append(perturb_observations(
+                np.broadcast_to(ctx.y_psi, (n_seeds,) + ctx.y_psi.shape),
+                eps, (cfg.seed, eps_idx)))
+        samples += [(eps, s, first + s if eps else 0)
+                    for s in range(n_seeds)]
+    observations = np.concatenate(stack)
     t_draws = time.perf_counter()
 
     rows = []

@@ -77,7 +77,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.out is not None:
         cfg = replace(cfg, output_dir=Path(args.out))
     if args.threads is not None:
-        cfg = replace(cfg, threads=max(1, args.threads))
+        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 

@@ -105,17 +105,17 @@ def load_observations(path) -> np.ndarray:
 
 
 def perturb_observations(y: np.ndarray, eps_noise: float,
-                         seed: int) -> np.ndarray:
+                         seed) -> np.ndarray:
     """Add a pseudo-random perturbation of exact observation-space norm
-    `eps_noise` to an observation vector given in orthonormal-basis
-    coordinates; the direction is uniform on the sphere and reproducible
-    from the seed."""
+    `eps_noise` to each observation vector along the last axis of `y`
+    (orthonormal-basis coordinates).  Each direction is uniform on the
+    sphere; all are drawn in one call, in C order, from one generator
+    seeded with `seed` (an int or a sequence of ints)."""
     if eps_noise < 0:
         raise ValueError("eps_noise must be nonnegative")
     y = np.asarray(y, dtype=float)
     if eps_noise == 0.0:
         return y.copy()
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(y.shape)
-    direction /= np.linalg.norm(direction)
+    direction = np.random.default_rng(seed).standard_normal(y.shape)
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
     return y + eps_noise * direction

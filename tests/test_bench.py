@@ -608,14 +608,24 @@ class TestSweepNoise:
         calls = []
 
         def counting_perturb(*args, **kwargs):
-            calls.append(args[1])
+            calls.append((args[1], np.shape(args[0])))
             return perturb_observations(*args, **kwargs)
 
         monkeypatch.setattr(bench, "perturb_observations", counting_perturb)
         noise = sweep_noise(case2_config, [0.0, 1e-3, 1e-2], n_seeds=2)
         assert len(set(noise.column("n"))) == 4
-        assert len(calls) == 2 * 2 * 32  # eps > 0, seeds, test states
-        assert 0.0 not in calls
+        # One call per nonzero level, drawing all its seeds at once.
+        assert [eps for eps, _ in calls] == [1e-3, 1e-2]
+        assert all(shape == (2, 32, 6) for _, shape in calls)
+
+    def test_seed_prefix_rows_are_stable(self, case2_config):
+        # Seed s draws the same noise whatever the number of seeds.
+        rows = {n_seeds: {(r["n"], r["eps"], r["seed"]): r for r in
+                          sweep_noise(case2_config, [0.0, 1e-3, 1e-2],
+                                      n_seeds=n_seeds).rows}
+                for n_seeds in (2, 3)}
+        assert len(rows[2]) == 4 * 3 * 2
+        assert all(rows[3][key] == row for key, row in rows[2].items())
 
     def test_beta_floor_truncates_and_flags_both_reports(self, case2_config,
                                                           monkeypatch):
@@ -850,7 +860,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, match", [
         ("scheme", "diamnod", "scheme 'diamnod'"),
-        ("sn_order", 3, "sn_order"), ("sn_order", 0, "sn_order")])
+        ("sn_order", 3, "sn_order"), ("sn_order", 0, "sn_order"),
+        ("threads", 0, "threads"), ("threads", -4, "threads"),
+        ("seed", -1, "seed")])
     def test_scheme_and_order_validated(self, key, value, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_dict({key: value})
@@ -963,6 +975,14 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigurationError"
         assert "diamnod" in err["message"]
+
+    def test_zero_threads_fails_info(self, capsys):
+        assert cli.main(["info", "--threads", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigurationError"
+        assert "threads" in err["message"]
 
     def test_out_override(self, tmp_path, capsys):
         rc = cli.main(["snapshots", "--model", "diffusion", "--set", "test",

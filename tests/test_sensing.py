@@ -172,17 +172,23 @@ class TestPerturbObservations:
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.5])
     def test_exact_noise_norm(self, eps):
-        y = np.random.default_rng(5).standard_normal(54)
-        y_tilde = perturb_observations(y, eps, seed=6)
-        assert np.linalg.norm(y_tilde - y) == pytest.approx(eps, rel=1e-12)
+        # One vector, and a stack in which every vector along the last
+        # axis gets its own direction.
+        for shape in ((54,), (3, 32, 54)):
+            y = np.random.default_rng(5).standard_normal(shape)
+            noise = (perturb_observations(y, eps, seed=6) - y).reshape(-1, 54)
+            np.testing.assert_allclose(np.linalg.norm(noise, axis=1), eps,
+                                       rtol=1e-12, atol=0)
+            assert len(np.unique(noise, axis=0)) == len(noise)
 
     def test_deterministic_for_fixed_seed(self):
         y = np.random.default_rng(7).standard_normal(10)
-        a = perturb_observations(y, 1e-2, seed=8)
-        b = perturb_observations(y, 1e-2, seed=8)
-        c = perturb_observations(y, 1e-2, seed=9)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        for seed, other in ((8, 9), ((8, 1), (8, 2))):
+            a = perturb_observations(y, 1e-2, seed=seed)
+            b = perturb_observations(y, 1e-2, seed=seed)
+            c = perturb_observations(y, 1e-2, seed=other)
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
