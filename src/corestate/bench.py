@@ -653,14 +653,14 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     `perturb_observations` call seeded with (cfg.seed, level index);
     they are stacked after the noiseless matrix, which serves every
     eps = 0 seed, and the stack is reconstructed in one pass per n.
-    An empty `eps_list` or `n_seeds` below 1 raises `ValueError` before
-    any snapshot set is read.
+    An empty `eps_list`, a negative or non-finite level or `n_seeds`
+    below 1 raises `ValueError` before any snapshot set is read.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("the noise sweep needs at least one noise level")
-    if any(e < 0 for e in eps_list):
-        raise ValueError("noise levels must be nonnegative")
+    if not all(0 <= e < np.inf for e in eps_list):
+        raise ValueError("noise levels must be finite and nonnegative")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     t_start = time.perf_counter()

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .eigen import (ToleranceConfig, cached_factors, power_iteration,
-                    save_solution)
+from .eigen import (ToleranceConfig, cached_factors, certificate,
+                    power_iteration, save_solution)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -59,10 +58,10 @@ class GroupOperator:
     upper band storage, `band[w + i - j, j] = A[i, j]`.  Cells are
     numbered along the shorter mesh side (row-major when nx <= ny,
     column-major otherwise), so the half-bandwidth w is min(nx, ny).
-    `matvec` and `factorize` take and give cells in natural order, flat
-    or as (ny, nx) arrays; one laid out in band order in memory (the
-    transpose of a C-ordered `_band_view`) is handed to LAPACK without
-    a copy."""
+    The solve `factorize` returns takes and gives cells in natural
+    order, flat or as (ny, nx) arrays; one laid out in band order in
+    memory (the transpose of a C-ordered `_band_view`) is handed to
+    LAPACK without a copy."""
 
     @staticmethod
     def key(mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
@@ -100,12 +99,6 @@ class GroupOperator:
         self.band[w - 1].reshape(diag.shape)[:, 1:] = -tx
         self.band[0].reshape(diag.shape)[1:, :] = -ty
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x (BLAS dsbmv) for natural-order cells `x`."""
-        y = dsbmv(len(self.band) - 1, 1.0, self.band,
-                  _to_band(x, self.shape, self.transposed))
-        return _from_band(y, self.shape, self.transposed, x.shape)
-
     def factorize(self, group: int):
         """Band Cholesky (LAPACK dpbtrf); returns `solve(q)` (dpbtrs) for
         natural-order cells `q`, flat or (ny, nx), giving the shape of
@@ -142,36 +135,35 @@ def _from_band(y: np.ndarray, shape, transposed: bool,
     return (y.T if transposed else y).reshape(out_shape)
 
 
-def _diffusion_cells(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
-    """Validated cell D and sigma_a, (2, ny, nx) each, and the
-    area-scaled coupling and fission arrays (s21, s12, nusf1, nusf2,
-    chi1, chi2), (ny, nx) each."""
+def _group_solves(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
+    """The area-scaled fission, spectrum and in-scatter cell arrays
+    (nusf, chi, inscatter), a pair each, and `solve_group(g, q, phi_g,
+    inner_tol)` that `power_iteration` calls, all in band cell order
+    (`_band_view`).  Each group is solved directly by band Cholesky of
+    its `GroupOperator`, factorized once for a run of solves with equal
+    matrices (`eigen.cached_factors`) and assembled only when
+    factorized."""
     if vacuum_model not in VACUUM_MODELS:
         raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
     d, sigma_a, sigma_s, nu_sigma_f, chi = cell_values(
         xs, mesh, "d", "sigma_a", "sigma_s", "nu_sigma_f", "chi")
     if (d <= 0).any():
         raise ConfigurationError("diffusion needs D > 0 in every region")
+
+    def factor(g):
+        key = GroupOperator.key(mesh, d[g], sigma_a[g], vacuum_model)
+        return cached_factors("diffusion", g + 1, key, lambda: GroupOperator(
+            mesh, d[g], sigma_a[g], vacuum_model).factorize(g + 1))
+
+    solves = [factor(0), factor(1)]
+
+    def solve_group(g, q, _phi, _tol):
+        return _band_view(mesh, solves[g](_band_view(mesh, q)))
+
     area = mesh.cell_area
-    return d, sigma_a, (sigma_s[1, 0] * area, sigma_s[0, 1] * area,
-                        nu_sigma_f[0] * area, nu_sigma_f[1] * area,
-                        chi[0], chi[1])
-
-
-def assemble_diffusion_system(xs: CrossSectionSet, mesh: Mesh,
-                              vacuum_model: str = "robin"):
-    """Group operators plus coupling/fission vectors (all area-scaled).
-
-    Returns (M1, M2, s21, s12, nusf1, nusf2, chi1, chi2) where the
-    vectors are flat per-cell arrays; the two-group operator acts as
-
-        M1 phi1 - diag(s21) phi2 = (chi1/k) (nusf1 phi1 + nusf2 phi2)
-        M2 phi2 - diag(s12) phi1 = (chi2/k) (nusf1 phi1 + nusf2 phi2)
-    """
-    d, sigma_a, vectors = _diffusion_cells(xs, mesh, vacuum_model)
-    return (GroupOperator(mesh, d[0], sigma_a[0], vacuum_model),
-            GroupOperator(mesh, d[1], sigma_a[1], vacuum_model)) \
-        + tuple(v.ravel() for v in vectors)
+    pairs = ((nu_sigma_f[0] * area, nu_sigma_f[1] * area), (chi[0], chi[1]),
+             (sigma_s[1, 0] * area, sigma_s[0, 1] * area))
+    return [[_band_view(mesh, a) for a in pair] for pair in pairs], solve_group
 
 
 def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
@@ -180,11 +172,9 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
                     start: DiffusionSolution | None = None
                     ) -> DiffusionSolution:
     """Power iteration on the fission source (`corestate.eigen`), each
-    group solved directly by band Cholesky of its `GroupOperator`,
-    factorized once for a run of solves with equal matrices
-    (`eigen.cached_factors`) and assembled only when factorized.  The
-    iteration's vectors are laid out in the operators' band order, so
-    the cells are permuted once per solve, not in every group solve.
+    group solved directly (`_group_solves`).  The iteration's vectors
+    are laid out in the operators' band order, so the cells are
+    permuted once per solve, not in every group solve.
     `start`, the solution of a nearby problem on a mesh of the same
     shape (else `ConfigurationError`), replaces the flat start.
 
@@ -199,21 +189,8 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             raise ConfigurationError(
                 f"solve_diffusion: a start on a {shape[0]} x {shape[1]} "
                 f"mesh given for a {mesh.nx} x {mesh.ny} one")
-    # The iteration runs on (ny, nx) cell arrays seen in band order, so
-    # that each group solve hands its source to LAPACK without a copy.
-    d_cells, sigma_a, cells = _diffusion_cells(xs, mesh, vacuum_model)
-    s21, s12, nusf1, nusf2, chi1, chi2 = (_band_view(mesh, a) for a in cells)
-
-    def factor(g):
-        d, sa = d_cells[g - 1], sigma_a[g - 1]
-        return cached_factors(
-            "diffusion", g, GroupOperator.key(mesh, d, sa, vacuum_model),
-            lambda: GroupOperator(mesh, d, sa, vacuum_model).factorize(g))
-
-    solves = [factor(1), factor(2)]
-
-    def solve_group(g, q, _phi, _tol):
-        return _band_view(mesh, solves[g](_band_view(mesh, q)))
+    (nusf, chi, inscatter), solve_group = _group_solves(xs, mesh,
+                                                        vacuum_model)
 
     def solution(k, phi, iterations, residual):
         return DiffusionSolution(k, tuple(
@@ -221,22 +198,22 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             iterations, residual)
 
     return power_iteration(
-        solve_group, (nusf1, nusf2), (chi1, chi2), (s21, s12), tol,
-        "diffusion", solution, start=None if start is None else (
+        solve_group, nusf, chi, inscatter, tol, "diffusion", solution,
+        start=None if start is None else (
             start.k_eff, [_band_view(mesh, f.values2d) for f in start.phi]))
 
 
 def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,
                    vacuum_model: str = "robin") -> float:
-    """||A phi - (1/k) F phi|| / ||F phi|| of the converged discrete pair."""
-    m1, m2, s21, s12, nusf1, nusf2, chi1, chi2 = assemble_diffusion_system(
-        xs, sol.phi[0].mesh, vacuum_model)
-    p1, p2 = sol.phi[0].values, sol.phi[1].values
-    fission = nusf1 * p1 + nusf2 * p2
-    r1 = m1.matvec(p1) - s21 * p2 - chi1 * fission / sol.k_eff
-    r2 = m2.matvec(p2) - s12 * p1 - chi2 * fission / sol.k_eff
-    fnorm = np.sqrt(np.sum((chi1 * fission) ** 2 + (chi2 * fission) ** 2))
-    return float(np.sqrt(np.sum(r1**2 + r2**2)) / fnorm)
+    """Convergence certificate of a diffusion eigenpair
+    (`eigen.certificate`): one more outer step from `sol` with k_eff
+    frozen, on the group factors its solve left in
+    `eigen.cached_factors`."""
+    mesh = sol.phi[0].mesh
+    (nusf, chi, inscatter), solve_group = _group_solves(xs, mesh,
+                                                        vacuum_model)
+    return certificate(solve_group, nusf, chi, inscatter, sol.k_eff,
+                       [_band_view(mesh, f.values2d) for f in sol.phi])
 
 
 def group_power_map(flux: tuple[Field, Field],

@@ -44,6 +44,12 @@ Exhausting the outer budget or a group solver's own cap raises
 `IterationLimitError` carrying the last iterate.
 Both solvers keep their group factorizations across solves in
 `cached_factors`.
+
+Both solvers certify an eigenpair the same way (`certificate`): one
+more outer step from it with k frozen, each group solved through the
+solver's own group solve at its tightest inner tolerance.  The
+certificate is of the order of the outer changes a solve still had to
+make, so one stopped early scores well above its tolerances.
 """
 
 from __future__ import annotations
@@ -81,8 +87,9 @@ class ToleranceConfig:
     max_outer: int = 2000
 
     def __post_init__(self):
-        if self.k_tol <= 0 or self.flux_tol <= 0 or self.max_outer < 1:
-            raise ConfigurationError("tolerances must be positive")
+        if not (0 < self.k_tol < math.inf and 0 < self.flux_tol < math.inf
+                and self.max_outer >= 1):
+            raise ConfigurationError("tolerances must be finite and positive")
 
     @staticmethod
     def from_dict(d: dict) -> "ToleranceConfig":
@@ -290,3 +297,26 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
         f"{label} eigensolve: no convergence in {tol.max_outer} "
         f"outer iterations (|dk| = {dk:.3e})",
         last_solution=make_solution(k, phi, tol.max_outer, dk))
+
+
+def certificate(solve_group: Callable, nusf: Sequence[np.ndarray],
+                chi: Sequence[np.ndarray], inscatter: Sequence[np.ndarray],
+                k: float, phi: Sequence[np.ndarray]) -> float:
+    """Convergence certificate of the eigenpair (k, phi): one Gauss-Seidel
+    outer step from the group fluxes `phi` with k frozen, each group
+    solved by `solve_group` (as in `power_iteration`) at inner tolerance
+    zero, its tightest.  Returns the larger of |ratio - 1|, ratio being
+    the new fission integral over the old, and the largest change of the
+    fission source (the new one scaled to the old integral, over the old
+    one's maximum).  `nusf`, `chi`, `inscatter` and `phi` are per-cell
+    arrays of one shape."""
+    phi = list(phi)
+    fission = nusf[0] * phi[0] + nusf[1] * phi[1]
+    for g in range(2):
+        q = chi[g] * fission / k + inscatter[g] * phi[1 - g]
+        phi[g] = solve_group(g, q, phi[g], 0.0)
+    new = nusf[0] * phi[0] + nusf[1] * phi[1]
+    ratio = float(new.sum() / fission.sum())
+    source_change = float(np.max(np.abs(new / ratio - fission))
+                          / np.max(np.abs(fission)))
+    return max(source_change, abs(ratio - 1.0))

@@ -123,10 +123,11 @@ def error_bound(beta_value: float, delta_n: float, eps_noise: float = 0.0,
     """A priori bound beta^-1 (delta_n + eps_noise + eps_model).
 
     A nonpositive beta yields an explicit infinite bound rather than an
-    error: the operator carries no stability at all there.
+    error: the operator carries no stability at all there.  A negative
+    or non-finite contribution raises `ValueError`.
     """
-    if delta_n < 0 or eps_noise < 0 or eps_model < 0:
-        raise ValueError("error contributions must be nonnegative")
+    if not all(0 <= c < math.inf for c in (delta_n, eps_noise, eps_model)):
+        raise ValueError("error contributions must be finite and nonnegative")
     if beta_value <= 0:
         return math.inf
     return (delta_n + eps_noise + eps_model) / beta_value

@@ -110,9 +110,10 @@ def perturb_observations(y: np.ndarray, eps_noise: float,
     `eps_noise` to each observation vector along the last axis of `y`
     (orthonormal-basis coordinates).  Each direction is uniform on the
     sphere; all are drawn in one call, in C order, from one generator
-    seeded with `seed` (an int or a sequence of ints)."""
-    if eps_noise < 0:
-        raise ValueError("eps_noise must be nonnegative")
+    seeded with `seed` (an int or a sequence of ints).  A negative or
+    non-finite `eps_noise` raises `ValueError`."""
+    if not 0 <= eps_noise < np.inf:
+        raise ValueError("eps_noise must be finite and nonnegative")
     y = np.asarray(y, dtype=float)
     if eps_noise == 0.0:
         return y.copy()

@@ -30,9 +30,10 @@ inner tolerance follows the outer flux change (`eigen.INNER_TOL_FACTOR`)
 down to 1e-9, and a change below 1e-9 always stops.  Accelerated groups
 (rho ~ 0.2) then take one sweep per outer, while slowly contracting
 ones iterate until their error, not just their last change, is small.
-`eigen_residual` certifies a returned eigenpair by one more exact outer
-step.  The neutron balance a solution reports is taken from each
-group's last sweep of the iteration, so it costs no sweep.
+`eigen_residual` certifies a returned eigenpair by one more outer step
+with its inners at 1e-9 (`eigen.certificate`).  The neutron balance a
+solution reports is taken from each group's last sweep of the
+iteration, so it costs no sweep.
 
 The source iteration is diffusion-synthetic accelerated (Adams & Larsen,
 Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
@@ -64,8 +65,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .diffusion import GroupOperator, group_power_map
-from .eigen import (ToleranceConfig, cached_factors, power_iteration,
-                    save_solution)
+from .eigen import (ToleranceConfig, cached_factors, certificate,
+                    power_iteration, save_solution)
 from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -560,7 +561,7 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
     rho = [None, None]
 
     def source_iteration(g: int, q: np.ndarray, phi_g: np.ndarray,
-                         inner_tol: float = _INNER_TOL):
+                         inner_tol: float):
         stop = max(_INNER_TOL, inner_tol)
         q_fixed = q / FOUR_PI
         sigma_gg = sigma_s[g, g]
@@ -592,6 +593,16 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
     return cells, sweepers, source_iteration
 
 
+def _check_discretization(sol: TransportSolution, quad: AngularQuadrature,
+                          scheme: str, use: str):
+    """Raise `ConfigurationError` unless `sol` was solved with `quad`'s
+    order and `scheme`; `use` names what `sol` was given as."""
+    if (sol.quadrature_order, sol.scheme) != (quad.order, scheme):
+        raise ConfigurationError(
+            f"{use}: an S{sol.quadrature_order} {sol.scheme!r} solution "
+            f"used with S{quad.order} {scheme!r}")
+
+
 def _check_start(start: TransportSolution, mesh: Mesh,
                  quad: AngularQuadrature, scheme: str):
     """Raise `ConfigurationError` unless `start` can seed this solve."""
@@ -604,11 +615,7 @@ def _check_start(start: TransportSolution, mesh: Mesh,
         raise ConfigurationError(
             f"solve_transport: a start on a {shape[0]} x {shape[1]} mesh "
             f"given for a {mesh.nx} x {mesh.ny} one")
-    if (start.quadrature_order, start.scheme) != (quad.order, scheme):
-        raise ConfigurationError(
-            f"solve_transport: an S{start.quadrature_order} "
-            f"{start.scheme!r} start given for an S{quad.order} "
-            f"{scheme!r} solve")
+    _check_discretization(start, quad, scheme, "solve_transport start")
 
 
 def solve_transport(xs: CrossSectionSet, mesh: Mesh,
@@ -674,51 +681,33 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
 def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
                    quad: AngularQuadrature | None = None,
                    scheme: str | None = None) -> float:
-    """Convergence certificate of a transport eigenpair: one more outer
-    step from `sol`'s scalar fluxes with k_eff frozen, each group's
-    source iteration run to an estimated error of 1e-9.  Returns the
-    larger of the relative change of k_eff and the largest change of
-    the fission source (new source scaled to the old integral, over the
-    old source's maximum).
+    """Convergence certificate of a transport eigenpair
+    (`eigen.certificate`): one more outer step from `sol`'s scalar
+    fluxes with k_eff frozen, each group's source iteration run to an
+    estimated error of 1e-9.
 
-    It is of the order of the outer changes a solve still had to make,
-    so a solve stopped early scores well above its tolerances.  It
-    builds its own sweepers on the factors its solve left in
-    `eigen.cached_factors` and sweeps its inners to 1e-9 (two sweeps per
-    group on converged default solves): ~2 ms (1.1-3.9) right after its
+    It builds its own sweepers on the factors its solve left in
+    `eigen.cached_factors` (two sweeps per group on converged default
+    solves): ~2 ms (1.1-3.9) right after its
     solve on the default 45 x 30 S4 problem, ~8 ms when the factors
     must be rebuilt (2-vCPU machine, BLAS on one thread).  `quad` and
     `scheme` default to those of the solve; others raise
     `ConfigurationError`, since they certify a different discrete
     problem.
     """
-    if quad is not None and quad.order != sol.quadrature_order:
-        raise ConfigurationError(
-            f"eigen_residual: S{quad.order} quadrature given for an "
-            f"S{sol.quadrature_order} solve")
-    if scheme is not None and scheme != sol.scheme:
-        raise ConfigurationError(
-            f"eigen_residual: scheme {scheme!r} given for a "
-            f"{sol.scheme!r} solve")
     mesh = sol.scalar_flux[0].mesh
     quad = quad or build_quadrature(sol.quadrature_order)
+    _check_discretization(sol, quad, sol.scheme if scheme is None else scheme,
+                          "eigen_residual")
     (_, sigma_s, nusf, chi), sweepers, source_iteration = _group_solvers(
         xs, mesh, quad, sol.scheme)
-    inscatter = [sigma_s[1, 0], sigma_s[0, 1]]
     phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
     # Lagged reflective inflows start from the isotropic estimate
     # phi / 4 pi of the exit-side cells rather than the flat guess.
     for sweeper, p in zip(sweepers, phi):
         sweeper.seed(p / FOUR_PI)
-    fission = nusf[0] * phi[0] + nusf[1] * phi[1]
-    for g in range(2):
-        q = chi[g] * fission / sol.k_eff + inscatter[g] * phi[1 - g]
-        phi[g] = source_iteration(g, q, phi[g])
-    new = nusf[0] * phi[0] + nusf[1] * phi[1]
-    ratio = float(new.sum() / fission.sum())
-    source_change = float(np.max(np.abs(new / ratio - fission))
-                          / np.max(np.abs(fission)))
-    return max(source_change, abs(ratio - 1.0))
+    return certificate(source_iteration, nusf, chi,
+                       (sigma_s[1, 0], sigma_s[0, 1]), sol.k_eff, phi)
 
 
 def power_map_transport(sol: TransportSolution,

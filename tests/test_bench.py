@@ -665,7 +665,8 @@ class TestSweepNoise:
             sweep_noise(cfg, [-1e-3], n_seeds=1)
 
     @pytest.mark.parametrize("eps_list, n_seeds",
-                             [([], 2), ([0.0, 1e-3], 0), ([1e-3], -1)])
+                             [([], 2), ([0.0, 1e-3], 0), ([1e-3], -1),
+                              ([0.0, float("nan")], 2), ([float("inf")], 2)])
     def test_empty_sweep_rejected_before_any_read(self, tmp_path, monkeypatch,
                                                   eps_list, n_seeds):
         def no_snapshots(*args, **kwargs):
@@ -934,7 +935,8 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert Path(out["csv"]).exists()
 
-    @pytest.mark.parametrize("option", [["--seeds", "0"], ["--eps", ""]])
+    @pytest.mark.parametrize("option", [["--seeds", "0"], ["--eps", ""],
+                                        ["--eps", "nan"], ["--eps", "0,inf"]])
     def test_empty_noise_sweep_fails_before_any_work(self, tmp_path, capsys,
                                                      option):
         rc = cli.main(["noise-sweep", *option,

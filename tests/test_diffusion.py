@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corestate import bench, eigen
+from corestate import bench, eigen, materials
 from corestate.diffusion import (GroupOperator, ToleranceConfig,
                                  eigen_residual, power_map_diffusion,
                                  solve_diffusion)
@@ -138,8 +138,6 @@ class TestGroupOperator:
         assert op.band.shape == (min(nx, ny) + 1, nx * ny)
         np.testing.assert_allclose(band_to_dense(op, mesh), oracle,
                                    rtol=1e-14, atol=1e-15)
-        columns = np.column_stack([op.matvec(e) for e in np.eye(nx * ny)])
-        np.testing.assert_allclose(columns, oracle, rtol=1e-14, atol=1e-15)
         q = rng.standard_normal(nx * ny)
         np.testing.assert_allclose(op.factorize(1)(q),
                                    np.linalg.solve(oracle, q), rtol=1e-12)
@@ -210,11 +208,24 @@ class TestConvergedState:
     def test_upscatter_on_default_layout_certifies(self):
         # One group pass per outer takes group 1's upscatter source from
         # the outer's starting iterate; the outer iteration converges
-        # the coupling (9 outers, certificate 3.6e-10 at 2%).
+        # the coupling (9 outers, certificate 1.9e-10 at 2%).
         mesh = build_mesh(GeometryConfig.default())
         xs = with_upscatter(default_cross_sections(), 0.02)
         sol = solve_diffusion(xs, mesh)
         assert eigen_residual(sol, xs) < ToleranceConfig().flux_tol
+
+    @pytest.mark.parametrize("max_outer", [1, 3, 5])
+    def test_stopped_solve_exceeds_tolerance(self, max_outer):
+        # The certificate detects non-convergence: on this test-lattice
+        # point the last iterate scored 1.6e-2, 5.4e-4 and 7.4e-7 after
+        # 1, 3 and 5 outers.
+        cfg = bench.ExperimentConfig.default()
+        xs = map_alpha_to_mu(materials.test_lattice()[0],
+                             cfg.cross_sections)
+        tol = replace(cfg.tolerances, max_outer=max_outer)
+        with pytest.raises(IterationLimitError) as err:
+            solve_diffusion(xs, build_mesh(cfg.geometry), tol)
+        assert eigen_residual(err.value.last_solution, xs) > tol.flux_tol
 
     def test_flux_nonnegative(self):
         mesh = build_mesh(GeometryConfig.default())
@@ -337,6 +348,14 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             ToleranceConfig(k_tol=0.0)
 
+    @pytest.mark.parametrize("tolerances", [
+        {"k_tol": "inf", "flux_tol": "inf"}, {"flux_tol": "inf"},
+        {"k_tol": "nan"}, {"flux_tol": "nan"}])
+    def test_nonfinite_tolerances_rejected(self, tolerances):
+        # Infinite ones stopped a default diffusion solve after 1 outer.
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            ToleranceConfig.from_dict(tolerances)
+
     def test_bad_vacuum_model_rejected(self):
         mesh = build_mesh(uniform_config(4, 4))
         with pytest.raises(ConfigurationError, match="vacuum_model"):
@@ -437,9 +456,8 @@ class TestFactorCache:
                                  "diffusion", "test")
         assert calls == [1, 2, 1, 2, 1, 2, 1]
 
-    def test_hit_assembles_no_operator(self, monkeypatch):
-        mesh, (a, _) = self.problems()
-        solve_diffusion(a, mesh)
+    @staticmethod
+    def count_assemblies(monkeypatch):
         built = []
         init = GroupOperator.__init__
 
@@ -448,8 +466,23 @@ class TestFactorCache:
             init(op, *args)
 
         monkeypatch.setattr(GroupOperator, "__init__", counting)
+        return built
+
+    def test_hit_assembles_no_operator(self, monkeypatch):
+        mesh, (a, _) = self.problems()
+        solve_diffusion(a, mesh)
+        built = self.count_assemblies(monkeypatch)
         solve_diffusion(a, mesh)
         assert built == []
+
+    def test_eigen_residual_after_its_solve_factorizes_nothing(
+            self, monkeypatch):
+        mesh, (a, _) = self.problems()
+        sol = solve_diffusion(a, mesh)
+        built = self.count_assemblies(monkeypatch)
+        calls = self.count_factorizations(monkeypatch)
+        assert eigen_residual(sol, a) < ToleranceConfig().flux_tol
+        assert built == [] and calls == []
 
 
 class TestAndersonMixing:

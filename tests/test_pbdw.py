@@ -245,6 +245,14 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(0.5, -0.1)
 
+    @pytest.mark.parametrize("beta_value", [0.5, 0.0])
+    @pytest.mark.parametrize("contribution", [
+        {"delta_n": math.nan}, {"eps_noise": math.nan},
+        {"eps_noise": math.inf}, {"eps_model": math.nan}])
+    def test_nonfinite_contribution_rejected(self, beta_value, contribution):
+        with pytest.raises(ValueError, match="finite"):
+            error_bound(beta_value, **{"delta_n": 0.1, **contribution})
+
 
 class TestWithPodBasis:
     def test_full_chain_exact_recovery(self):

@@ -193,3 +193,8 @@ class TestPerturbObservations:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             perturb_observations(np.ones(3), -0.1, seed=0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_nonfinite_noise_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            perturb_observations(np.ones(3), eps, seed=0)

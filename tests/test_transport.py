@@ -564,7 +564,7 @@ def inner_spectral_radius(monkeypatch, xs, mesh, quad, group, sweeps=40):
     shape = (mesh.ny, mesh.nx)
     start = np.random.default_rng(0).random(shape)
     with pytest.raises(IterationLimitError):
-        source_iteration(group, np.zeros(shape), start)
+        source_iteration(group, np.zeros(shape), start, 0.0)
     half = sweeps // 2
     return (norms[-1] / norms[half]) ** (1.0 / (sweeps - 1 - half))
 
