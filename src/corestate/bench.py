@@ -24,7 +24,9 @@ import json
 import logging
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .diffusion import power_map_diffusion, solve_diffusion
 from .eigen import ToleranceConfig
-from .errors import ConfigurationError, IterationLimitError
+from .errors import ConfigurationError, IterationLimitError, config_int
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
 from .materials import (CrossSectionSet, default_cross_sections,
                         map_alpha_to_mu, test_lattice, training_lattice)
@@ -70,8 +72,10 @@ LATTICES = ("training", "test")
 #: 10 (diffusion 5): the outer driver's in-place sources, one-dot
 #: fission integral and closed-form mixing fit round differently, and
 #: diffusion iterates in band cell order; 11: each group's sweep is one
-#: lower-triangular solve, its fresh reflective inflows matrix entries.
-SOLVER_REVISION = {"transport": 11, "diffusion": 5}
+#: lower-triangular solve, its fresh reflective inflows matrix entries;
+#: 12 (diffusion 6): the later points of a fission-scaling ray start
+#: from its first solution (`_solve_points`).
+SOLVER_REVISION = {"transport": 12, "diffusion": 6}
 
 #: Layout of a stored snapshot set, part of every snapshot signature:
 #: one `np.save` file of the (count, n_cells) float64 value matrix.  A
@@ -81,8 +85,9 @@ SNAPSHOT_STORE = "npy-matrix"
 SNAPSHOT_FILE = "snapshots.npy"
 
 #: The lattice centre, solved once per snapshot set; every lattice point
-#: starts from its solution.  One fixed parent, rather than a chain of
-#: neighbours, keeps each result independent of the worker count.
+#: starts from its solution or from its ray's first one (`_solve_points`).
+#: One fixed parent, rather than a chain of neighbours, keeps each result
+#: independent of the worker count.
 PARENT_ALPHA = (0.9,) * 5
 
 
@@ -149,14 +154,16 @@ class ExperimentConfig:
             geometry=geometry,
             cross_sections=xs,
             tolerances=ToleranceConfig.from_dict(d.get("tolerances", {})),
-            sn_order=int(d.get("sn_order", 4)),
+            sn_order=config_int(d.get("sn_order", 4), "sn_order"),
             scheme=d.get("scheme", "step"),
-            sensor_grid=(int(sensors.get("sx", 9)), int(sensors.get("sy", 6))),
-            n_range=tuple(int(v) for v in d.get("n_range", (1, 54))),
+            sensor_grid=(config_int(sensors.get("sx", 9), "sensors.sx"),
+                         config_int(sensors.get("sy", 6), "sensors.sy")),
+            n_range=tuple(config_int(v, "n_range")
+                          for v in d.get("n_range", (1, 54))),
             model_for_truth=d.get("model_for_truth", "transport"),
             output_dir=Path(d.get("output_dir", "bench_out")),
-            seed=int(d.get("seed", 0)),
-            threads=int(d.get("threads", 1)),
+            seed=config_int(d.get("seed", 0), "seed"),
+            threads=config_int(d.get("threads", 1), "threads"),
         )
 
     @staticmethod
@@ -184,15 +191,21 @@ class ExperimentConfig:
 
 def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig, sn_order: int = 4,
-                    scheme: str = "step", start=None):
+                    scheme: str = "step", start=None,
+                    keep_solution: bool = False):
     """Solve one criticality problem and return (k_eff, unit-norm power),
     starting from the solution `start` of a nearby problem when given
-    (see `solve_transport` and `solve_diffusion`)."""
+    (see `solve_transport` and `solve_diffusion`).  With `keep_solution`
+    return (k_eff, power, solution), the solution able to start another
+    solve (a transport one carries its angular flux)."""
     if model == "diffusion":
         sol = solve_diffusion(xs, mesh, tol, start=start)
     else:
         sol = solve_transport(xs, mesh, build_quadrature(sn_order), tol,
-                              scheme=scheme, start=start)
+                              scheme=scheme, retain_angular=keep_solution,
+                              start=start)
+    if keep_solution:
+        return sol.k_eff, _power_map(model, sol, xs), sol
     return sol.k_eff, _power_map(model, sol, xs)
 
 
@@ -229,21 +242,54 @@ def _solve_parent(cfg: ExperimentConfig, model: str, mesh: Mesh):
 
 
 def _solve_points(problem, points):
-    """Yield (index, k_eff, power values, error) of each (index, alpha)
-    in `points`, in order, solved from the parent solution of `problem`
-    = (model, cfg, mesh, parent).  A failed point yields the failure's
-    text as `error`, which the caller raises with the alpha of the
-    lowest failing index."""
-    model, cfg, mesh, parent = problem
+    """Yield (index, start, k_eff, power values, error) of each (index,
+    alpha) in `points`, in order, for `problem` = (model, cfg, mesh,
+    parent, converged), `converged` telling whether the parent solve
+    converged.
+
+    a4 and a5 only scale nuSf1 and nuSf2, so the points of one ray
+    (a1, a2, a3, a5 / a4) (equal floats) share their discrete
+    eigenvector, and their k_eff are in the ratio of their a4.  The
+    first point of a ray is solved from the parent, and each later one
+    from that first solution with k_eff scaled by the ratio of their
+    a4: an exact start, which the solver's own test passes after one
+    outer.  A converged parent is the first solution of its own ray.
+    Rays lie within one (a1, a2, a3) block, and only the current
+    block's first solutions are held: they are dropped before the next
+    block's first solve.  When a ray's first solve fails, its next point
+    is solved from the parent in its place.  `start` is the lattice
+    index of the solution a point's solve started from, -1 for the
+    parent.  A failed point yields the failure's text as `error`, which
+    the caller raises with the alpha of the lowest failing index."""
+    model, cfg, mesh, parent, converged = problem
+
+    def ray(alpha):
+        a1, a2, a3, a4, a5 = alpha
+        return a1, a2, a3, a5 / a4
+
+    counts = Counter(ray(alpha) for _, alpha in points)
+    block, firsts = None, {}  # ray: (index, a4, solution) of its first
     for index, alpha in points:
+        if alpha[:3] != block:
+            block, firsts = alpha[:3], {}
+            if converged:
+                firsts[ray(PARENT_ALPHA)] = (-1, PARENT_ALPHA[3], parent)
+        key = ray(alpha)
+        origin, start, keep = -1, parent, counts[key] > 1
+        if key in firsts:
+            origin, a4, start = firsts[key]
+            start = replace(start, k_eff=start.k_eff * (alpha[3] / a4))
+            keep = False
         try:
             xs = map_alpha_to_mu(alpha, cfg.cross_sections)
-            k_eff, power = solve_power_map(model, xs, mesh, cfg.tolerances,
-                                           cfg.sn_order, cfg.scheme,
-                                           start=parent)
-            result = index, k_eff, power.values, None
+            solved = solve_power_map(model, xs, mesh, cfg.tolerances,
+                                     cfg.sn_order, cfg.scheme, start=start,
+                                     keep_solution=keep)
+            if keep:
+                firsts[key] = (index, alpha[3], solved[2])
+            result = index, origin, solved[0], solved[1].values, None
         except Exception as exc:
-            result = index, None, None, f"{type(exc).__name__}: {exc}"
+            result = index, origin, None, None, f"{type(exc).__name__}: {exc}"
         yield result
 
 
@@ -296,9 +342,10 @@ def _solve_order(points):
     points share factors: by a2, which sets group 2's operators; then by
     (a1, a3), which set group 1's, reversed on every other a2 level so
     that a level starts on the pair the previous one ended on; then by
-    a4 and a5, which scale only fission.  A contiguous run of the order
-    shares factors the same way, so the pool hands out runs, not
-    points."""
+    a4 and a5, which scale only fission, so each (a1, a2, a3) block is
+    contiguous and starts with the smallest a4 of each of its rays.  A
+    contiguous run of the order shares factors the same way, so the pool
+    hands out runs of whole blocks, not points."""
     levels = sorted({alpha[1] for _, alpha in points})
 
     def key(point):
@@ -337,23 +384,28 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                        force: bool = False) -> tuple[SnapshotSet, dict]:
     """Solve the chosen model over a parameter lattice and persist the
     power maps with a manifest; reuse an existing set when its manifest
-    matches the current configuration.  Every point's solve starts from
-    the `PARENT_ALPHA` solution (`_solve_parent`), solved first; the
-    point at `PARENT_ALPHA` itself takes that solution when it
-    converged.  The other points are solved in `_solve_order`, which
-    only decides which cached factors are reused, not the values: on
-    one worker here, as one run; on `cfg.threads` workers cut into at
-    most that many contiguous runs of about equal length, one pool task
-    and one worker each.
+    matches the current configuration.  The `PARENT_ALPHA` solution
+    (`_solve_parent`) is solved first; the point at `PARENT_ALPHA`
+    itself takes that solution when it converged.  The other points are
+    solved in `_solve_order` by `_solve_points`, each from the parent
+    or from the first solution of its fission-scaling ray: on one
+    worker here, as one run; on `cfg.threads` workers cut into at most
+    that many contiguous runs of whole (a1, a2, a3) blocks and of about
+    equal length, one pool task and one worker each.  A ray lies within
+    a block, so a point's start, and its values, do not depend on the
+    worker count; the order only decides which cached factors are
+    reused.
 
     A set lives in `snapshots/<model>_<lattice>/` under the output
     directory: `snapshots.npy`, the C-order float64 (count, n_cells)
     matrix whose row i is lattice point i, and `manifest.json`, whose
-    `content_hash` is the sha256 of that matrix's bytes.  On one worker
-    each row is copied into the matrix as it is solved, so no second
-    copy of the set is made; pool workers return each run's rows as one
-    list.  A reused matrix is checked against the manifest
-    and read-only, and is the returned set's `matrix`.  Regenerating a
+    `content_hash` is the sha256 of that matrix's bytes; its `starts`
+    holds per point the lattice index of the solution its solve started
+    from, -1 for the parent (and for the parent's own point).  On one
+    worker each row is copied into the matrix as it is solved, so no
+    second copy of the set is made; pool workers return each run's rows
+    as one list.  A reused matrix is checked against the manifest and
+    read-only, and is the returned set's `matrix`.  Regenerating a
     set written in the earlier one-CSV-per-point layout deletes its
     `snapshot_NNN.csv` files.
 
@@ -383,6 +435,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     t0 = time.perf_counter()
     matrix = np.empty((len(alphas), mesh.n_cells))
     keffs = [0.0] * len(alphas)
+    starts = [-1] * len(alphas)
     failures = {}
     # The solves made here, like those of the pool workers, run BLAS on
     # one thread: the caller's count is restored afterwards.
@@ -397,19 +450,26 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                 keffs[index] = parent.k_eff
             else:
                 points.append((index, alpha))
-        problem, order = (model, cfg, mesh, parent), _solve_order(points)
-        workers = min(cfg.threads, len(order))
-        runs = [order[len(order) * i // workers:
-                      len(order) * (i + 1) // workers]
-                for i in range(workers)]
-        if workers > 1:
-            with Pool(workers, initializer=_one_blas_thread) as pool:
+        order = _solve_order(points)
+        blocks = [list(block) for _, block in
+                  groupby(order, key=lambda point: point[1][:3])]
+        workers = min(cfg.threads, len(blocks))
+        runs = [[] for _ in range(workers)]
+        cut = 0  # points before the block
+        for block in blocks:  # to the run its middle falls in
+            runs[(2 * cut + len(block)) * workers // (2 * len(order))] += block
+            cut += len(block)
+        runs = [run for run in runs if run]
+        problem = (model, cfg, mesh, parent, converged)
+        if len(runs) > 1:
+            with Pool(len(runs), initializer=_one_blas_thread) as pool:
                 solved = pool.map(_solve_run,
                                   [(problem, run) for run in runs])
         else:
             solved = [_solve_points(problem, run) for run in runs]
         for run in solved:
-            for index, k_eff, values, error in run:
+            for index, start, k_eff, values, error in run:
+                starts[index] = start
                 if error is not None:
                     failures[index] = error
                 else:
@@ -431,6 +491,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
         "count": len(snaps),
         "alphas": [list(a) for a in alphas],
         "k_eff": keffs,
+        "starts": starts,
         "content_hash": _content_hash(matrix),
         "field_manifest": {"nx": mesh.nx, "ny": mesh.ny,
                            "extent_x": mesh.extent_x,

@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateProblemError,
-                     IterationLimitError)
+                     IterationLimitError, config_int)
 
 #: Inner tolerance handed to `solve_group`, relative to the last outer
 #: flux change: transport's source iteration stops once its estimated
@@ -96,7 +96,7 @@ class ToleranceConfig:
         return ToleranceConfig(
             k_tol=float(d.get("k_tol", 1e-8)),
             flux_tol=float(d.get("flux_tol", 1e-7)),
-            max_outer=int(d.get("max_outer", 2000)))
+            max_outer=config_int(d.get("max_outer", 2000), "max_outer"))
 
     def to_dict(self) -> dict:
         return {"k_tol": self.k_tol, "flux_tol": self.flux_tol,

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer reader of
+every configuration loader."""
+
+import math
+from numbers import Integral
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +27,16 @@ class IterationLimitError(RuntimeError):
 
 class SingularOperatorError(RuntimeError):
     """A reconstruction operator is numerically rank deficient."""
+
+
+def config_int(value, name: str) -> int:
+    """`value` of the configuration field `name` as an int.  An integer
+    or an integral float (45.0, 1e3) is taken; anything else, a bool or
+    a string included, raises `ConfigurationError` naming the field,
+    rather than being truncated or failing as a bare `ValueError`."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and math.isfinite(value) \
+            and value.is_integer():
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")

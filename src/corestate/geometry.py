@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateProblemError
+from .errors import (ConfigurationError, DegenerateProblemError,
+                     config_int)
 
 BC_KINDS = ("reflective", "vacuum")
 
@@ -78,12 +79,14 @@ class GeometryConfig:
     def from_dict(d: dict) -> "GeometryConfig":
         regions = tuple(
             RegionBox(r["name"], tuple(float(v) for v in r["box"]),
-                      r.get("priority"))
+                      None if r.get("priority") is None
+                      else config_int(r["priority"], "priority"))
             for r in d["regions"])
         bc = BoundaryTags(**d.get("bc", {}))
         return GeometryConfig(
             extent_x=float(d["extent_x"]), extent_y=float(d["extent_y"]),
-            nx=int(d["nx"]), ny=int(d["ny"]), regions=regions, bc=bc)
+            nx=config_int(d["nx"], "nx"), ny=config_int(d["ny"], "ny"),
+            regions=regions, bc=bc)
 
     def to_dict(self) -> dict:
         return {

@@ -11,6 +11,11 @@ with the fission spectrum chi unchanged.  Transport totals are rebuilt
 from the balance  St_g = Sa_g + sum_g' Ss_{g->g'}  so that both models
 see the same perturbation.
 
+a4 and a5 scale only fission production, so scaling both by c scales
+k_eff by c and leaves the eigenvector, and with it the power map (made
+with the unscaled kappaSf), unchanged: the power map depends on
+(a4, a5) only through a5 / a4.
+
 Training and test parameter grids are full tensor lattices over the
 alpha components, enumerated in lexicographic order.
 """

@@ -1,8 +1,10 @@
 import ctypes
+import functools
 import hashlib
 import json
 import logging
 import shutil
+from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -33,11 +35,43 @@ from helpers import (orthonormal_fields, random_field, snapshot_set,
 #: content_hash of `small_config`'s test-lattice set per (model,
 #: SOLVER_REVISION[model]).
 PINNED_TEST_SET_HASHES = {
-    ("diffusion", 5):
-        "f54cda9535a25fb4506be7115738004986d5e749ffc592165a365688a7a6e6bc",
-    ("transport", 11):
-        "c5ead85d4b6482c17086c3c20a644351858989379722fd28e91b1ed9b12627e8",
+    ("diffusion", 6):
+        "f8d24ec6bff1e43c9af4019d14243f2cb02a3d697b1f632e9d6f0e16de3396c5",
+    ("transport", 12):
+        "c3810ede10e03d86af7323d4c17b516b967056e112a2776761f98644132a1df6",
 }
+
+
+def _default_geometry_dict() -> dict:
+    return ExperimentConfig.default().geometry.to_dict()
+
+
+def ray_started_rows(cfg, model, alphas):
+    """(power rows, starts) of `alphas` solved one by one in the given
+    order: each point from the parent, or, when an earlier point lies on
+    its ray (a1, a2, a3, a5 / a4), from that point's solution with k_eff
+    scaled by the ratio of their a4; a start is the index of that point
+    in `alphas`, -1 for the parent."""
+    mesh = build_mesh(cfg.geometry)
+    parent, _ = bench._solve_parent(cfg, model, mesh)
+    firsts, rows, starts = {}, [], []
+    for index, alpha in enumerate(alphas):
+        ray = (*alpha[:3], alpha[4] / alpha[3])
+        xs = map_alpha_to_mu(alpha, cfg.cross_sections)
+        solve = functools.partial(solve_power_map, model, xs, mesh,
+                                  cfg.tolerances, cfg.sn_order, cfg.scheme)
+        if ray in firsts:
+            first, sol = firsts[ray]
+            scaled = replace(sol,
+                             k_eff=sol.k_eff * (alpha[3] / alphas[first][3]))
+            rows.append(solve(start=scaled)[1].values)
+            starts.append(first)
+        else:
+            _, power, sol = solve(start=parent, keep_solution=True)
+            firsts[ray] = index, sol
+            rows.append(power.values)
+            starts.append(-1)
+    return np.stack(rows), starts
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -224,22 +258,17 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("model", ["diffusion", "transport"])
     def test_threads_do_not_change_results(self, tmp_path, model):
-        # One and two workers write what warm solves from the fixed
-        # parent, made here one by one, give.
-        cfg1 = small_config(tmp_path / "a", threads=1)
-        cfg2 = small_config(tmp_path / "b", threads=2)
-        _, m1 = generate_snapshots(cfg1, model, "test")
-        _, m2 = generate_snapshots(cfg2, model, "test")
-        mesh = build_mesh(cfg1.geometry)
-        parent, _ = bench._solve_parent(cfg1, model, mesh)
-        warm = np.stack([
-            solve_power_map(
-                model, map_alpha_to_mu(alpha, cfg1.cross_sections), mesh,
-                cfg1.tolerances, cfg1.sn_order, cfg1.scheme,
-                start=parent)[1].values
-            for alpha in materials.test_lattice()])
-        assert m1["content_hash"] == m2["content_hash"] \
-            == hashlib.sha256(warm.data).hexdigest()
+        # One, two and three workers write what solves made here one by
+        # one give, each from the fixed parent or from its ray's first
+        # solution, and record the same starts.
+        manifests = [generate_snapshots(
+            small_config(tmp_path / f"w{threads}", threads=threads), model,
+            "test")[1] for threads in (1, 2, 3)]
+        rows, starts = ray_started_rows(small_config(tmp_path), model,
+                                        materials.test_lattice())
+        assert [m["content_hash"] for m in manifests] \
+            == [hashlib.sha256(rows.data).hexdigest()] * 3
+        assert [m["starts"] for m in manifests] == [starts] * 3
 
     def test_parent_point_taken_from_the_parent(self, tmp_path,
                                                 monkeypatch):
@@ -266,6 +295,16 @@ class TestSnapshots:
         _, pooled = generate_snapshots(
             small_config(tmp_path / "b", threads=2), "diffusion", "training")
         assert pooled["content_hash"] == manifest["content_hash"]
+        # The parent is the first solution of its own ray: the points at
+        # a4 = a5 = 0.8 and 1.0 of its block start from it, those of the
+        # other blocks from their block's point at a4 = a5 = 0.8.
+        lattice = training_lattice()
+        starts = [lattice.index(alpha[:3] + (0.8, 0.8))
+                  if alpha[3] == alpha[4] != 0.8
+                  and alpha[:3] != bench.PARENT_ALPHA[:3] else -1
+                  for alpha in lattice]
+        assert manifest["starts"] == pooled["starts"] == starts
+        assert sum(start >= 0 for start in starts) == 52
 
     def test_pool_worker_runs_one_blas_thread(self):
         # A worker not forked from the caller's one-thread setting
@@ -307,14 +346,23 @@ class TestSnapshots:
         _, serial = generate_snapshots(small_config(tmp_path / "serial"),
                                        "diffusion", "test")
         monkeypatch.setattr(bench, "Pool", RecordingPool)
-        _, pooled = generate_snapshots(
-            small_config(tmp_path / "pooled", threads=64), "diffusion",
-            "test")
-        order = bench._solve_order(list(enumerate(materials.test_lattice())))
-        assert len(started) == 1 and started[0] <= 32
-        assert len(runs) == started[0] and all(runs)
-        assert sum(runs, []) == [index for index, _ in order]
-        assert pooled["content_hash"] == serial["content_hash"]
+        lattice = materials.test_lattice()
+        order = bench._solve_order(list(enumerate(lattice)))
+        for threads, workers in ((3, 3), (64, 8)):
+            started.clear()
+            runs.clear()
+            _, pooled = generate_snapshots(
+                small_config(tmp_path / f"pooled{threads}", threads=threads),
+                "diffusion", "test")
+            # No run splits an (a1, a2, a3) block: 8 blocks of 4 points.
+            assert started == [workers]
+            assert len(runs) == workers and all(runs)
+            assert sum(runs, []) == [index for index, _ in order]
+            blocks = [{lattice[i][:3] for i in run} for run in runs]
+            assert sum(len(b) for b in blocks) == 8
+            assert all(len(run) == 4 * len(b)
+                       for run, b in zip(runs, blocks))
+            assert pooled["content_hash"] == serial["content_hash"]
 
     def test_serial_solves_run_one_blas_thread(self, tmp_path,
                                                monkeypatch):
@@ -378,6 +426,29 @@ class TestSnapshots:
                 generate_snapshots(cfg, "diffusion", "test")
             assert str(info.value).startswith(
                 f"diffusion solve failed at alpha = {failing[1]}: ")
+
+    def test_failed_first_of_a_ray_leaves_its_next_point_to_the_parent(
+            self, tmp_path, monkeypatch):
+        # Test point 0 is the first of its ray, point 3 the later one.
+        cfg = small_config(tmp_path)
+        mesh = build_mesh(cfg.geometry)
+        parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
+        lattice = materials.test_lattice()
+        scale = bench.map_alpha_to_mu
+
+        def failing_scale(alpha, base):
+            if alpha == lattice[0]:
+                raise DegenerateProblemError("no solve")
+            return scale(alpha, base)
+
+        monkeypatch.setattr(bench, "map_alpha_to_mu", failing_scale)
+        points = [(i, lattice[i]) for i in (0, 1, 2, 3)]
+        results = list(bench._solve_points(
+            ("diffusion", cfg, mesh, parent, converged), points))
+        assert [(index, start) for index, start, *_ in results] \
+            == [(0, -1), (1, -1), (2, -1), (3, -1)]
+        assert results[0][4].startswith("DegenerateProblemError")
+        assert all(error is None for *_, error in results[1:])
 
     def test_unconverged_parent_starts_the_lattice_with_a_warning(
             self, tmp_path, monkeypatch):
@@ -471,6 +542,74 @@ def test_warm_test_points_match_tight_reference():
                         for s in (warm, ref))
         assert (np.max(np.abs(power - exact))
                 <= tol.flux_tol * np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("model", ["transport", "diffusion"])
+def test_ray_point_converges_in_one_outer_from_its_first(tmp_path, model):
+    # a4 and a5 only scale nuSf1 and nuSf2, so test points 0 and 3, at
+    # (a4, a5) = (0.85, 0.85) and (0.95, 0.95) on one ray, share their
+    # eigenvector and their k_eff are in the ratio of their a4: from the
+    # first's solution, k scaled, the later point's first outer passes.
+    cfg = small_config(tmp_path)
+    tol = cfg.tolerances
+    mesh = build_mesh(cfg.geometry)
+    parent, _ = bench._solve_parent(cfg, model, mesh)
+    first_alpha, alpha = (materials.test_lattice()[i] for i in (0, 3))
+    assert first_alpha[:3] == alpha[:3] and alpha[3] == alpha[4] != 0.85
+    first_xs, xs = (map_alpha_to_mu(a, cfg.cross_sections)
+                    for a in (first_alpha, alpha))
+    if model == "transport":
+        quad = build_quadrature(cfg.sn_order)
+
+        def solve(xs, start, **kwargs):
+            return solve_transport(xs, mesh, quad, tol, start=start, **kwargs)
+
+        power, residual = power_map_transport, transport_residual
+        first = solve(first_xs, parent, retain_angular=True)
+    else:
+        def solve(xs, start):
+            return solve_diffusion(xs, mesh, tol, start=start)
+
+        power, residual = power_map_diffusion, diffusion_residual
+        first = solve(first_xs, parent)
+    ratio = alpha[3] / first_alpha[3]
+    later = solve(xs, replace(first, k_eff=first.k_eff * ratio))
+    reference = solve(xs, parent)
+    assert later.iterations == 1 < reference.iterations
+    assert abs(later.k_eff / first.k_eff - ratio) <= tol.k_tol
+    maps = [power(s, xs).values for s in (later, reference)]
+    assert (np.max(np.abs(maps[0] - maps[1]))
+            <= tol.flux_tol * np.max(np.abs(maps[1])))
+    assert residual(later, xs) <= tol.flux_tol
+
+
+def test_snapshot_work_budget(tmp_path, monkeypatch):
+    # Solves made by `generate_snapshots` on the default lattices, the
+    # parents included.  With every point solved from the parent the
+    # transport test set took 239 outers and 548 sweeps, and diffusion
+    # 1,722 outers over both lattices; the later points of each ray
+    # (a1, a2, a3, a5 / a4), started from its first solution, take them
+    # to 190, 450 and 1,400.  Work counts do not depend on the machine,
+    # so a lost ray start fails here.
+    work = {"outers": 0, "sweeps": 0}
+
+    def counting(solve):
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            work["outers"] += sol.iterations
+            work["sweeps"] += getattr(sol, "sweeps", 0)
+            return sol
+        return counted
+
+    for name in ("solve_transport", "solve_diffusion"):
+        monkeypatch.setattr(bench, name, counting(getattr(bench, name)))
+    cfg = ExperimentConfig.default(output_dir=tmp_path, threads=1)
+    generate_snapshots(cfg, "transport", "test")
+    assert work["outers"] <= 195 and work["sweeps"] <= 460, work
+    work.update(outers=0, sweeps=0)
+    for lattice in ("training", "test"):
+        generate_snapshots(cfg, "diffusion", lattice)
+    assert work["outers"] <= 1410, work
 
 
 def test_transport_test_lattice_work_budget():
@@ -867,6 +1006,42 @@ class TestConfig:
     def test_scheme_and_order_validated(self, key, value, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("config, field", [
+        ({"threads": 2.7}, "threads"), ({"threads": True}, "threads"),
+        ({"seed": 3.9}, "seed"), ({"sn_order": 4.5}, "sn_order"),
+        ({"n_range": [1.5, 6.9]}, "n_range"),
+        ({"sensors": {"sx": 3.5}}, "sensors.sx"),
+        ({"sensors": {"sy": "6"}}, "sensors.sy"),
+        ({"tolerances": {"max_outer": 2.9}}, "max_outer"),
+        ({"tolerances": {"max_outer": "1e3"}}, "max_outer"),
+        ({"tolerances": {"max_outer": False}}, "max_outer"),
+        ({"geometry": {"nx": 45.5}}, "nx"),
+        ({"geometry": {"ny": None}}, "ny"),
+        ({"geometry": {"regions": [{"name": "Core", "box": [0, 15, 0, 15],
+                                    "priority": 1.5}]}}, "priority")])
+    def test_non_integral_integer_fields_rejected(self, config, field):
+        # Each integer field used to go through int(): 2.7 threads ran 2
+        # workers, True one, and "1e3" failed with a bare ValueError.  A
+        # region priority was taken as given.
+        if "geometry" in config:
+            config = {"geometry": {**_default_geometry_dict(),
+                                   **config["geometry"]}}
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be an integer, got "):
+            ExperimentConfig.from_dict(config)
+
+    def test_integral_floats_load_as_ints(self):
+        cfg = ExperimentConfig.from_dict({
+            "threads": 2.0, "seed": 3, "sn_order": 4.0, "n_range": [1.0, 6],
+            "tolerances": {"max_outer": 1e3},
+            "geometry": {**_default_geometry_dict(), "nx": 45.0}})
+        assert (cfg.threads, cfg.seed, cfg.sn_order, cfg.n_range,
+                cfg.tolerances.max_outer, cfg.geometry.nx) \
+            == (2, 3, 4, (1, 6), 1000, 45)
+        assert all(type(v) is int for v in (
+            cfg.threads, cfg.sn_order, *cfg.n_range,
+            cfg.tolerances.max_outer, cfg.geometry.nx))
 
     def test_default_config_is_aligned(self):
         cfg = ExperimentConfig.default()
