@@ -150,6 +150,10 @@ class ExperimentConfig:
         else:
             xs = default_cross_sections()
         sensors = d.get("sensors", {})
+        n_range = d.get("n_range", (1, 54))
+        if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2):
+            raise ConfigurationError(
+                f"n_range must be a pair of integers, got {n_range!r}")
         return ExperimentConfig(
             geometry=geometry,
             cross_sections=xs,
@@ -158,8 +162,7 @@ class ExperimentConfig:
             scheme=d.get("scheme", "step"),
             sensor_grid=(config_int(sensors.get("sx", 9), "sensors.sx"),
                          config_int(sensors.get("sy", 6), "sensors.sy")),
-            n_range=tuple(config_int(v, "n_range")
-                          for v in d.get("n_range", (1, 54))),
+            n_range=tuple(config_int(v, "n_range") for v in n_range),
             model_for_truth=d.get("model_for_truth", "transport"),
             output_dir=Path(d.get("output_dir", "bench_out")),
             seed=config_int(d.get("seed", 0), "seed"),
@@ -575,6 +578,23 @@ def _write_csv(path: Path, columns, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_report(cfg: ExperimentConfig, case: int, name: str, columns,
+                  rows: list, run_info: dict, label: str) -> ExperimentReport:
+    """Write `rows` to `<name>.csv` and `run_info` beside it, in
+    `<name>_run_info.json` with a `_report` suffix dropped from `name`
+    (case1_report.csv, case1_run_info.json), log the row count under
+    `label`, and return the report."""
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{name}.csv"
+    _write_csv(csv_path, columns, rows)
+    (out_dir / f"{name.removesuffix('_report')}_run_info.json").write_text(
+        json.dumps(run_info, indent=2, sort_keys=True) + "\n")
+    log.info("%s %d rows -> %s", label, len(rows), csv_path)
+    return ExperimentReport(case=case, rows=tuple(rows), csv_path=csv_path,
+                            run_info=run_info)
+
+
 def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext,
                  observations: np.ndarray, flags: list):
     """Yield (operator, relative errors (M, K) of the test set) for each
@@ -671,12 +691,6 @@ def run_case(cfg: ExperimentConfig, case: int,
             "eta_norm_mean": float(np.mean(np.linalg.norm(eta, axis=1))),
         })
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"case{case}_report.csv"
-    _write_csv(csv_path, REPORT_COLUMNS, rows)
-    save_observations(out_dir / f"case{case}_observations.csv", ctx.y_psi)
-
     run_info = {
         "case": case,
         "model_for_rom": "transport" if case == 1 else "diffusion",
@@ -695,11 +709,11 @@ def run_case(cfg: ExperimentConfig, case: int,
         "sensors": {"sx": cfg.sensor_grid[0], "sy": cfg.sensor_grid[1],
                     "m": cfg.sensor_grid[0] * cfg.sensor_grid[1]},
     }
-    (out_dir / f"case{case}_run_info.json").write_text(
-        json.dumps(run_info, indent=2, sort_keys=True) + "\n")
-    log.info("[case %d] %d rows -> %s", case, len(rows), csv_path)
-    return ExperimentReport(case=case, rows=tuple(rows), csv_path=csv_path,
-                            run_info=run_info)
+    report = _write_report(cfg, case, f"case{case}_report", REPORT_COLUMNS,
+                           rows, run_info, f"[case {case}]")
+    save_observations(report.csv_path.with_name(
+        f"case{case}_observations.csv"), ctx.y_psi)
+    return report
 
 
 def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
@@ -758,10 +772,6 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
                                      eps_model=ctx.eps_model),
             })
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "noise_sweep.csv"
-    _write_csv(csv_path, NOISE_COLUMNS, rows)
     run_info = {
         "eps_list": eps_list, "n_seeds": n_seeds,
         "eps_model": ctx.eps_model, "basis_rank": ctx.basis.n_max,
@@ -771,8 +781,5 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
                       "reconstruction": time.perf_counter() - t_draws,
                       "total": time.perf_counter() - t_start},
     }
-    (out_dir / "noise_sweep_run_info.json").write_text(
-        json.dumps(run_info, indent=2, sort_keys=True) + "\n")
-    log.info("[noise] %d rows -> %s", len(rows), csv_path)
-    return ExperimentReport(case=2, rows=tuple(rows), csv_path=csv_path,
-                            run_info=run_info)
+    return _write_report(cfg, 2, "noise_sweep", NOISE_COLUMNS, rows,
+                         run_info, "[noise]")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +78,16 @@ class GeometryConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "GeometryConfig":
-        regions = tuple(
-            RegionBox(r["name"], tuple(float(v) for v in r["box"]),
-                      None if r.get("priority") is None
-                      else config_int(r["priority"], "priority"))
-            for r in d["regions"])
+        """Load a geometry config; a missing key or a region box that is
+        not 4 numbers raises `ConfigurationError` naming the field."""
+        regions = tuple(_region_from_dict(r, i) for i, r in
+                        enumerate(_required(d, "regions", "geometry")))
         bc = BoundaryTags(**d.get("bc", {}))
         return GeometryConfig(
-            extent_x=float(d["extent_x"]), extent_y=float(d["extent_y"]),
-            nx=config_int(d["nx"], "nx"), ny=config_int(d["ny"], "ny"),
+            extent_x=float(_required(d, "extent_x", "geometry")),
+            extent_y=float(_required(d, "extent_y", "geometry")),
+            nx=config_int(_required(d, "nx", "geometry"), "nx"),
+            ny=config_int(_required(d, "ny", "geometry"), "ny"),
             regions=regions, bc=bc)
 
     def to_dict(self) -> dict:
@@ -99,6 +101,26 @@ class GeometryConfig:
             "bc": {"xmin": self.bc.xmin, "xmax": self.bc.xmax,
                    "ymin": self.bc.ymin, "ymax": self.bc.ymax},
         }
+
+
+def _required(d: dict, key: str, where: str):
+    try:
+        return d[key]
+    except KeyError:
+        raise ConfigurationError(f"{where} is missing {key!r}") from None
+
+
+def _region_from_dict(r: dict, index: int) -> RegionBox:
+    name = _required(r, "name", f"geometry region {index}")
+    box = _required(r, "box", f"region {name!r}")
+    if not (isinstance(box, (list, tuple)) and len(box) == 4
+            and all(isinstance(v, Real) and not isinstance(v, bool)
+                    for v in box)):
+        raise ConfigurationError(f"region {name!r} box must be 4 numbers "
+                                 f"(x0, x1, y0, y1), got {box!r}")
+    return RegionBox(name, tuple(float(v) for v in box),
+                     None if r.get("priority") is None
+                     else config_int(r["priority"], "priority"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,9 +31,8 @@ down to 1e-9, and a change below 1e-9 always stops.  Accelerated groups
 (rho ~ 0.2) then take one sweep per outer, while slowly contracting
 ones iterate until their error, not just their last change, is small.
 `eigen_residual` certifies a returned eigenpair by one more outer step
-with its inners at 1e-9 (`eigen.certificate`).  The neutron balance a
-solution reports is taken from each group's last sweep of the
-iteration, so it costs no sweep.
+with its inners at 1e-9 (`eigen.certificate`); it is the solver's one
+convergence report.
 
 The source iteration is diffusion-synthetic accelerated (Adams & Larsen,
 Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
@@ -57,7 +56,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -176,15 +175,8 @@ class TransportSolution:
     `iterations` counts the outer steps and `sweeps` all sweeps of
     both groups.  `quadrature_order` and `scheme` are those of the
     solve, and `angular_flux` (with `retain_angular` only) each group's
-    angular flux, shaped (directions, ny, nx).
-
-    `balance_residual` compares production with removal plus vacuum
-    leakage in each group's last sweep of the iteration (the larger of
-    the two), its outgoing face fluxes taken before the DSA correction.
-    The step and diamond sweeps both conserve neutrons for any source,
-    so this is an identity of the sweep: it stays near round-off
-    whether or not the outer iteration has converged.  `eigen_residual`
-    is the convergence check.
+    angular flux, shaped (directions, ny, nx).  `eigen_residual`
+    certifies the eigenpair.
     """
 
     k_eff: float
@@ -192,7 +184,6 @@ class TransportSolution:
     iterations: int
     sweeps: int
     residual: float
-    balance_residual: float
     quadrature_order: int
     scheme: str
     angular_flux: tuple[np.ndarray, np.ndarray] | None = None
@@ -459,10 +450,7 @@ class _GroupSweeper:
 
     def sweep(self, emission2d: np.ndarray) -> np.ndarray:
         """One full sweep over all directions with the isotropic angular
-        emission density `emission2d`; returns the scalar flux (ny, nx).
-
-        The sweep keeps its emission, scalar flux and solve vector for
-        `balance_residual`; `correct` and `scale` change none of them."""
+        emission density `emission2d`; returns the scalar flux (ny, nx)."""
         rhs = np.append(emission2d * self.mesh.cell_area,
                         0.0)[self._system.src]
         if self._lag is not None:
@@ -472,21 +460,7 @@ class _GroupSweeper:
         self.x = self._lu.solve(rhs)
         phi = (self.quad.weight @ self.x[self._system.rank].reshape(
             self.quad.n_directions, -1)).reshape(self.mesh.ny, self.mesh.nx)
-        self._last = (emission2d, phi, self.x)
         return phi
-
-    def balance_residual(self, sigt2d: np.ndarray) -> float:
-        """|production - removal - vacuum leakage| / production of the
-        last sweep, with cell totals `sigt2d`: production is its
-        emission, removal sigma_t times its scalar flux, and leakage
-        leaves through its outgoing face fluxes."""
-        emission, phi, x = self._last
-        area = self.mesh.cell_area
-        prod = FOUR_PI * float(emission.sum()) * area
-        loss = float((sigt2d * phi).sum() * area) + _vacuum_leakage(
-            self.mesh, self.quad, x[self._system.x_out_pos],
-            x[self._system.y_out_pos])
-        return abs(prod - loss) / prod
 
     def correct(self, delta: np.ndarray):
         """Add the isotropic flux correction `delta` (ny, nx) / 4 pi to
@@ -500,23 +474,6 @@ class _GroupSweeper:
         # Owed: only `psi` and lagged inflows read `x` before a sweep.
         self._factor *= factor
         self._lag_fix *= factor
-
-
-def _vacuum_leakage(mesh: Mesh, quad: AngularQuadrature, out_x: np.ndarray,
-                    out_y: np.ndarray) -> float:
-    """Net outflow through the sides tagged vacuum (inflow there is zero),
-    from the per-direction outgoing boundary face fluxes."""
-    leak = 0.0
-    w = quad.weight
-    for side, omega, out, face, sign in (
-            ("xmax", quad.omega_x, out_x, mesh.dy, 1.0),
-            ("xmin", quad.omega_x, out_x, mesh.dy, -1.0),
-            ("ymax", quad.omega_y, out_y, mesh.dx, 1.0),
-            ("ymin", quad.omega_y, out_y, mesh.dx, -1.0)):
-        if getattr(mesh.bc, side) == "vacuum":
-            m = sign * omega > 0
-            leak += face * np.sum((w[m] * (sign * omega[m]))[:, None] * out[m])
-    return float(leak)
 
 
 def _dsa_factor(mesh: Mesh, sigt2d: np.ndarray, sigs2d: np.ndarray,
@@ -647,8 +604,8 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     """
     quad = quad or build_quadrature(4)
     tol = tol or ToleranceConfig()
-    (sigma_t, sigma_s, nusf, chi), sweepers, source_iteration = \
-        _group_solvers(xs, mesh, quad, scheme)
+    (_, sigma_s, nusf, chi), sweepers, source_iteration = _group_solvers(
+        xs, mesh, quad, scheme)
     if start is not None:
         _check_start(start, mesh, quad, scheme)
         for sweeper, psi in zip(sweepers, start.angular_flux):
@@ -665,17 +622,15 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
         return TransportSolution(
             k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
             iterations, sum(s.sweeps for s in sweepers), residual,
-            balance_residual=np.nan, quadrature_order=quad.order,
-            scheme=scheme, angular_flux=tuple(s.psi for s in sweepers)
+            quadrature_order=quad.order, scheme=scheme,
+            angular_flux=tuple(s.psi for s in sweepers)
             if retain_angular else None)
 
-    sol = power_iteration(
+    return power_iteration(
         source_iteration, nusf, chi, inscatter, tol, "transport", solution,
         volume=area, rescale=rescale, start=None if start is None else (
             start.k_eff, [f.values.reshape(mesh.ny, mesh.nx)
                           for f in start.scalar_flux]))
-    return replace(sol, balance_residual=max(
-        s.balance_residual(sigma_t[g]) for g, s in enumerate(sweepers)))
 
 
 def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,

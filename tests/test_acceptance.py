@@ -16,7 +16,8 @@ from corestate.materials import default_cross_sections
 from corestate.pbdw import assemble, reconstruct
 from corestate.rom import pod
 from corestate.sensing import build_sensors, observe_psi
-from corestate.transport import build_quadrature, solve_transport, sweep_direction
+from corestate.transport import (build_quadrature, eigen_residual,
+                                 solve_transport, sweep_direction)
 
 from helpers import homogeneous_problem, uniform_config
 from test_diffusion import infinite_medium_k as diffusion_k_oracle
@@ -128,8 +129,9 @@ def test_criterion_4_solver_oracles(pipeline):
     default_mesh = build_mesh(pipeline["cfg"].geometry)
     bsol = solve_transport(default_cross_sections(), default_mesh,
                            build_quadrature(4))
-    checks.append((bsol.balance_residual < 1e-6,
-                   f"neutron balance residual {bsol.balance_residual:.2e}"))
+    certified = eigen_residual(bsol, default_cross_sections())
+    checks.append((certified < ToleranceConfig().flux_tol,
+                   f"transport convergence certificate {certified:.2e}"))
 
     sigma_t, omega = 0.8, (0.6, 0.45)
     errors = []

@@ -405,7 +405,8 @@ class TestSnapshots:
         bad = small_config(
             tmp_path, tolerances=ToleranceConfig(k_tol=1e-14,
                                                  flux_tol=1e-14, max_outer=1))
-        with pytest.raises(RuntimeError, match=r"alpha = \(0\.8"):
+        with pytest.raises(RuntimeError, match=r"alpha = \(0\.8"), \
+                pytest.warns(RuntimeWarning, match="did not converge"):
             generate_snapshots(bad, "diffusion", "test")
         # Test points 6 (a2 = 0.85) and 26 (a2 = 0.95) fail.  Two
         # workers take one a2 level each, so the failures come from
@@ -997,6 +998,10 @@ class TestConfig:
     def test_n_range_validated(self, tmp_path):
         with pytest.raises(ConfigurationError, match="n_range"):
             small_config(tmp_path, n_range=(1, 7))  # m = 6
+        for value in ([1, 2, 3], 5):
+            with pytest.raises(ConfigurationError,
+                               match=r"^n_range must be a pair of integers"):
+                ExperimentConfig.from_dict({"n_range": value})
 
     @pytest.mark.parametrize("key, value, match", [
         ("scheme", "diamnod", "scheme 'diamnod'"),

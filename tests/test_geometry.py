@@ -95,6 +95,26 @@ class TestBuildMesh:
         again = GeometryConfig.from_dict(config.to_dict())
         assert again == config
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("regions", None, "geometry is missing 'regions'"),
+        ("extent_x", None, "geometry is missing 'extent_x'"),
+        ("ny", None, "geometry is missing 'ny'"),
+        ("name", None, "geometry region 0 is missing 'name'"),
+        ("box", None, "region 'Core' is missing 'box'"),
+        ("box", [0.0, 15.0, 0.0], "region 'Core' box must be 4 numbers"),
+        ("box", [0.0, 15.0, 0.0, "15"], "region 'Core' box must be 4 numbers"),
+        ("box", "0 15", "region 'Core' box must be 4 numbers"),
+        ("box", 15.0, "region 'Core' box must be 4 numbers")])
+    def test_missing_or_malformed_field_named(self, key, value, match):
+        d = GeometryConfig.default().to_dict()
+        target = d if key in d else d["regions"][0]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ConfigurationError, match=f"^{match}"):
+            GeometryConfig.from_dict(d)
+
 
 class TestInnerProduct:
     def test_constant_one_gives_domain_area(self):
