@@ -24,7 +24,6 @@ import json
 import logging
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from multiprocessing import Pool
@@ -33,11 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import power_map_diffusion, solve_diffusion
-from .eigen import ToleranceConfig
+from .eigen import FissionSpan, ToleranceConfig
 from .errors import ConfigurationError, IterationLimitError, config_int
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
-from .materials import (CrossSectionSet, default_cross_sections,
-                        map_alpha_to_mu, test_lattice, training_lattice)
+from .materials import (CrossSectionSet, cell_values,
+                        default_cross_sections, map_alpha_to_mu,
+                        test_lattice, training_lattice)
 from .pbdw import (assemble, error_bound, reconstruct_batch,
                    reconstruct_coordinates)
 from .rom import ReducedBasis, SnapshotSet, delta_curves, pod
@@ -74,8 +74,10 @@ LATTICES = ("training", "test")
 #: diffusion iterates in band cell order; 11: each group's sweep is one
 #: lower-triangular solve, its fresh reflective inflows matrix entries;
 #: 12 (diffusion 6): the later points of a fission-scaling ray start
-#: from its first solution (`_solve_points`).
-SOLVER_REVISION = {"transport": 12, "diffusion": 6}
+#: from its first solution; 13 (diffusion 7): every point starts from the
+#: Rayleigh-Ritz pair of its (a1, a2, a3) block's solutions
+#: (`_solve_points`).
+SOLVER_REVISION = {"transport": 13, "diffusion": 7}
 
 #: Layout of a stored snapshot set, part of every snapshot signature:
 #: one `np.save` file of the (count, n_cells) float64 value matrix.  A
@@ -84,9 +86,11 @@ SOLVER_REVISION = {"transport": 12, "diffusion": 6}
 SNAPSHOT_STORE = "npy-matrix"
 SNAPSHOT_FILE = "snapshots.npy"
 
-#: The lattice centre, solved once per snapshot set; every lattice point
-#: starts from its solution or from its ray's first one (`_solve_points`).
-#: One fixed parent, rather than a chain of neighbours, keeps each result
+#: The lattice centre, solved once per snapshot set.  A lattice point
+#: starts from it until its (a1, a2, a3) block has a solution, and then
+#: from the Ritz pair of the block's solutions (`_solve_points`), the
+#: parent among them in its own block.  Starts that depend only on the
+#: block, rather than on a chain of neighbours, keep each result
 #: independent of the worker count.
 PARENT_ALPHA = (0.9,) * 5
 
@@ -250,50 +254,72 @@ def _solve_points(problem, points):
     parent, converged), `converged` telling whether the parent solve
     converged.
 
-    a4 and a5 only scale nuSf1 and nuSf2, so the points of one ray
-    (a1, a2, a3, a5 / a4) (equal floats) share their discrete
-    eigenvector, and their k_eff are in the ratio of their a4.  The
-    first point of a ray is solved from the parent, and each later one
-    from that first solution with k_eff scaled by the ratio of their
-    a4: an exact start, which the solver's own test passes after one
-    outer.  A converged parent is the first solution of its own ray.
-    Rays lie within one (a1, a2, a3) block, and only the current
-    block's first solutions are held: they are dropped before the next
-    block's first solve.  When a ray's first solve fails, its next point
-    is solved from the parent in its place.  `start` is the lattice
-    index of the solution a point's solve started from, -1 for the
-    parent.  A failed point yields the failure's text as `error`, which
-    the caller raises with the alpha of the lowest failing index."""
+    a4 and a5 only scale nuSf1 and nuSf2, so the points of one (a1, a2,
+    a3) block differ only in nuSf, and each starts from the
+    Rayleigh-Ritz pair (`eigen.FissionSpan`) of the block's solutions
+    solved so far: those that span the block's fission sources within
+    10 flux_tol, the parent among them when it converged and lies in the
+    block.  A point on the ray (a1, a2, a3, a5 / a4) of a solved point
+    gets that point's eigenvector back, within the span's cut, a start
+    the solver's own test passes after one outer.  A point with no
+    spanning solution yet, or whose Ritz pair is not a usable start,
+    starts from the parent.  Only the current block's solutions are
+    held.  `start` lists the
+    sorted lattice indices of the solutions a point's start is made
+    from, [-1] for the parent (which is also its index when it spans).
+    A failed point adds nothing to its block's span and yields the
+    failure's text as `error`, which the caller raises with the alpha of
+    the lowest failing index."""
     model, cfg, mesh, parent, converged = problem
-
-    def ray(alpha):
-        a1, a2, a3, a4, a5 = alpha
-        return a1, a2, a3, a5 / a4
-
-    counts = Counter(ray(alpha) for _, alpha in points)
-    block, firsts = None, {}  # ray: (index, a4, solution) of its first
+    # The base set's fission production, whose groups a4 and a5 scale.
+    nusf = cell_values(cfg.cross_sections, mesh, "nu_sigma_f")[0].reshape(
+        2, -1)
+    block = None
     for index, alpha in points:
         if alpha[:3] != block:
-            block, firsts = alpha[:3], {}
-            if converged:
-                firsts[ray(PARENT_ALPHA)] = (-1, PARENT_ALPHA[3], parent)
-        key = ray(alpha)
-        origin, start, keep = -1, parent, counts[key] > 1
-        if key in firsts:
-            origin, a4, start = firsts[key]
-            start = replace(start, k_eff=start.k_eff * (alpha[3] / a4))
-            keep = False
+            block, span, spanning = alpha[:3], FissionSpan(
+                nusf, 10 * cfg.tolerances.flux_tol), []
+            if converged and block == PARENT_ALPHA[:3] and span.add(
+                    parent.k_eff, _fluxes(model, parent), PARENT_ALPHA[3:]):
+                spanning.append((-1, parent))
+        origin = [-1]
         try:
             xs = map_alpha_to_mu(alpha, cfg.cross_sections)
-            solved = solve_power_map(model, xs, mesh, cfg.tolerances,
-                                     cfg.sn_order, cfg.scheme, start=start,
-                                     keep_solution=keep)
-            if keep:
-                firsts[key] = (index, alpha[3], solved[2])
-            result = index, origin, solved[0], solved[1].values, None
+            ritz = span.ritz(alpha[3:])
+            start = parent
+            if ritz is not None:
+                start = _combine(model, mesh, span, spanning, *ritz)
+                origin = sorted(i for i, _ in spanning)
+            k_eff, power, sol = solve_power_map(
+                model, xs, mesh, cfg.tolerances, cfg.sn_order, cfg.scheme,
+                start=start, keep_solution=True)
+            if span.add(k_eff, _fluxes(model, sol), alpha[3:]):
+                spanning.append((index, sol))
+            result = index, origin, k_eff, power.values, None
         except Exception as exc:
             result = index, origin, None, None, f"{type(exc).__name__}: {exc}"
         yield result
+
+
+def _fluxes(model: str, sol) -> np.ndarray:
+    """The (2, n_cells) group scalar fluxes of a solution."""
+    return np.array([f.values for f in (
+        sol.phi if model == "diffusion" else sol.scalar_flux)])
+
+
+def _combine(model: str, mesh: Mesh, span: FissionSpan, spanning, k_eff,
+             weights):
+    """The start k = `k_eff`, fluxes `weights` @ those of the spanning
+    solutions (`FissionSpan.ritz`), transport's angular fluxes combined
+    the same way."""
+    first = spanning[0][1]
+    phi = (weights @ span.phi.reshape(len(span), -1)).reshape(2, -1)
+    phi = (Field(mesh, phi[0]), Field(mesh, phi[1]))
+    if model == "diffusion":
+        return replace(first, k_eff=k_eff, phi=phi)
+    return replace(first, k_eff=k_eff, scalar_flux=phi, angular_flux=tuple(
+        sum(w * sol.angular_flux[g] for w, (_, sol) in zip(weights, spanning))
+        for g in range(2)))
 
 
 def _solve_run(task) -> list:
@@ -346,9 +372,8 @@ def _solve_order(points):
     (a1, a3), which set group 1's, reversed on every other a2 level so
     that a level starts on the pair the previous one ended on; then by
     a4 and a5, which scale only fission, so each (a1, a2, a3) block is
-    contiguous and starts with the smallest a4 of each of its rays.  A
-    contiguous run of the order shares factors the same way, so the pool
-    hands out runs of whole blocks, not points."""
+    contiguous.  A contiguous run of the order shares factors the same
+    way, so the pool hands out runs of whole blocks, not points."""
     levels = sorted({alpha[1] for _, alpha in points})
 
     def key(point):
@@ -391,26 +416,26 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     (`_solve_parent`) is solved first; the point at `PARENT_ALPHA`
     itself takes that solution when it converged.  The other points are
     solved in `_solve_order` by `_solve_points`, each from the parent
-    or from the first solution of its fission-scaling ray: on one
-    worker here, as one run; on `cfg.threads` workers cut into at most
-    that many contiguous runs of whole (a1, a2, a3) blocks and of about
-    equal length, one pool task and one worker each.  A ray lies within
-    a block, so a point's start, and its values, do not depend on the
-    worker count; the order only decides which cached factors are
-    reused.
+    or from the Rayleigh-Ritz pair of the solutions solved before it in
+    its (a1, a2, a3) block: on one worker here, as one run; on
+    `cfg.threads` workers cut into at most that many contiguous runs of
+    whole blocks and of about equal length, one pool task and one
+    worker each.  A start depends only on its block, so a point's
+    start, and its values, do not depend on the worker count; the order
+    only decides which cached factors are reused.
 
     A set lives in `snapshots/<model>_<lattice>/` under the output
     directory: `snapshots.npy`, the C-order float64 (count, n_cells)
     matrix whose row i is lattice point i, and `manifest.json`, whose
     `content_hash` is the sha256 of that matrix's bytes; its `starts`
-    holds per point the lattice index of the solution its solve started
-    from, -1 for the parent (and for the parent's own point).  On one
-    worker each row is copied into the matrix as it is solved, so no
-    second copy of the set is made; pool workers return each run's rows
-    as one list.  A reused matrix is checked against the manifest and
-    read-only, and is the returned set's `matrix`.  Regenerating a
-    set written in the earlier one-CSV-per-point layout deletes its
-    `snapshot_NNN.csv` files.
+    holds per point the sorted lattice indices of the block solutions
+    that span its start, [-1] for the parent (and for the parent's own
+    point).  On one worker each row is copied into the matrix as it is
+    solved, so no second copy of the set is made; pool workers return
+    each run's rows as one list.  A reused matrix is checked against the
+    manifest and read-only, and is the returned set's `matrix`.
+    Regenerating a set written in the earlier one-CSV-per-point layout
+    deletes its `snapshot_NNN.csv` files.
 
     Returns (snapshots, manifest).
     """
@@ -438,7 +463,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     t0 = time.perf_counter()
     matrix = np.empty((len(alphas), mesh.n_cells))
     keffs = [0.0] * len(alphas)
-    starts = [-1] * len(alphas)
+    starts = [[-1] for _ in alphas]
     failures = {}
     # The solves made here, like those of the pool workers, run BLAS on
     # one thread: the caller's count is restored afterwards.

@@ -50,6 +50,10 @@ more outer step from it with k frozen, each group solved through the
 solver's own group solve at its tightest inner tolerance.  The
 certificate is of the order of the outer changes a solve still had to
 make, so one stopped early scores well above its tolerances.
+
+Problems that differ only in a per-group scaling of their fission
+production start from the Rayleigh-Ritz pair of each other's solutions
+(`FissionSpan`).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgeev
 
 from .errors import (ConfigurationError, DegenerateProblemError,
                      IterationLimitError, config_int)
@@ -320,3 +325,106 @@ def certificate(solve_group: Callable, nusf: Sequence[np.ndarray],
     source_change = float(np.max(np.abs(new / ratio - fission))
                           / np.max(np.abs(fission)))
     return max(source_change, abs(ratio - 1.0))
+
+
+class FissionSpan:
+    """Rayleigh-Ritz starts (Saad 2011, ch. 4) for eigenproblems that
+    differ only in a per-group scaling s of their fission production,
+    s_g nuSf_g.
+
+    Such problems share the map L^-1 chi from a fission source to the
+    fluxes it drives, so a solved eigenpair (k_i, phi_i), whose fission
+    source is F_i = sum_g s_i,g nuSf_g phi_i,g, gives that map on F_i:
+    L^-1 chi F_i = k_i phi_i.  Another problem p, whose eigenpair is
+    the dominant one of its fission-source operator M_p = (s_p nuSf)
+    L^-1 chi, therefore has M_p F_i = k_i sum_g s_p,g nuSf_g phi_i,g at
+    no cost.
+
+    `add` keeps an orthonormal basis Q of span{F_i}, grown by one
+    vector per solution whose F_i leaves the span by more than
+    `rank_tol` relative to its norm, and `ritz` takes the largest Ritz
+    pair (theta, y) of H = Q^T M_p Q.  Q is held as `t` @ F of the
+    spanning solutions (`t` upper triangular), so the Ritz vector Q y
+    is sum_i c_i F_i with c = t^T y, and the start it gives is
+    sum_i c_i k_i phi_i / theta with k = theta.  A span holding an exact
+    eigenvector of M_p, such as the solution of a problem whose s is a
+    multiple of p's, gives that eigenpair back.  The products of Q with
+    each solution's group productions nuSf_g phi_i,g are kept, so a
+    Ritz pair costs only operations on matrices of the span's size.
+    `nusf` and the fluxes are (2, n) arrays, group first; the spanning
+    solutions' fluxes are stacked in `phi`, (count, 2, n)."""
+
+    def __init__(self, nusf: np.ndarray, rank_tol: float):
+        self.nusf, self.rank_tol = nusf, rank_tol
+        n = nusf.shape[1]
+        self.k = np.empty(0)
+        self.phi = np.empty((0, 2, n))
+        self.production = np.empty((0, 2, n))  # nusf_g phi_i,g
+        self.q = np.empty((0, n))  # orthonormal rows
+        self.t = np.empty((0, 0))  # q = t @ (F of the spanning solutions)
+        self.tk = self.t  # t_ji k_i
+        # q_l . nusf_g phi_i,g, and the cell sums of q_l and of the
+        # group productions.
+        self.q_production = np.empty((0, 0, 2))
+        self.q_sums = np.empty(0)
+        self.production_sums = np.empty((0, 2))
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def add(self, k: float, phi: np.ndarray, scale) -> bool:
+        """Add the solution (k, phi) of the problem with group scaling
+        `scale` when its fission source leaves the span by more than
+        `rank_tol` (classical Gram-Schmidt, the new basis vector
+        orthogonalized twice); return whether it was added."""
+        production = self.nusf * phi
+        f = scale[0] * production[0] + scale[1] * production[1]
+        h = self.q @ f
+        w = f - h @ self.q
+        if not w @ w > self.rank_tol**2 * (f @ f):
+            return False
+        step = self.q @ w
+        w -= step @ self.q
+        h += step
+        rest = math.sqrt(w @ w)
+        m = len(self)
+        t = np.zeros((m + 1, m + 1))
+        t[:m, :m] = self.t
+        t[m, :m] = -(h @ self.t) / rest
+        t[m, m] = 1.0 / rest
+        self.t = t
+        self.q = np.concatenate([self.q, w[None] / rest])
+        self.k = np.append(self.k, k)
+        self.tk = t * self.k
+        self.phi = np.concatenate([self.phi, phi[None]])
+        self.production = np.concatenate([self.production, production[None]])
+        self.q_production = (self.q @ self.production.reshape(
+            2 * (m + 1), -1).T).reshape(m + 1, m + 1, 2)
+        self.q_sums = self.q.sum(axis=1)
+        self.production_sums = self.production.sum(axis=2)
+        return True
+
+    def ritz(self, scale):
+        """(theta, weights) of the problem with group scaling `scale`:
+        its start is k = theta, phi = weights @ `phi`.  None when the
+        span is empty, when theta is not real, finite and positive, or
+        when the start's fission integral is not positive; the Ritz
+        vector's sign is taken to give its fission source a positive
+        cell sum."""
+        if not len(self):
+            return None
+        h = (self.q_production @ scale) @ self.tk.T  # Q^T M_p Q
+        if not np.isfinite(h).all():
+            return None
+        real, imag, _, vectors, info = dgeev(h, compute_vl=0)
+        j = int(np.argmax(real))
+        theta = float(real[j])
+        if info or imag[j] != 0 or not 0 < theta < math.inf:
+            return None
+        y = vectors[:, j]
+        if y @ self.q_sums < 0:
+            y = -y
+        weights = (y @ self.tk) / theta
+        if not (weights @ self.production_sums) @ scale > 0:
+            return None
+        return theta, weights

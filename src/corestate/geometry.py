@@ -13,7 +13,7 @@ sits at flat index ``j * nx + i``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Real
 from pathlib import Path
 
@@ -78,17 +78,26 @@ class GeometryConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "GeometryConfig":
-        """Load a geometry config; a missing key or a region box that is
-        not 4 numbers raises `ConfigurationError` naming the field."""
+        """Load a geometry config; a missing key, an extent that is not a
+        number, a `bc` side other than xmin, xmax, ymin and ymax, a region
+        that is not an object or a region box that is not 4 numbers
+        raises `ConfigurationError` naming the field."""
         regions = tuple(_region_from_dict(r, i) for i, r in
                         enumerate(_required(d, "regions", "geometry")))
-        bc = BoundaryTags(**d.get("bc", {}))
+        bc = d.get("bc", {})
+        unknown = sorted(set(bc) - {f.name for f in fields(BoundaryTags)})
+        if unknown:
+            raise ConfigurationError(
+                f"geometry bc has unknown sides {unknown}: expected xmin, "
+                "xmax, ymin and ymax")
         return GeometryConfig(
-            extent_x=float(_required(d, "extent_x", "geometry")),
-            extent_y=float(_required(d, "extent_y", "geometry")),
+            extent_x=_number(_required(d, "extent_x", "geometry"),
+                             "extent_x"),
+            extent_y=_number(_required(d, "extent_y", "geometry"),
+                             "extent_y"),
             nx=config_int(_required(d, "nx", "geometry"), "nx"),
             ny=config_int(_required(d, "ny", "geometry"), "ny"),
-            regions=regions, bc=bc)
+            regions=regions, bc=BoundaryTags(**bc))
 
     def to_dict(self) -> dict:
         return {
@@ -110,7 +119,17 @@ def _required(d: dict, key: str, where: str):
         raise ConfigurationError(f"{where} is missing {key!r}") from None
 
 
+def _number(value, name: str) -> float:
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"geometry {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _region_from_dict(r: dict, index: int) -> RegionBox:
+    if not isinstance(r, dict):
+        raise ConfigurationError(
+            f"geometry region {index} must be an object, got {r!r}")
     name = _required(r, "name", f"geometry region {index}")
     box = _required(r, "box", f"region {name!r}")
     if not (isinstance(box, (list, tuple)) and len(box) == 4

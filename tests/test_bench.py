@@ -1,10 +1,8 @@
 import ctypes
-import functools
 import hashlib
 import json
 import logging
 import shutil
-from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -18,16 +16,17 @@ from corestate.diffusion import ToleranceConfig
 from corestate.diffusion import eigen_residual as diffusion_residual
 from corestate.diffusion import power_map_diffusion, solve_diffusion
 from corestate.errors import ConfigurationError, DegenerateProblemError
+from corestate.eigen import FissionSpan
 from corestate.geometry import Field, GeometryConfig, build_mesh
-from corestate.materials import (default_cross_sections, map_alpha_to_mu,
-                                 training_lattice)
+from corestate.materials import (cell_values, default_cross_sections,
+                                 map_alpha_to_mu, training_lattice)
 from corestate.pbdw import reconstruct_batch
 from corestate.rom import ReducedBasis
 from corestate.sensing import build_sensors, observe, perturb_observations
 from corestate.transport import eigen_residual as transport_residual
 from corestate.transport import (build_quadrature, power_map_transport,
                                  solve_transport)
-from corestate import bench, cli, materials
+from corestate import bench, cli, eigen, materials
 from helpers import (orthonormal_fields, random_field, snapshot_set,
                      uniform_config)
 
@@ -35,43 +34,15 @@ from helpers import (orthonormal_fields, random_field, snapshot_set,
 #: content_hash of `small_config`'s test-lattice set per (model,
 #: SOLVER_REVISION[model]).
 PINNED_TEST_SET_HASHES = {
-    ("diffusion", 6):
-        "f8d24ec6bff1e43c9af4019d14243f2cb02a3d697b1f632e9d6f0e16de3396c5",
-    ("transport", 12):
-        "c3810ede10e03d86af7323d4c17b516b967056e112a2776761f98644132a1df6",
+    ("diffusion", 7):
+        "5eb5b076ab818f8ef50865b9274eaf47c4011d3324a7578fbf9ed1170a8d0018",
+    ("transport", 13):
+        "91f7e56a4aa97be20913d4fe70a315b8279a3f30fd1dcb100eb3d20c53a5cf19",
 }
 
 
 def _default_geometry_dict() -> dict:
     return ExperimentConfig.default().geometry.to_dict()
-
-
-def ray_started_rows(cfg, model, alphas):
-    """(power rows, starts) of `alphas` solved one by one in the given
-    order: each point from the parent, or, when an earlier point lies on
-    its ray (a1, a2, a3, a5 / a4), from that point's solution with k_eff
-    scaled by the ratio of their a4; a start is the index of that point
-    in `alphas`, -1 for the parent."""
-    mesh = build_mesh(cfg.geometry)
-    parent, _ = bench._solve_parent(cfg, model, mesh)
-    firsts, rows, starts = {}, [], []
-    for index, alpha in enumerate(alphas):
-        ray = (*alpha[:3], alpha[4] / alpha[3])
-        xs = map_alpha_to_mu(alpha, cfg.cross_sections)
-        solve = functools.partial(solve_power_map, model, xs, mesh,
-                                  cfg.tolerances, cfg.sn_order, cfg.scheme)
-        if ray in firsts:
-            first, sol = firsts[ray]
-            scaled = replace(sol,
-                             k_eff=sol.k_eff * (alpha[3] / alphas[first][3]))
-            rows.append(solve(start=scaled)[1].values)
-            starts.append(first)
-        else:
-            _, power, sol = solve(start=parent, keep_solution=True)
-            firsts[ray] = index, sol
-            rows.append(power.values)
-            starts.append(-1)
-    return np.stack(rows), starts
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -258,17 +229,29 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("model", ["diffusion", "transport"])
     def test_threads_do_not_change_results(self, tmp_path, model):
-        # One, two and three workers write what solves made here one by
-        # one give, each from the fixed parent or from its ray's first
-        # solution, and record the same starts.
+        # One, two and three workers write the same bytes and record the
+        # same starts.  A start is the parent's, or is made from
+        # solutions of the point's own (a1, a2, a3) block solved before
+        # it in `_solve_order`: all but the first point of each of the
+        # 8 blocks of 4 start from their block.
         manifests = [generate_snapshots(
             small_config(tmp_path / f"w{threads}", threads=threads), model,
             "test")[1] for threads in (1, 2, 3)]
-        rows, starts = ray_started_rows(small_config(tmp_path), model,
-                                        materials.test_lattice())
-        assert [m["content_hash"] for m in manifests] \
-            == [hashlib.sha256(rows.data).hexdigest()] * 3
-        assert [m["starts"] for m in manifests] == [starts] * 3
+        matrices = [np.load(tmp_path / f"w{threads}" / "snapshots"
+                            / f"{model}_test" / "snapshots.npy").tobytes()
+                    for threads in (1, 2, 3)]
+        assert matrices[1:] == matrices[:1] * 2
+        starts = manifests[0]["starts"]
+        assert [m["starts"] for m in manifests[1:]] == [starts] * 2
+        lattice = materials.test_lattice()
+        rank = {index: position for position, (index, _) in enumerate(
+            bench._solve_order(list(enumerate(lattice))))}
+        for index, start in enumerate(starts):
+            assert start == sorted(start) and start
+            assert start == [-1] or all(
+                lattice[i][:3] == lattice[index][:3]
+                and rank[i] < rank[index] for i in start)
+        assert sum(start != [-1] for start in starts) == 24
 
     def test_parent_point_taken_from_the_parent(self, tmp_path,
                                                 monkeypatch):
@@ -286,7 +269,8 @@ class TestSnapshots:
         parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
         monkeypatch.setattr(bench, "solve_power_map", recording)
         snaps, manifest = generate_snapshots(cfg, "diffusion", "training")
-        index = training_lattice().index(bench.PARENT_ALPHA)
+        lattice = training_lattice()
+        index = lattice.index(bench.PARENT_ALPHA)
         assert converged and len(solved) == 242
         assert manifest["k_eff"][index] == parent.k_eff
         xs = map_alpha_to_mu(bench.PARENT_ALPHA, cfg.cross_sections)
@@ -295,16 +279,18 @@ class TestSnapshots:
         _, pooled = generate_snapshots(
             small_config(tmp_path / "b", threads=2), "diffusion", "training")
         assert pooled["content_hash"] == manifest["content_hash"]
-        # The parent is the first solution of its own ray: the points at
-        # a4 = a5 = 0.8 and 1.0 of its block start from it, those of the
-        # other blocks from their block's point at a4 = a5 = 0.8.
-        lattice = training_lattice()
-        starts = [lattice.index(alpha[:3] + (0.8, 0.8))
-                  if alpha[3] == alpha[4] != 0.8
-                  and alpha[:3] != bench.PARENT_ALPHA[:3] else -1
-                  for alpha in lattice]
-        assert manifest["starts"] == pooled["starts"] == starts
-        assert sum(start >= 0 for start in starts) == 52
+        assert pooled["starts"] == manifest["starts"]
+        # The parent spans the starts of its own block, and no other: a
+        # block's first point starts from the parent, and every later
+        # one from its block's solutions.
+        starts = manifest["starts"]
+        own = [i for i, alpha in enumerate(lattice)
+               if alpha[:3] == bench.PARENT_ALPHA[:3]]
+        assert starts[index] == [-1]
+        assert all(starts[i][0] == -1 for i in own)
+        others = [start for i, start in enumerate(starts) if i not in own]
+        assert others.count([-1]) == 26
+        assert all(-1 not in start for start in others if start != [-1])
 
     def test_pool_worker_runs_one_blas_thread(self):
         # A worker not forked from the caller's one-thread setting
@@ -430,7 +416,9 @@ class TestSnapshots:
 
     def test_failed_first_of_a_ray_leaves_its_next_point_to_the_parent(
             self, tmp_path, monkeypatch):
-        # Test point 0 is the first of its ray, point 3 the later one.
+        # Test points 0-3 are one block, solved in this order.  Point 0
+        # fails and adds nothing to the block's span, so point 1 starts
+        # from the parent and the later ones from point 1 and on.
         cfg = small_config(tmp_path)
         mesh = build_mesh(cfg.geometry)
         parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
@@ -447,7 +435,7 @@ class TestSnapshots:
         results = list(bench._solve_points(
             ("diffusion", cfg, mesh, parent, converged), points))
         assert [(index, start) for index, start, *_ in results] \
-            == [(0, -1), (1, -1), (2, -1), (3, -1)]
+            == [(0, [-1]), (1, [-1]), (2, [1]), (3, [1, 2])]
         assert results[0][4].startswith("DegenerateProblemError")
         assert all(error is None for *_, error in results[1:])
 
@@ -546,52 +534,87 @@ def test_warm_test_points_match_tight_reference():
 
 
 @pytest.mark.parametrize("model", ["transport", "diffusion"])
-def test_ray_point_converges_in_one_outer_from_its_first(tmp_path, model):
-    # a4 and a5 only scale nuSf1 and nuSf2, so test points 0 and 3, at
-    # (a4, a5) = (0.85, 0.85) and (0.95, 0.95) on one ray, share their
-    # eigenvector and their k_eff are in the ratio of their a4: from the
-    # first's solution, k scaled, the later point's first outer passes.
+def test_block_point_converges_from_its_ritz_start(tmp_path, model):
+    # a4 and a5 only scale nuSf1 and nuSf2, so the points of the training
+    # block (0.8, 0.8, 0.8) share every other operator.  After its points
+    # at (a4, a5) = (0.8, 0.8), (0.8, 0.9) and (0.8, 1.0), three rays,
+    # the point (0.9, 0.9), on the first one's ray, and (0.9, 0.8), on a
+    # new ray, start from the Ritz pair of the three and pass within two
+    # outers, where a start from the parent takes more.
     cfg = small_config(tmp_path)
     tol = cfg.tolerances
     mesh = build_mesh(cfg.geometry)
     parent, _ = bench._solve_parent(cfg, model, mesh)
-    first_alpha, alpha = (materials.test_lattice()[i] for i in (0, 3))
-    assert first_alpha[:3] == alpha[:3] and alpha[3] == alpha[4] != 0.85
-    first_xs, xs = (map_alpha_to_mu(a, cfg.cross_sections)
-                    for a in (first_alpha, alpha))
+    nusf = cell_values(cfg.cross_sections, mesh, "nu_sigma_f")[0]
+    span = FissionSpan(nusf.reshape(2, -1), 10 * tol.flux_tol)
+    spanning = []
+
+    def solve(scale, start):
+        xs = map_alpha_to_mu((0.8,) * 3 + scale, cfg.cross_sections)
+        return xs, solve_power_map(model, xs, mesh, tol, cfg.sn_order,
+                                   cfg.scheme, start=start,
+                                   keep_solution=True)[2]
+
+    for index, scale in enumerate([(0.8, 0.8), (0.8, 0.9), (0.8, 1.0)]):
+        _, sol = solve(scale, parent)
+        assert span.add(sol.k_eff, bench._fluxes(model, sol), scale)
+        spanning.append((index, sol))
     if model == "transport":
-        quad = build_quadrature(cfg.sn_order)
-
-        def solve(xs, start, **kwargs):
-            return solve_transport(xs, mesh, quad, tol, start=start, **kwargs)
-
         power, residual = power_map_transport, transport_residual
-        first = solve(first_xs, parent, retain_angular=True)
     else:
-        def solve(xs, start):
-            return solve_diffusion(xs, mesh, tol, start=start)
-
         power, residual = power_map_diffusion, diffusion_residual
-        first = solve(first_xs, parent)
-    ratio = alpha[3] / first_alpha[3]
-    later = solve(xs, replace(first, k_eff=first.k_eff * ratio))
-    reference = solve(xs, parent)
-    assert later.iterations == 1 < reference.iterations
-    assert abs(later.k_eff / first.k_eff - ratio) <= tol.k_tol
-    maps = [power(s, xs).values for s in (later, reference)]
-    assert (np.max(np.abs(maps[0] - maps[1]))
-            <= tol.flux_tol * np.max(np.abs(maps[1])))
-    assert residual(later, xs) <= tol.flux_tol
+    for scale in [(0.9, 0.8), (0.9, 0.9)]:
+        start = bench._combine(model, mesh, span, spanning,
+                               *span.ritz(scale))
+        xs, sol = solve(scale, start)
+        _, reference = solve(scale, parent)
+        assert sol.iterations <= 2 < reference.iterations
+        assert abs(sol.k_eff - reference.k_eff) <= tol.k_tol
+        maps = [power(s, xs).values for s in (sol, reference)]
+        assert (np.max(np.abs(maps[0] - maps[1]))
+                <= tol.flux_tol * np.max(np.abs(maps[1])))
+        assert residual(sol, xs) <= tol.flux_tol
+    # The same-ray point, solved last, has its fission source in the
+    # span already.
+    assert not span.add(sol.k_eff, bench._fluxes(model, sol), (0.9, 0.9))
+
+
+@pytest.mark.parametrize("real, imag", [(1.1, 0.2), (-1.1, 0.0)])
+def test_unusable_ritz_value_falls_back_to_the_parent(tmp_path, monkeypatch,
+                                                      real, imag):
+    # A complex or negative Ritz value is no start: every point of a
+    # test block then starts from the parent, and gives what a solve
+    # from the parent gives.
+    def eigenpairs(h, compute_vl=0):
+        n = len(h)
+        return np.full(n, real), np.full(n, imag), None, np.eye(n), 0
+
+    monkeypatch.setattr(eigen, "dgeev", eigenpairs)
+    cfg = small_config(tmp_path)
+    mesh = build_mesh(cfg.geometry)
+    parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
+    lattice = materials.test_lattice()
+    results = list(bench._solve_points(
+        ("diffusion", cfg, mesh, parent, converged),
+        [(i, lattice[i]) for i in (0, 1, 2, 3)]))
+    assert [start for _, start, *_ in results] == [[-1]] * 4
+    for index, _, k_eff, values, error in results:
+        xs = map_alpha_to_mu(lattice[index], cfg.cross_sections)
+        expected = solve_power_map("diffusion", xs, mesh, cfg.tolerances,
+                                   start=parent)
+        assert error is None and k_eff == expected[0]
+        assert values.tobytes() == expected[1].values.tobytes()
 
 
 def test_snapshot_work_budget(tmp_path, monkeypatch):
     # Solves made by `generate_snapshots` on the default lattices, the
     # parents included.  With every point solved from the parent the
     # transport test set took 239 outers and 548 sweeps, and diffusion
-    # 1,722 outers over both lattices; the later points of each ray
-    # (a1, a2, a3, a5 / a4), started from its first solution, take them
-    # to 190, 450 and 1,400.  Work counts do not depend on the machine,
-    # so a lost ray start fails here.
+    # 1,722 outers over both lattices; with the later points of each ray
+    # (a1, a2, a3, a5 / a4) started from its first solution 190, 450 and
+    # 1,400.  Every point started from the Ritz pair of its (a1, a2, a3)
+    # block's solutions takes them to 163, 408 and 718.  Work counts do
+    # not depend on the machine, so a lost Ritz start fails here.
     work = {"outers": 0, "sweeps": 0}
 
     def counting(solve):
@@ -606,11 +629,11 @@ def test_snapshot_work_budget(tmp_path, monkeypatch):
         monkeypatch.setattr(bench, name, counting(getattr(bench, name)))
     cfg = ExperimentConfig.default(output_dir=tmp_path, threads=1)
     generate_snapshots(cfg, "transport", "test")
-    assert work["outers"] <= 195 and work["sweeps"] <= 460, work
+    assert work["outers"] <= 170 and work["sweeps"] <= 415, work
     work.update(outers=0, sweeps=0)
     for lattice in ("training", "test"):
         generate_snapshots(cfg, "diffusion", lattice)
-    assert work["outers"] <= 1410, work
+    assert work["outers"] <= 740, work
 
 
 def test_transport_test_lattice_work_budget():

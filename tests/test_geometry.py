@@ -104,7 +104,10 @@ class TestBuildMesh:
         ("box", [0.0, 15.0, 0.0], "region 'Core' box must be 4 numbers"),
         ("box", [0.0, 15.0, 0.0, "15"], "region 'Core' box must be 4 numbers"),
         ("box", "0 15", "region 'Core' box must be 4 numbers"),
-        ("box", 15.0, "region 'Core' box must be 4 numbers")])
+        ("box", 15.0, "region 'Core' box must be 4 numbers"),
+        ("extent_x", "wide", "geometry extent_x must be a number"),
+        ("bc", {"left": "vacuum"}, "geometry bc has unknown sides"),
+        ("regions", ["Core"], "geometry region 0 must be an object")])
     def test_missing_or_malformed_field_named(self, key, value, match):
         d = GeometryConfig.default().to_dict()
         target = d if key in d else d["regions"][0]
