@@ -434,8 +434,6 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     solved, so no second copy of the set is made; pool workers return
     each run's rows as one list.  A reused matrix is checked against the
     manifest and read-only, and is the returned set's `matrix`.
-    Regenerating a set written in the earlier one-CSV-per-point layout
-    deletes its `snapshot_NNN.csv` files.
 
     Returns (snapshots, manifest).
     """
@@ -527,8 +525,6 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
                              + "\n")
-    for stale in directory.glob("snapshot_[0-9][0-9][0-9].csv"):
-        stale.unlink()  # the earlier one-CSV-per-point layout
     log.info("[snapshots] %s/%s done in %.1f s", model, lattice,
              time.perf_counter() - t0)
     return snaps, manifest

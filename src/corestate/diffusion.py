@@ -57,19 +57,8 @@ class GroupOperator:
     with harmonic-mean interface D, boundary losses, Sa * area) in LAPACK
     upper band storage, `band[w + i - j, j] = A[i, j]`.  Cells are
     numbered along the shorter mesh side (row-major when nx <= ny,
-    column-major otherwise), so the half-bandwidth w is min(nx, ny).
-    The solve `factorize` returns takes and gives cells in natural
-    order, flat or as (ny, nx) arrays; one laid out in band order in
-    memory (the transpose of a C-ordered `_band_view`) is handed to
-    LAPACK without a copy."""
-
-    @staticmethod
-    def key(mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
-            vacuum_model: str) -> tuple:
-        """Everything the matrix is built from, D and Sa as bytes:
-        operators with equal keys have equal matrices."""
-        return (mesh.nx, mesh.ny, mesh.dx, mesh.dy, mesh.bc, vacuum_model,
-                d2d.tobytes(), sigma_a2d.tobytes())
+    column-major otherwise, as `_band_view` lays them out), so the
+    half-bandwidth w is min(nx, ny)."""
 
     def __init__(self, mesh: Mesh, d2d: np.ndarray, sigma_a2d: np.ndarray,
                  vacuum_model: str):
@@ -90,8 +79,7 @@ class GroupOperator:
                 self.closed, dv = False, d2d[cells]
                 diag[cells] += face_len * 2.0 * dv / (
                     (4.0 * dv if vacuum_model == "robin" else 0.0) + delta)
-        self.shape, self.transposed = (mesh.ny, mesh.nx), mesh.nx > mesh.ny
-        if self.transposed:  # the axis along the band rows goes first
+        if mesh.nx > mesh.ny:  # the axis along the band rows goes first
             diag, tx, ty = diag.T, ty.T, tx.T
         w = diag.shape[1]
         self.band = np.zeros((w + 1, diag.size))
@@ -101,9 +89,8 @@ class GroupOperator:
 
     def factorize(self, group: int):
         """Band Cholesky (LAPACK dpbtrf); returns `solve(q)` (dpbtrs) for
-        natural-order cells `q`, flat or (ny, nx), giving the shape of
-        `q`.  Raises `DegenerateProblemError` naming `group` when the
-        matrix is singular or indefinite."""
+        a flat band-order vector `q`.  Raises `DegenerateProblemError`
+        naming `group` when the matrix is singular or indefinite."""
         factor, info = dpbtrf(self.band)
         # A closed matrix is singular, but round-off can pass its pivots.
         if self.closed or info:
@@ -113,26 +100,19 @@ class GroupOperator:
                 f"group {group} diffusion operator is not positive "
                 f"definite ({why})")
         # The solve holds the factor alone, not the operator's band.
-        shape, transposed = self.shape, self.transposed
-        return lambda q: _from_band(
-            dpbtrs(factor, _to_band(q, shape, transposed))[0], shape,
-            transposed, q.shape)
+        return lambda q: dpbtrs(factor, q)[0]
 
 
-def _to_band(x: np.ndarray, shape, transposed: bool) -> np.ndarray:
-    """Natural-order cells, flat or of the (ny, nx) `shape`, as a flat
-    band-order vector (`GroupOperator`): a view when `x` is laid out in
-    band order."""
-    x = x.reshape(shape)
-    return (x.T if transposed else x).ravel()
-
-
-def _from_band(y: np.ndarray, shape, transposed: bool,
-               out_shape) -> np.ndarray:
-    """The flat band-order vector `y` as natural-order cells of
-    `out_shape`, flat or the (ny, nx) `shape`: a view when (ny, nx)."""
-    y = y.reshape(shape[::-1] if transposed else shape)
-    return (y.T if transposed else y).reshape(out_shape)
+def group_factor(kind: str, group: int, mesh: Mesh, d2d: np.ndarray,
+                 sigma_a2d: np.ndarray, vacuum_model: str = "robin"):
+    """The band-order solve of `group`'s `GroupOperator` (D `d2d`, Sa
+    `sigma_a2d`, both (ny, nx)), from `eigen.cached_factors` under
+    `kind`, keyed on everything the matrix is built from, so equal keys
+    give equal matrices; the operator is assembled only on a miss."""
+    key = (mesh.nx, mesh.ny, mesh.dx, mesh.dy, mesh.bc, vacuum_model,
+           d2d.tobytes(), sigma_a2d.tobytes())
+    return cached_factors(kind, group, key, lambda: GroupOperator(
+        mesh, d2d, sigma_a2d, vacuum_model).factorize(group))
 
 
 def _group_solves(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
@@ -140,9 +120,8 @@ def _group_solves(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
     (nusf, chi, inscatter), a pair each, and `solve_group(g, q, phi_g,
     inner_tol)` that `power_iteration` calls, all in band cell order
     (`_band_view`).  Each group is solved directly by band Cholesky of
-    its `GroupOperator`, factorized once for a run of solves with equal
-    matrices (`eigen.cached_factors`) and assembled only when
-    factorized."""
+    its `GroupOperator` (`group_factor`), factorized once for a run of
+    solves with equal matrices and assembled only when factorized."""
     if vacuum_model not in VACUUM_MODELS:
         raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
     d, sigma_a, sigma_s, nu_sigma_f, chi = cell_values(
@@ -150,15 +129,11 @@ def _group_solves(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
     if (d <= 0).any():
         raise ConfigurationError("diffusion needs D > 0 in every region")
 
-    def factor(g):
-        key = GroupOperator.key(mesh, d[g], sigma_a[g], vacuum_model)
-        return cached_factors("diffusion", g + 1, key, lambda: GroupOperator(
-            mesh, d[g], sigma_a[g], vacuum_model).factorize(g + 1))
-
-    solves = [factor(0), factor(1)]
+    solves = [group_factor("diffusion", g + 1, mesh, d[g], sigma_a[g],
+                           vacuum_model) for g in range(2)]
 
     def solve_group(g, q, _phi, _tol):
-        return _band_view(mesh, solves[g](_band_view(mesh, q)))
+        return solves[g](q.ravel()).reshape(q.shape)
 
     area = mesh.cell_area
     pairs = ((nu_sigma_f[0] * area, nu_sigma_f[1] * area), (chi[0], chi[1]),

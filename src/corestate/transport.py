@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .diffusion import GroupOperator, group_power_map
+from .diffusion import _band_view, group_factor, group_power_map
 from .eigen import (ToleranceConfig, cached_factors, certificate,
                     power_iteration, save_solution)
 from .errors import ConfigurationError, IterationLimitError
@@ -478,20 +478,21 @@ class _GroupSweeper:
 
 def _dsa_factor(mesh: Mesh, sigt2d: np.ndarray, sigs2d: np.ndarray,
                 group: int):
-    """Band-Cholesky solve of one group's DSA correction, or None when
-    the group's thickest cell exceeds `_DSA_MAX_MFP`, from
-    `eigen.cached_factors`.  The operator is -div D grad + (sigma_t -
-    sigma_s,gg), D = 1 / (3 sigma_t), as a `diffusion.GroupOperator`
-    with Robin vacuum sides."""
-    def build():
-        if float(sigt2d.max()) * max(mesh.dx, mesh.dy) > _DSA_MAX_MFP:
-            return None
-        return GroupOperator(mesh, 1.0 / (3.0 * sigt2d), sigt2d - sigs2d,
-                             "robin").factorize(group)
+    """Solve of one group's DSA correction on (ny, nx) cells, or None
+    (nothing factorized) when its thickest cell exceeds `_DSA_MAX_MFP`.
+    The operator -div D grad + (sigma_t - sigma_s,gg), D = 1 / (3
+    sigma_t), Robin vacuum, is `diffusion.group_factor`'s, whose band
+    cell order (`diffusion._band_view`) each solve permutes to and back."""
+    if float(sigt2d.max()) * max(mesh.dx, mesh.dy) > _DSA_MAX_MFP:
+        return None
+    solve = group_factor("dsa", group, mesh, 1.0 / (3.0 * sigt2d),
+                         sigt2d - sigs2d)
 
-    key = (mesh.nx, mesh.ny, mesh.dx, mesh.dy, mesh.bc, sigt2d.tobytes(),
-           sigs2d.tobytes())
-    return cached_factors("dsa", group, key, build)
+    def dsa(r):
+        band = _band_view(mesh, r)
+        return _band_view(mesh, solve(band.ravel()).reshape(band.shape))
+
+    return dsa
 
 
 def _group_solvers(xs: CrossSectionSet, mesh: Mesh,

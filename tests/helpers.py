@@ -73,6 +73,31 @@ def default_lattice_problem(index):
     return cfg, mesh, xs
 
 
+def finite_volume_oracle(mesh, d, sigma_a, vacuum_model):
+    """Dense 5-point matrix in natural cell order, built cell by cell:
+    each face conducts face_length / (series resistance), where a half
+    cell contributes h / (2 D), and a vacuum face adds the Marshak
+    resistance 2 (Robin, J = phi_b / 2) or nothing (phi_b = 0)."""
+    nx, ny, dx, dy = mesh.nx, mesh.ny, mesh.dx, mesh.dy
+    a = np.zeros((mesh.n_cells, mesh.n_cells))
+    faces = ((1, 0, "xmax", dx, dy), (-1, 0, "xmin", dx, dy),
+             (0, 1, "ymax", dy, dx), (0, -1, "ymin", dy, dx))
+    for j in range(ny):
+        for i in range(nx):
+            c = j * nx + i
+            a[c, c] += sigma_a[j, i] * dx * dy
+            for di, dj, side, h, face in faces:
+                ii, jj = i + di, j + dj
+                if 0 <= ii < nx and 0 <= jj < ny:
+                    t = face / (h / (2 * d[j, i]) + h / (2 * d[jj, ii]))
+                    a[c, c] += t
+                    a[c, jj * nx + ii] -= t
+                elif getattr(mesh.bc, side) == "vacuum":
+                    marshak = 2.0 if vacuum_model == "robin" else 0.0
+                    a[c, c] += face / (h / (2 * d[j, i]) + marshak)
+    return a
+
+
 def random_field(mesh, rng, positive=False) -> Field:
     values = rng.standard_normal(mesh.n_cells)
     if positive:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corestate import bench, eigen, transport
+from corestate import bench, diffusion, eigen, transport
 from corestate.diffusion import ToleranceConfig
 from corestate.errors import (ConfigurationError, DegenerateProblemError,
                               IterationLimitError)
@@ -17,9 +17,9 @@ from corestate.transport import (AngularQuadrature, build_quadrature,
                                  eigen_residual, power_map_transport,
                                  solve_transport, sweep_direction)
 
-from helpers import (SharedCounts, default_lattice_problem, fuel_xs,
-                     homogeneous_problem, reflective_bc, uniform_config,
-                     with_upscatter)
+from helpers import (SharedCounts, default_lattice_problem,
+                     finite_volume_oracle, fuel_xs, homogeneous_problem,
+                     reflective_bc, uniform_config, with_upscatter)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -747,7 +747,7 @@ class TestFactorCache:
         this process and in the pool workers it forks."""
         calls = SharedCounts(("sweep", "dsa"))
         for kind, owner in (("sweep", transport._SweepBlock),
-                            ("dsa", transport.GroupOperator)):
+                            ("dsa", diffusion.GroupOperator)):
             def counting(*args, kind=kind, factorize=owner.factorize):
                 calls.add(kind)
                 return factorize(*args)
@@ -832,6 +832,53 @@ class TestFactorCache:
         calls = self.count_factorizations(monkeypatch)
         assert eigen_residual(sol, a) < ToleranceConfig().flux_tol
         assert calls == {"sweep": 0, "dsa": 0}
+
+
+class TestDSAFactor:
+    """A group's DSA solve (`transport._dsa_factor`) on (ny, nx) cells,
+    against the dense finite-volume matrix of its diffusion operator."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(eigen, "_FACTOR_SETS", {})
+
+    @staticmethod
+    def thin_group(nx, ny, seed):
+        """A 3 x 5 cm mesh with mixed sides and random cross sections
+        below `_DSA_MAX_MFP` in every cell."""
+        bc = BoundaryTags(xmin="vacuum", xmax="reflective",
+                          ymin="reflective", ymax="vacuum")
+        mesh = build_mesh(uniform_config(nx, ny, lx=3.0, ly=5.0, bc=bc))
+        rng = np.random.default_rng(seed)
+        sigt = rng.uniform(0.2, 0.55, (ny, nx))
+        return mesh, sigt, sigt * rng.uniform(0.5, 0.95, (ny, nx)), rng
+
+    @pytest.mark.parametrize("nx, ny", [(5, 3), (3, 5)])
+    def test_matches_dense_oracle(self, nx, ny):
+        # On 5 x 3 the band order is the transpose of the natural one.
+        mesh, sigt, sigs, rng = self.thin_group(nx, ny, nx * 10 + ny)
+        thickest = float(sigt.max()) * max(mesh.dx, mesh.dy)
+        assert thickest <= transport._DSA_MAX_MFP
+        oracle = finite_volume_oracle(mesh, 1.0 / (3.0 * sigt), sigt - sigs,
+                                      "robin")
+        r = rng.standard_normal((ny, nx))
+        delta = transport._dsa_factor(mesh, sigt, sigs, 1)(r)
+        assert delta.shape == (ny, nx)
+        np.testing.assert_allclose(
+            delta, np.linalg.solve(oracle, r.ravel()).reshape(ny, nx),
+            rtol=1e-12)
+
+    def test_thick_group_factorizes_nothing(self, monkeypatch):
+        mesh, sigt, sigs, _ = self.thin_group(5, 3, 0)
+        assert transport._dsa_factor(mesh, sigt, sigs, 1) is not None
+        cached = dict(eigen._FACTOR_SETS)
+        calls = TestFactorCache.count_factorizations(monkeypatch)
+        thick = 1.01 * transport._DSA_MAX_MFP / max(mesh.dx, mesh.dy)
+        assert transport._dsa_factor(mesh, sigt + thick, sigs, 1) is None
+        # The thin group's factor is left in place, and still hits.
+        assert eigen._FACTOR_SETS == cached
+        assert transport._dsa_factor(mesh, sigt, sigs, 1) is not None
+        assert calls["dsa"] == 0
 
 
 class TestPowerMap:
