@@ -448,7 +448,12 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     signature = cfg.snapshot_signature(model, lattice)
 
     if manifest_path.exists() and not force:
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError:  # truncated or garbled
+            raise RuntimeError(
+                f"snapshot manifest {manifest_path} is not valid JSON; "
+                "regenerate with force=True") from None
         if manifest.get("signature") == signature:
             matrix = _read_matrix(directory / SNAPSHOT_FILE, manifest,
                                   mesh.n_cells)

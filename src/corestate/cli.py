@@ -121,6 +121,7 @@ def main(argv=None) -> int:
                 "sn_order": cfg.sn_order,
                 "scheme": cfg.scheme,
                 "n_range": list(cfg.n_range),
+                "model_for_truth": cfg.model_for_truth,
                 "seed": cfg.seed,
                 "threads": cfg.threads,
                 "output_dir": str(cfg.output_dir),

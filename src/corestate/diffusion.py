@@ -35,10 +35,14 @@ VACUUM_MODELS = ("robin", "zero_flux")
 
 @dataclass(frozen=True)
 class DiffusionSolution:
+    """A diffusion eigenpair: `residual` is the last outer |dk|, and
+    `vacuum_model` that of the solve, which `eigen_residual` reads."""
+
     k_eff: float
     phi: tuple[Field, Field]
     iterations: int
     residual: float
+    vacuum_model: str
 
     def save(self, directory):
         """Persist group fluxes as CSV plus a JSON manifest."""
@@ -170,7 +174,7 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
     def solution(k, phi, iterations, residual):
         return DiffusionSolution(k, tuple(
             Field(mesh, _band_view(mesh, p).ravel()) for p in phi),
-            iterations, residual)
+            iterations, residual, vacuum_model)
 
     return power_iteration(
         solve_group, nusf, chi, inscatter, tol, "diffusion", solution,
@@ -178,15 +182,14 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             start.k_eff, [_band_view(mesh, f.values2d) for f in start.phi]))
 
 
-def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet,
-                   vacuum_model: str = "robin") -> float:
+def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet) -> float:
     """Convergence certificate of a diffusion eigenpair
     (`eigen.certificate`): one more outer step from `sol` with k_eff
-    frozen, on the group factors its solve left in
-    `eigen.cached_factors`."""
+    frozen, under `sol`'s vacuum model, on the group factors its solve
+    left in `eigen.cached_factors`."""
     mesh = sol.phi[0].mesh
     (nusf, chi, inscatter), solve_group = _group_solves(xs, mesh,
-                                                        vacuum_model)
+                                                        sol.vacuum_model)
     return certificate(solve_group, nusf, chi, inscatter, sol.k_eff,
                        [_band_view(mesh, f.values2d) for f in sol.phi])
 

@@ -68,7 +68,8 @@ import numpy as np
 from scipy.linalg.lapack import dgeev
 
 from .errors import (ConfigurationError, DegenerateProblemError,
-                     IterationLimitError, config_int)
+                     IterationLimitError, config_int, config_number,
+                     config_object)
 
 #: Inner tolerance handed to `solve_group`, relative to the last outer
 #: flux change: transport's source iteration stops once its estimated
@@ -98,9 +99,11 @@ class ToleranceConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ToleranceConfig":
+        d = config_object(d, ("k_tol", "flux_tol", "max_outer"), "tolerances")
         return ToleranceConfig(
-            k_tol=float(d.get("k_tol", 1e-8)),
-            flux_tol=float(d.get("flux_tol", 1e-7)),
+            k_tol=config_number(d.get("k_tol", 1e-8), "tolerances.k_tol"),
+            flux_tol=config_number(d.get("flux_tol", 1e-7),
+                                   "tolerances.flux_tol"),
             max_outer=config_int(d.get("max_outer", 2000), "max_outer"))
 
     def to_dict(self) -> dict:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateProblemError,
-                     config_int)
+                     config_int, config_number, config_object)
 
 BC_KINDS = ("reflective", "vacuum")
 
@@ -78,23 +77,23 @@ class GeometryConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "GeometryConfig":
-        """Load a geometry config; a missing key, an extent that is not a
-        number, a `bc` side other than xmin, xmax, ymin and ymax, a region
-        that is not an object or a region box that is not 4 numbers
-        raises `ConfigurationError` naming the field."""
+        """Load a geometry config; a missing or unknown key, an extent
+        that is not a finite number, a `bc` side other than xmin, xmax,
+        ymin and ymax, a region that is not an object or a region box
+        that is not 4 finite numbers raises `ConfigurationError` naming
+        the field."""
+        d = config_object(d, [f.name for f in fields(GeometryConfig)],
+                          "geometry")
         regions = tuple(_region_from_dict(r, i) for i, r in
                         enumerate(_required(d, "regions", "geometry")))
-        bc = d.get("bc", {})
-        unknown = sorted(set(bc) - {f.name for f in fields(BoundaryTags)})
-        if unknown:
-            raise ConfigurationError(
-                f"geometry bc has unknown sides {unknown}: expected xmin, "
-                "xmax, ymin and ymax")
+        bc = config_object(d.get("bc", {}),
+                           [f.name for f in fields(BoundaryTags)],
+                           "geometry bc", "sides")
         return GeometryConfig(
-            extent_x=_number(_required(d, "extent_x", "geometry"),
-                             "extent_x"),
-            extent_y=_number(_required(d, "extent_y", "geometry"),
-                             "extent_y"),
+            extent_x=config_number(_required(d, "extent_x", "geometry"),
+                                   "geometry extent_x"),
+            extent_y=config_number(_required(d, "extent_y", "geometry"),
+                                   "geometry extent_y"),
             nx=config_int(_required(d, "nx", "geometry"), "nx"),
             ny=config_int(_required(d, "ny", "geometry"), "ny"),
             regions=regions, bc=BoundaryTags(**bc))
@@ -119,26 +118,20 @@ def _required(d: dict, key: str, where: str):
         raise ConfigurationError(f"{where} is missing {key!r}") from None
 
 
-def _number(value, name: str) -> float:
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise ConfigurationError(
-            f"geometry {name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _region_from_dict(r: dict, index: int) -> RegionBox:
-    if not isinstance(r, dict):
-        raise ConfigurationError(
-            f"geometry region {index} must be an object, got {r!r}")
+    r = config_object(r, ("name", "box", "priority"),
+                      f"geometry region {index}")
     name = _required(r, "name", f"geometry region {index}")
-    box = _required(r, "box", f"region {name!r}")
-    if not (isinstance(box, (list, tuple)) and len(box) == 4
-            and all(isinstance(v, Real) and not isinstance(v, bool)
-                    for v in box)):
+    box, values = _required(r, "box", f"region {name!r}"), None
+    if isinstance(box, (list, tuple)) and len(box) == 4:
+        try:
+            values = tuple(config_number(v, "box") for v in box)
+        except ConfigurationError:
+            pass
+    if values is None:
         raise ConfigurationError(f"region {name!r} box must be 4 numbers "
                                  f"(x0, x1, y0, y1), got {box!r}")
-    return RegionBox(name, tuple(float(v) for v in box),
-                     None if r.get("priority") is None
+    return RegionBox(name, values, None if r.get("priority") is None
                      else config_int(r["priority"], "priority"))
 
 

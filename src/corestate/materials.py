@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_number, config_object
 from .geometry import Mesh
 
 N_GROUPS = 2
@@ -46,6 +46,11 @@ TRAINING_LEVELS = (0.8, 0.9, 1.0)
 TEST_LEVELS = (0.85, 0.95)
 
 AlphaPoint = tuple[float, float, float, float, float]
+
+#: The keys of each group's coefficient block in a cross-section file.
+GROUP_KEYS = {g: ("D", "sigma_a", f"sigma_s_{g}1", f"sigma_s_{g}2",
+                  "nu_sigma_f", "chi", "kappa_sigma_f", "sigma_t")
+              for g in ("1", "2")}
 
 
 @dataclass(frozen=True)
@@ -106,19 +111,30 @@ class CrossSectionSet:
 
     @staticmethod
     def from_dict(d: dict) -> "CrossSectionSet":
+        """Load a cross-section set.  A region takes the group blocks
+        "1" and "2", each with D and sigma_a and optionally the keys of
+        `GROUP_KEYS` (sigma_t defaults to the balance sigma_a + the
+        group's outscatter); a missing or unknown key, or a coefficient
+        that is not a finite number, raises `ConfigurationError` naming
+        the region, group and key."""
         regions = {}
         for name, groups in d["regions"].items():
-            try:
-                g1, g2 = groups["1"], groups["2"]
-            except KeyError as missing:
-                raise ConfigurationError(
-                    f"region {name!r} needs coefficient blocks for groups "
-                    f"'1' and '2' (missing {missing})") from None
-            for g, block in (("1", g1), ("2", g2)):
+            groups = config_object(groups, ("1", "2"), f"region {name!r}",
+                                   "groups")
+            blocks = []
+            for g in ("1", "2"):
+                where = f"region {name!r} group {g}"
+                if g not in groups:
+                    raise ConfigurationError(
+                        f"region {name!r} needs coefficient blocks for "
+                        f"groups '1' and '2' (missing '{g}')")
+                block = config_object(groups[g], GROUP_KEYS[g], where)
                 for key in ("D", "sigma_a"):
                     if key not in block:
-                        raise ConfigurationError(
-                            f"region {name!r} group {g}: missing {key!r}")
+                        raise ConfigurationError(f"{where}: missing {key!r}")
+                blocks.append({key: config_number(value, f"{where} {key}")
+                               for key, value in block.items()})
+            g1, g2 = blocks
             sigma_s = np.array([
                 [g1.get("sigma_s_11", 0.0), g1.get("sigma_s_12", 0.0)],
                 [g2.get("sigma_s_21", 0.0), g2.get("sigma_s_22", 0.0)],

@@ -174,9 +174,9 @@ class TransportSolution:
     """A transport eigenpair.  `residual` is the last outer |dk|;
     `iterations` counts the outer steps and `sweeps` all sweeps of
     both groups.  `quadrature_order` and `scheme` are those of the
-    solve, and `angular_flux` (with `retain_angular` only) each group's
-    angular flux, shaped (directions, ny, nx).  `eigen_residual`
-    certifies the eigenpair.
+    solve, the discretization `eigen_residual` certifies the eigenpair
+    in, and `angular_flux` (with `retain_angular` only) each group's
+    angular flux, shaped (directions, ny, nx).
     """
 
     k_eff: float
@@ -551,16 +551,6 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
     return cells, sweepers, source_iteration
 
 
-def _check_discretization(sol: TransportSolution, quad: AngularQuadrature,
-                          scheme: str, use: str):
-    """Raise `ConfigurationError` unless `sol` was solved with `quad`'s
-    order and `scheme`; `use` names what `sol` was given as."""
-    if (sol.quadrature_order, sol.scheme) != (quad.order, scheme):
-        raise ConfigurationError(
-            f"{use}: an S{sol.quadrature_order} {sol.scheme!r} solution "
-            f"used with S{quad.order} {scheme!r}")
-
-
 def _check_start(start: TransportSolution, mesh: Mesh,
                  quad: AngularQuadrature, scheme: str):
     """Raise `ConfigurationError` unless `start` can seed this solve."""
@@ -573,7 +563,10 @@ def _check_start(start: TransportSolution, mesh: Mesh,
         raise ConfigurationError(
             f"solve_transport: a start on a {shape[0]} x {shape[1]} mesh "
             f"given for a {mesh.nx} x {mesh.ny} one")
-    _check_discretization(start, quad, scheme, "solve_transport start")
+    if (start.quadrature_order, start.scheme) != (quad.order, scheme):
+        raise ConfigurationError(
+            f"solve_transport start: an S{start.quadrature_order} "
+            f"{start.scheme!r} solution used with S{quad.order} {scheme!r}")
 
 
 def solve_transport(xs: CrossSectionSet, mesh: Mesh,
@@ -634,29 +627,21 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
                           for f in start.scalar_flux]))
 
 
-def eigen_residual(sol: TransportSolution, xs: CrossSectionSet,
-                   quad: AngularQuadrature | None = None,
-                   scheme: str | None = None) -> float:
+def eigen_residual(sol: TransportSolution, xs: CrossSectionSet) -> float:
     """Convergence certificate of a transport eigenpair
     (`eigen.certificate`): one more outer step from `sol`'s scalar
-    fluxes with k_eff frozen, each group's source iteration run to an
-    estimated error of 1e-9.
+    fluxes with k_eff frozen, in `sol`'s quadrature order and scheme,
+    each group's source iteration run to an estimated error of 1e-9.
 
     It builds its own sweepers on the factors its solve left in
     `eigen.cached_factors` (two sweeps per group on converged default
     solves): ~2 ms (1.1-3.9) right after its
     solve on the default 45 x 30 S4 problem, ~8 ms when the factors
-    must be rebuilt (2-vCPU machine, BLAS on one thread).  `quad` and
-    `scheme` default to those of the solve; others raise
-    `ConfigurationError`, since they certify a different discrete
-    problem.
+    must be rebuilt (2-vCPU machine, BLAS on one thread).
     """
     mesh = sol.scalar_flux[0].mesh
-    quad = quad or build_quadrature(sol.quadrature_order)
-    _check_discretization(sol, quad, sol.scheme if scheme is None else scheme,
-                          "eigen_residual")
     (_, sigma_s, nusf, chi), sweepers, source_iteration = _group_solvers(
-        xs, mesh, quad, sol.scheme)
+        xs, mesh, build_quadrature(sol.quadrature_order), sol.scheme)
     phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
     # Lagged reflective inflows start from the isotropic estimate
     # phi / 4 pi of the exit-side cells rather than the flat guess.

@@ -169,6 +169,21 @@ class TestSnapshots:
         with pytest.raises(RuntimeError, match="content hash"):
             generate_snapshots(cfg, "diffusion", "test")
 
+    def test_truncated_manifest_asks_for_regeneration(self, tmp_path):
+        # It stopped the run with a bare JSONDecodeError naming no file.
+        cfg = small_config(tmp_path)
+        _, manifest = generate_snapshots(cfg, "diffusion", "test")
+        victim = (Path(tmp_path) / "snapshots" / "diffusion_test"
+                  / "manifest.json")
+        text = victim.read_text()
+        victim.write_text(text[:len(text) // 2])
+        with pytest.raises(RuntimeError,
+                           match=f"^snapshot manifest {victim} is not valid "
+                                 "JSON; regenerate with force=True$"):
+            generate_snapshots(cfg, "diffusion", "test")
+        _, again = generate_snapshots(cfg, "diffusion", "test", force=True)
+        assert again["content_hash"] == manifest["content_hash"]
+
     def test_cache_invalidated_by_config_change(self, tmp_path):
         cfg = small_config(tmp_path)
         _, m1 = generate_snapshots(cfg, "diffusion", "test")
@@ -1058,6 +1073,42 @@ class TestConfig:
                            match=rf"^{field} must be an integer, got "):
             ExperimentConfig.from_dict(config)
 
+    @pytest.mark.parametrize("config, field", [
+        ({"tolerances": {"k_tol": True}}, "tolerances.k_tol"),
+        ({"tolerances": {"k_tol": "1e-9"}}, "tolerances.k_tol"),
+        ({"tolerances": {"flux_tol": float("nan")}}, "tolerances.flux_tol"),
+        ({"tolerances": {"flux_tol": float("inf")}}, "tolerances.flux_tol"),
+        ({"geometry": {"extent_y": True}}, "geometry extent_y"),
+        ({"geometry": {"extent_x": float("inf")}}, "geometry extent_x"),
+        ({"geometry": {"extent_x": 10 ** 400}}, "geometry extent_x")])
+    def test_non_numeric_number_fields_rejected(self, config, field):
+        # k_tol and flux_tol went through float(): true loaded as 1.0.
+        if "geometry" in config:
+            config = {"geometry": {**_default_geometry_dict(),
+                                   **config["geometry"]}}
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be a number, finite and "
+                                 "real, got "):
+            ExperimentConfig.from_dict(config)
+
+    @pytest.mark.parametrize("config, match", [
+        ({"tolerances": {"ktol": 1e-12}},
+         r"^tolerances has unknown keys \['ktol'\]"),
+        ({"tolerances": 1e-9}, "^tolerances must be an object"),
+        ({"geometry": {"nxx": 45}},
+         r"^geometry has unknown keys \['nxx'\]"),
+        ({"geometry": {"regions": [{"name": "Core", "box": [0, 15, 0, 15],
+                                    "priorty": 1}]}},
+         r"^geometry region 0 has unknown keys \['priorty'\]")])
+    def test_unknown_keys_rejected(self, config, match):
+        # {"ktol": 1e-12} kept k_tol at 1e-8, and a region's "priorty"
+        # was dropped.
+        if "geometry" in config:
+            config = {"geometry": {**_default_geometry_dict(),
+                                   **config["geometry"]}}
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_dict(config)
+
     def test_integral_floats_load_as_ints(self):
         cfg = ExperimentConfig.from_dict({
             "threads": 2.0, "seed": 3, "sn_order": 4.0, "n_range": [1.0, 6],
@@ -1114,6 +1165,24 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["cells"] == 150
         assert out["sensors"]["m"] == 6
+
+    def test_info_output_loads_back_as_the_same_config(self, tmp_path,
+                                                       capsys):
+        # model_for_truth was not printed, so "diffusion" came back as
+        # "transport".
+        path = self._config_file(tmp_path)
+        config = json.loads(path.read_text())
+        path.write_text(json.dumps({
+            **config, "model_for_truth": "diffusion", "scheme": "diamond",
+            "tolerances": {"k_tol": 1e-9, "flux_tol": 1e-8, "max_outer": 50},
+            "seed": 5, "threads": 2}))
+        assert cli.main(["info", "--config", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(printed)["model_for_truth"] == "diffusion"
+        again = tmp_path / "again.json"
+        again.write_text(printed)
+        assert cli.main(["info", "--config", str(again)]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_snapshots_command(self, tmp_path, capsys):
         rc = cli.main(["snapshots", "--model", "diffusion", "--set", "test",

@@ -209,6 +209,22 @@ class TestConvergedState:
             solve_diffusion(xs, build_mesh(cfg.geometry), tol)
         assert eigen_residual(err.value.last_solution, xs) > tol.flux_tol
 
+    def test_certifies_in_the_solve_vacuum_model(self):
+        # Certified under the Robin condition, this converged zero-flux
+        # solve scored 0.106; in its own model it scores 2.2e-10.
+        cfg = bench.ExperimentConfig.default()
+        xs = map_alpha_to_mu(bench.PARENT_ALPHA, cfg.cross_sections)
+        mesh = build_mesh(cfg.geometry)
+        sol = solve_diffusion(xs, mesh, cfg.tolerances,
+                              vacuum_model="zero_flux")
+        assert sol.vacuum_model == "zero_flux"
+        assert eigen_residual(sol, xs) < cfg.tolerances.flux_tol
+        tol = replace(cfg.tolerances, max_outer=3)
+        with pytest.raises(IterationLimitError) as err:
+            solve_diffusion(xs, mesh, tol, vacuum_model="zero_flux")
+        assert err.value.last_solution.vacuum_model == "zero_flux"
+        assert eigen_residual(err.value.last_solution, xs) > tol.flux_tol
+
     def test_flux_nonnegative(self):
         mesh = build_mesh(GeometryConfig.default())
         sol = solve_diffusion(default_cross_sections(), mesh)
@@ -335,7 +351,9 @@ class TestErrors:
         {"k_tol": "nan"}, {"flux_tol": "nan"}])
     def test_nonfinite_tolerances_rejected(self, tolerances):
         # Infinite ones stopped a default diffusion solve after 1 outer.
-        with pytest.raises(ConfigurationError, match="finite and positive"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^tolerances\.(k|flux)_tol must be a "
+                                 "number, finite and real, got '(inf|nan)'"):
             ToleranceConfig.from_dict(tolerances)
 
     def test_bad_vacuum_model_rejected(self):

@@ -107,7 +107,11 @@ class TestBuildMesh:
         ("box", 15.0, "region 'Core' box must be 4 numbers"),
         ("extent_x", "wide", "geometry extent_x must be a number"),
         ("bc", {"left": "vacuum"}, "geometry bc has unknown sides"),
-        ("regions", ["Core"], "geometry region 0 must be an object")])
+        ("regions", ["Core"], "geometry region 0 must be an object"),
+        ("extent_y", float("nan"), "geometry extent_y must be a number"),
+        ("box", [0.0, 15.0, 0.0, float("inf")],
+         "region 'Core' box must be 4 numbers"),
+        ("priorty", 1, r"geometry region 0 has unknown keys \['priorty'\]")])
     def test_missing_or_malformed_field_named(self, key, value, match):
         d = GeometryConfig.default().to_dict()
         target = d if key in d else d["regions"][0]

@@ -155,6 +155,37 @@ class TestCrossSectionSet:
                 {"regions": {"Core": {"1": {"D": 1.0, "sigma_a": 0.01},
                                       "2": {"D": 0.4}}}})
 
+    @pytest.mark.parametrize("group, key, value", [
+        ("1", "D", True), ("1", "D", "1.3"), ("1", "D", float("nan")),
+        ("2", "sigma_a", float("inf")), ("2", "nu_sigma_f", None)])
+    def test_non_numeric_coefficient_rejected(self, group, key, value):
+        # "D": true loaded as 1.0 and "D": "1.3" as 1.3; json parses NaN
+        # and Infinity, and both loaded too.
+        d = default_cross_sections().to_dict()
+        d["regions"]["Core"][group][key] = value
+        with pytest.raises(ConfigurationError,
+                           match=rf"^region 'Core' group {group} {key} must "
+                                 "be a number, finite and real, got "):
+            CrossSectionSet.from_dict(d)
+
+    @pytest.mark.parametrize("path, match", [
+        (("Core", "1", "sigma_s12"),
+         r"^region 'Core' group 1 has unknown keys \['sigma_s12'\]"),
+        (("Core", "2", "sigma_s_12"),
+         r"^region 'Core' group 2 has unknown keys \['sigma_s_12'\]"),
+        (("Core", "3"), r"^region 'Core' has unknown groups \['3'\]")])
+    def test_unknown_key_or_group_rejected(self, path, match):
+        # "sigma_s12" set Core's 1->2 transfer to 0 and left its explicit
+        # sigma_t unbalanced.
+        d = default_cross_sections().to_dict()
+        target = d["regions"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 0.016 if len(path) == 3 else {"D": 1.0,
+                                                         "sigma_a": 0.01}
+        with pytest.raises(ConfigurationError, match=match):
+            CrossSectionSet.from_dict(d)
+
     def test_unnormalized_chi_rejected_in_fissile_region(self):
         with pytest.raises(ConfigurationError, match="spectrum"):
             make_region_xs(chi=(0.9, 0.2))

@@ -618,7 +618,7 @@ class TestEigenResidual:
         tol = ToleranceConfig(max_outer=3)
         with pytest.raises(IterationLimitError) as err:
             solve_transport(xs, mesh, quad, tol)
-        assert eigen_residual(err.value.last_solution, xs, quad) > tol.k_tol
+        assert eigen_residual(err.value.last_solution, xs) > tol.k_tol
 
     @pytest.mark.parametrize("order,scheme", [(2, "step"), (4, "step"),
                                               (2, "diamond")])
@@ -629,7 +629,7 @@ class TestEigenResidual:
         quad = build_quadrature(order)
         tol = ToleranceConfig()
         sol = solve_transport(xs, mesh, quad, tol, scheme=scheme)
-        assert eigen_residual(sol, xs, quad, scheme) < tol.flux_tol
+        assert eigen_residual(sol, xs) < tol.flux_tol
 
     def test_defaults_to_the_solve_quadrature(self):
         # Certified with the default S4, this S2 solve scored 6.9e-2.
@@ -639,15 +639,6 @@ class TestEigenResidual:
         sol = solve_transport(xs, mesh, build_quadrature(2), tol)
         assert (sol.quadrature_order, sol.scheme) == (2, "step")
         assert eigen_residual(sol, xs) < tol.flux_tol
-
-    def test_other_quadrature_or_scheme_rejected(self):
-        mesh = build_mesh(uniform_config(3, 3))
-        xs = fuel_xs()
-        sol = solve_transport(xs, mesh, build_quadrature(2))
-        with pytest.raises(ConfigurationError, match="S4"):
-            eigen_residual(sol, xs, build_quadrature(4))
-        with pytest.raises(ConfigurationError, match="diamond"):
-            eigen_residual(sol, xs, scheme="diamond")
 
     def test_upscatter_on_default_layout_certifies(self):
         # One group pass per outer takes group 1's upscatter source from
@@ -663,7 +654,7 @@ class TestEigenResidual:
         mesh, xs = homogeneous_problem(4, 4)
         quad = build_quadrature(2)
         sol = solve_transport(xs, mesh, quad)
-        assert eigen_residual(sol, xs, quad) < ToleranceConfig().k_tol
+        assert eigen_residual(sol, xs) < ToleranceConfig().k_tol
 
 
 class TestAndersonMixing:
