@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,8 @@ import numpy as np
 
 from .diffusion import power_map_diffusion, solve_diffusion
 from .eigen import FissionSpan, ToleranceConfig
-from .errors import ConfigurationError, IterationLimitError, config_int
+from .errors import (ConfigurationError, IterationLimitError, config_int,
+                     config_object)
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
 from .materials import (CrossSectionSet, cell_values,
                         default_cross_sections, map_alpha_to_mu,
@@ -118,6 +120,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name, count in zip(("sx", "sy"), self.sensor_grid):
+            if count < 1:
+                raise ConfigurationError(
+                    f"sensors.{name} must be >= 1, got {count}")
         m = self.sensor_grid[0] * self.sensor_grid[1]
         lo, hi = self.n_range
         if not (1 <= lo <= hi <= m):
@@ -149,11 +155,19 @@ class ExperimentConfig:
     def from_dict(d: dict, base_dir: Path = Path(".")) -> "ExperimentConfig":
         geometry = (GeometryConfig.from_dict(d["geometry"])
                     if "geometry" in d else _default_bench_geometry())
-        if "cross_sections" in d and d["cross_sections"]:
-            xs = CrossSectionSet.load(base_dir / d["cross_sections"])
-        else:
-            xs = default_cross_sections()
-        sensors = d.get("sensors", {})
+        # A null or empty `cross_sections` selects the default set.
+        xs_file = d.get("cross_sections") or ""
+        output_dir = d.get("output_dir", "bench_out")
+        for name, path in (("cross_sections", xs_file),
+                           ("output_dir", output_dir)):
+            if not isinstance(path, (str, os.PathLike)):
+                raise ConfigurationError(
+                    f"{name} must be a path string, got {path!r}")
+        xs = (CrossSectionSet.load(base_dir / xs_file) if xs_file
+              else default_cross_sections())
+        # `m` = sx sy is what `corestate info` prints; it is derived.
+        sensors = config_object(d.get("sensors", {}), ("sx", "sy", "m"),
+                                "sensors")
         n_range = d.get("n_range", (1, 54))
         if not (isinstance(n_range, (list, tuple)) and len(n_range) == 2):
             raise ConfigurationError(
@@ -168,7 +182,7 @@ class ExperimentConfig:
                          config_int(sensors.get("sy", 6), "sensors.sy")),
             n_range=tuple(config_int(v, "n_range") for v in n_range),
             model_for_truth=d.get("model_for_truth", "transport"),
-            output_dir=Path(d.get("output_dir", "bench_out")),
+            output_dir=Path(output_dir),
             seed=config_int(d.get("seed", 0), "seed"),
             threads=config_int(d.get("threads", 1), "threads"),
         )

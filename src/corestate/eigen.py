@@ -132,22 +132,19 @@ def save_solution(directory, fluxes, k_eff, iterations):
 _FACTOR_SETS: dict = {}
 
 
-def cached_factors(kind: str, group: int, key, build: Callable,
-                   on_drop: Callable | None = None):
-    """`build()`, or what it returned last time for (kind, group) when
-    that was built for an equal `key`, which must hold the exact bytes
-    of everything `build` reads, so a hit is bit-identical to a rebuild.
+def cached_factors(kind: str, group: int, key, build: Callable):
+    """`build()`, or the last value for (kind, group) when that was
+    built for an equal `key`, which must hold the exact bytes of
+    everything `build` reads, so a hit is bit-identical to a rebuild.
     One set per (kind, group) catches the reuse of the lattice order, in
     which runs of consecutive points share their cross sections.  On a
-    miss the old set is dropped, and `on_drop()` called, before `build`
-    runs, so no more factors are alive than one solve needs."""
+    miss the old set is dropped before `build` runs, so no more factors
+    are alive than one solve needs."""
     slot = (kind, group)
     if slot in _FACTOR_SETS:
         if _FACTOR_SETS[slot][0] == key:
             return _FACTOR_SETS[slot][1]
         del _FACTOR_SETS[slot]
-        if on_drop is not None:
-            on_drop()
     value = build()
     _FACTOR_SETS[slot] = (key, value)
     return value

@@ -117,6 +117,10 @@ class CrossSectionSet:
         group's outscatter); a missing or unknown key, or a coefficient
         that is not a finite number, raises `ConfigurationError` naming
         the region, group and key."""
+        if not isinstance(d.get("regions"), dict):
+            raise ConfigurationError(
+                f"cross sections need a 'regions' object, got "
+                f"{d.get('regions')!r}")
         regions = {}
         for name, groups in d["regions"].items():
             groups = config_object(groups, ("1", "2"), f"region {name!r}",

@@ -108,7 +108,6 @@ class AngularQuadrature:
     omega_x: np.ndarray
     omega_y: np.ndarray
     weight: np.ndarray
-    quadrant: np.ndarray   # quadrant id per direction
     mirror_x: np.ndarray   # direction index with omega_x negated
     mirror_y: np.ndarray
 
@@ -152,16 +151,14 @@ def build_quadrature(order: int) -> AngularQuadrature:
     ox = np.concatenate([sx * bx for sx, _ in _QUADRANTS])
     oy = np.concatenate([sy * by for _, sy in _QUADRANTS])
     w = np.tile(bw, 4)
-    quadrant = np.repeat(np.arange(4), nb)
     mirror_x = np.concatenate(
         [_MIRROR_X_QUAD[q] * nb + np.arange(nb) for q in range(4)])
     mirror_y = np.concatenate(
         [_MIRROR_Y_QUAD[q] * nb + np.arange(nb) for q in range(4)])
 
     quad = AngularQuadrature(order=order, omega_x=ox, omega_y=oy, weight=w,
-                             quadrant=quadrant, mirror_x=mirror_x,
-                             mirror_y=mirror_y)
-    for value in (ox, oy, w, quadrant, mirror_x, mirror_y):
+                             mirror_x=mirror_x, mirror_y=mirror_y)
+    for value in (ox, oy, w, mirror_x, mirror_y):
         value.setflags(write=False)
     assert abs(w.sum() - FOUR_PI) < 1e-12 * FOUR_PI
     assert abs(np.dot(w, ox)) < 1e-12 and abs(np.dot(w, oy)) < 1e-12
@@ -214,16 +211,13 @@ class _SweepBlock(NamedTuple):
     right-hand side gathers the area-weighted emission, a zero appended
     at n, and the diagonal sigma_t A (likewise) + `diag_add`.  `rank`
     is psi's unknown per direction and natural cell (a diamond cell's
-    face fluxes are the next two), `x_out_pos` (`y_out_pos`) that of the
-    exit-side outgoing face flux per natural row (column).  `indices`,
-    `indptr` and `data` are the CSC matrix with the off-diagonals in
-    place and zeros at `diag_pos`.
+    outgoing x and y face fluxes are the next two).  `indices`, `indptr`
+    and `data` are the CSC matrix with the off-diagonals in place and
+    zeros at `diag_pos`.
     """
 
     src: np.ndarray
     rank: np.ndarray
-    x_out_pos: np.ndarray
-    y_out_pos: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     data: np.ndarray
@@ -234,7 +228,9 @@ class _SweepBlock(NamedTuple):
         """LU of the system for cell totals `sigt2d`: the diagonal is
         written into a copy of `data`.  Without fill, supernodes gain
         nothing; panel size and relaxation 1 halve the factorization
-        time."""
+        time.  The heap is trimmed first (`_trim_heap`): by then
+        `eigen.cached_factors` has dropped the factor this one replaces."""
+        _trim_heap()
         data = self.data.copy()
         data[self.diag_pos] = (np.append(sigt2d.ravel(), 0.0)[self.src]
                                * cell_area + self.diag_add)
@@ -331,7 +327,6 @@ def _sweep_block(nx: int, ny: int, dx: float, dy: float, omega_x,
     diag_add[:, :, 0] = w * (a + b)
     return _SweepBlock(
         src=src.ravel(), rank=at(order).reshape(nd, ny, nx),
-        x_out_pos=out[0], y_out_pos=out[1],
         indices=mat.indices.astype(np.intc),
         indptr=mat.indptr.astype(np.intc), data=mat.data,
         diag_pos=diag_pos, diag_add=diag_add.ravel()), inflows, lag
@@ -343,11 +338,11 @@ def _sweep_system(nx: int, ny: int, dx: float, dy: float, order: int,
     """The whole `scheme` sweep on an nx x ny mesh of dx x dy cells with
     side conditions `bc` and the S_order quadrature: the read-only
     `_SweepBlock` of all directions, stacked quadrant by quadrant in
-    `_SWEEP_ORDER` (`rank`, `x_out_pos` and `y_out_pos` by direction),
-    each reflective inflow fed by its mirror direction, and the lagged
-    couplings (xmax and ymax sides) or None.  It depends on no cross
-    section, so both groups' sweepers, every lattice point and
-    `eigen_residual` share it and only refill its diagonal."""
+    `_SWEEP_ORDER` (`rank` by direction), each reflective inflow fed by
+    its mirror direction, and the lagged couplings (xmax and ymax sides)
+    or None.  It depends on no cross section, so both groups' sweepers,
+    every lattice point and `eigen_residual` share it and only refill
+    its diagonal."""
     quad = build_quadrature(order)
     nb = quad.n_directions // 4
     # The directions in sweep order, and the place of each in it.
@@ -361,46 +356,23 @@ def _sweep_system(nx: int, ny: int, dx: float, dy: float, order: int,
                 (quad.omega_y, quad.mirror_y, "ymin", "ymax"))]
     block, _, lag = _sweep_block(nx, ny, dx, dy, quad.omega_x[dirs],
                                  quad.omega_y[dirs], scheme, feed)
-    system = block._replace(**{name: getattr(block, name)[place] for name
-                               in ("rank", "x_out_pos", "y_out_pos")})
+    system = block._replace(rank=block.rank[place])
     for value in system:
         value.setflags(write=False)
     return system, lag.tocsr() if lag.nnz else None
 
 
-def sweep_direction(mesh: Mesh, sigma_t2d: np.ndarray, omega, emission2d,
-                    inflow_x=None, inflow_y=None) -> np.ndarray:
-    """Solve one direction's step-scheme transport with a fixed angular
-    source density `emission2d` and prescribed boundary inflows.
-
-    `inflow_x` is the incoming face flux along the upstream x side (one
-    value per row j), `inflow_y` along the upstream y side (per column
-    i); both default to zero (vacuum).  Returns the cell flux (ny, nx).
-    """
-    ox, oy = float(omega[0]), float(omega[1])
-    if ox == 0.0 or oy == 0.0:
-        raise ValueError("sweep directions must have nonzero components")
-    block, inflows, _ = _sweep_block(mesh.nx, mesh.ny, mesh.dx, mesh.dy,
-                                     [ox], [oy])
-    rhs = np.append(np.asarray(emission2d, dtype=float) * mesh.cell_area,
-                    0.0)[block.src]
-    for (pos, weight), inflow in zip(inflows, (inflow_x, inflow_y)):
-        if inflow is not None:
-            rhs[pos] += weight * np.asarray(inflow, dtype=float)
-    lu = block.factorize(np.asarray(sigma_t2d, dtype=float), mesh.cell_area)
-    return lu.solve(rhs)[block.rank[0]]
-
-
 def _trim_heap():
     """Give the malloc heap's free pages back to the system (glibc
-    `malloc_trim`; skipped where the C library has none).
+    `malloc_trim`; skipped where the C library has none), before each
+    sweep factorization (`_SweepBlock.factorize`).
 
     A SuperLU factorization of a whole 45 x 30 S4 sweep reserves ~33 MB
     of heap; the factor keeps ~1 MB resident, its work arrays touch ~2
     MB more.  While cached factors pin the heap, the pages a dropped
     factor touched can stay resident: peak RSS of perfbench's
     `transport_lattice` read 75.0, 75.2 and 80.8 MB without this trim
-    after each drop and 75.0-75.1 MB with it."""
+    and 75.0-75.1 MB with it."""
     try:
         trim = ctypes.CDLL(None).malloc_trim
     except (OSError, TypeError, AttributeError):  # no C library, or no
@@ -423,8 +395,7 @@ class _GroupSweeper:
         self._system, self._lag = _sweep_system(*plan)
         self._lu = cached_factors(
             "sweep", group, (plan, mesh.cell_area, sigt2d.tobytes()),
-            lambda: self._system.factorize(sigt2d, mesh.cell_area),
-            on_drop=_trim_heap)
+            lambda: self._system.factorize(sigt2d, mesh.cell_area))
         self.x = np.full(self._system.diag_pos.size, 1.0 / FOUR_PI)
         # What `scale` owes `x`; the DSA share of the next lagged inflows.
         self._factor, self._lag_fix = 1.0, 0.0

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from corestate import transport
 from corestate.bench import ExperimentConfig
 from corestate.geometry import (BoundaryTags, Field, GeometryConfig,
                                 RegionBox, build_mesh)
@@ -96,6 +97,25 @@ def finite_volume_oracle(mesh, d, sigma_a, vacuum_model):
                     marshak = 2.0 if vacuum_model == "robin" else 0.0
                     a[c, c] += face / (h / (2 * d[j, i]) + marshak)
     return a
+
+
+def one_direction_flux(mesh, sigma_t2d, omega, emission2d, inflow_x=None,
+                       inflow_y=None, scheme="step"):
+    """Cell flux (ny, nx) of the single direction `omega` on `mesh`
+    with cell totals `sigma_t2d`, a fixed angular source density
+    `emission2d` and prescribed face inflows along the upstream x side
+    (`inflow_x`, one per row j) and y side (`inflow_y`, one per column
+    i), each vacuum when None: the solver's own single-direction system
+    (`transport._sweep_block`), factorized and solved once."""
+    block, inflows, _ = transport._sweep_block(
+        mesh.nx, mesh.ny, mesh.dx, mesh.dy, [omega[0]], [omega[1]], scheme)
+    rhs = np.append(np.asarray(emission2d, dtype=float) * mesh.cell_area,
+                    0.0)[block.src]
+    for (pos, weight), inflow in zip(inflows, (inflow_x, inflow_y)):
+        if inflow is not None:
+            rhs[pos] += weight * np.asarray(inflow, dtype=float)
+    lu = block.factorize(np.asarray(sigma_t2d, dtype=float), mesh.cell_area)
+    return lu.solve(rhs)[block.rank[0]]
 
 
 def random_field(mesh, rng, positive=False) -> Field:

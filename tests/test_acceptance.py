@@ -17,9 +17,9 @@ from corestate.pbdw import assemble, reconstruct
 from corestate.rom import pod
 from corestate.sensing import build_sensors, observe_psi
 from corestate.transport import (build_quadrature, eigen_residual,
-                                 solve_transport, sweep_direction)
+                                 solve_transport)
 
-from helpers import homogeneous_problem, uniform_config
+from helpers import homogeneous_problem, one_direction_flux, uniform_config
 from test_diffusion import infinite_medium_k as diffusion_k_oracle
 from test_transport import infinite_medium_k_transport as transport_k_oracle
 from test_pbdw import beta_sphere_oracle, make_basis
@@ -137,9 +137,10 @@ def test_criterion_4_solver_oracles(pipeline):
     errors = []
     for nref in (12, 24, 48):
         m = build_mesh(uniform_config(nref, nref, lx=6.0, ly=6.0))
-        psi = sweep_direction(m, np.full((nref, nref), sigma_t), omega,
-                              np.zeros((nref, nref)),
-                              inflow_x=np.ones(nref), inflow_y=np.ones(nref))
+        psi = one_direction_flux(m, np.full((nref, nref), sigma_t), omega,
+                                 np.zeros((nref, nref)),
+                                 inflow_x=np.ones(nref),
+                                 inflow_y=np.ones(nref))
         x = m.cell_centers_x[None, :]
         y = m.cell_centers_y[:, None]
         exact = np.exp(-sigma_t * np.minimum(x / omega[0], y / omega[1]))

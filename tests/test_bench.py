@@ -1099,15 +1099,31 @@ class TestConfig:
          r"^geometry has unknown keys \['nxx'\]"),
         ({"geometry": {"regions": [{"name": "Core", "box": [0, 15, 0, 15],
                                     "priorty": 1}]}},
-         r"^geometry region 0 has unknown keys \['priorty'\]")])
+         r"^geometry region 0 has unknown keys \['priorty'\]"),
+        ({"sensors": {"sxx": 3}}, r"^sensors has unknown keys \['sxx'\]"),
+        ({"sensors": [9, 6]}, "^sensors must be an object"),
+        ({"sensors": {"sx": -9, "sy": -6}}, r"^sensors\.sx must be >= 1"),
+        ({"sensors": {"sx": 0}}, r"^sensors\.sx must be >= 1, got 0$"),
+        ({"sensors": {"sx": 9, "sy": -1}}, r"^sensors\.sy must be >= 1")])
     def test_unknown_keys_rejected(self, config, match):
         # {"ktol": 1e-12} kept k_tol at 1e-8, and a region's "priorty"
-        # was dropped.
+        # was dropped.  Sensors: {"sxx": 3} kept the 9 x 6 default,
+        # [9, 6] raised a bare AttributeError, {"sx": -9, "sy": -6}
+        # loaded with m = 54 and failed only in build_sensors, and
+        # {"sx": 0} was blamed on n_range.
         if "geometry" in config:
             config = {"geometry": {**_default_geometry_dict(),
                                    **config["geometry"]}}
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_dict(config)
+
+    @pytest.mark.parametrize("field", ["output_dir", "cross_sections"])
+    @pytest.mark.parametrize("value", [5, ["bench_out"], True])
+    def test_non_string_paths_rejected(self, field, value):
+        # A number raised a bare TypeError from Path() or the / operator.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be a path string, got "):
+            ExperimentConfig.from_dict({field: value})
 
     def test_integral_floats_load_as_ints(self):
         cfg = ExperimentConfig.from_dict({

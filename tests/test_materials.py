@@ -186,6 +186,14 @@ class TestCrossSectionSet:
         with pytest.raises(ConfigurationError, match=match):
             CrossSectionSet.from_dict(d)
 
+    @pytest.mark.parametrize("d", [{}, {"regions": []}, {"regions": "x"}])
+    def test_missing_or_malformed_regions_rejected(self, d):
+        # No "regions" raised a bare KeyError, and a list or a string an
+        # AttributeError.
+        with pytest.raises(ConfigurationError,
+                           match=r"^cross sections need a 'regions' object"):
+            CrossSectionSet.from_dict(d)
+
     def test_unnormalized_chi_rejected_in_fissile_region(self):
         with pytest.raises(ConfigurationError, match="spectrum"):
             make_region_xs(chi=(0.9, 0.2))

@@ -15,11 +15,12 @@ from corestate.materials import (CrossSectionSet, default_cross_sections,
 from corestate.sensing import build_sensors, observe
 from corestate.transport import (AngularQuadrature, build_quadrature,
                                  eigen_residual, power_map_transport,
-                                 solve_transport, sweep_direction)
+                                 solve_transport)
 
 from helpers import (SharedCounts, default_lattice_problem,
                      finite_volume_oracle, fuel_xs, homogeneous_problem,
-                     reflective_bc, uniform_config, with_upscatter)
+                     one_direction_flux, reflective_bc, uniform_config,
+                     with_upscatter)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -123,10 +124,10 @@ class TestAttenuation:
         for n in (12, 24, 48):
             mesh = build_mesh(uniform_config(n, n, lx=lx, ly=ly))
             sig = np.full((mesh.ny, mesh.nx), sigma_t)
-            psi = sweep_direction(mesh, sig, omega,
-                                  emission2d=np.zeros((mesh.ny, mesh.nx)),
-                                  inflow_x=np.ones(mesh.ny),
-                                  inflow_y=np.ones(mesh.nx))
+            psi = one_direction_flux(mesh, sig, omega,
+                                     emission2d=np.zeros((mesh.ny, mesh.nx)),
+                                     inflow_x=np.ones(mesh.ny),
+                                     inflow_y=np.ones(mesh.nx))
             x = mesh.cell_centers_x[None, :]
             y = mesh.cell_centers_y[:, None]
             exact = np.exp(-sigma_t * np.minimum(x / omega[0], y / omega[1]))
@@ -142,9 +143,9 @@ class TestAttenuation:
         sigma_t = 1.1
         omega = (0.7, 0.01)
         sig = np.full((mesh.ny, mesh.nx), sigma_t)
-        psi = sweep_direction(mesh, sig, omega,
-                              emission2d=np.zeros((mesh.ny, mesh.nx)),
-                              inflow_x=np.ones(mesh.ny))
+        psi = one_direction_flux(mesh, sig, omega,
+                                 emission2d=np.zeros((mesh.ny, mesh.nx)),
+                                 inflow_x=np.ones(mesh.ny))
         a = omega[0] * mesh.dy
         b = omega[1] * mesh.dx
         r = a / (sigma_t * mesh.cell_area + a + b)
@@ -259,11 +260,11 @@ def assembled_diamond_solve(mesh, sig, ox, oy, emission_area, inflow_x,
 def test_planned_sweep_matches_assembled_system(nx, ny):
     # Non-square mesh and cells, varied totals, emission and start: one
     # sweep of a sweeper refilled from the cached system, for either
-    # scheme, and the step `sweep_direction`, match a system assembled
-    # cell by cell per direction, in the cell flux and the exit-face
-    # fluxes.  A reflective inflow is the mirror direction's exit face:
-    # of this sweep when its quadrant is swept earlier, of the start
-    # when later (xmax, ymax); the layouts cover both and vacuum sides.
+    # scheme, matches a system assembled cell by cell per direction, in
+    # the cell flux and the exit-face fluxes.  A reflective inflow is
+    # the mirror direction's exit face: of this sweep when its quadrant
+    # is swept earlier, of the start when later (xmax, ymax); the
+    # layouts cover both and vacuum sides.
     rng = np.random.default_rng(nx)
     sig = 0.3 + rng.random((ny, nx))
     quad = build_quadrature(4)
@@ -280,8 +281,11 @@ def test_planned_sweep_matches_assembled_system(nx, ny):
             sweeper.seed(start)
             sweeper.sweep(emission)
             psi = sweeper.psi
-            out_x = sweeper.x[sweeper._system.x_out_pos]
-            out_y = sweeper.x[sweeper._system.y_out_pos]
+            # Outgoing x (y) face fluxes: psi's unknown in step, the
+            # next (second next) one in diamond.
+            fx, fy = (1, 2) if scheme == "diamond" else (0, 0)
+            face_x = sweeper.x[sweeper._system.rank + fx]
+            face_y = sweeper.x[sweeper._system.rank + fy]
             swept = {}
             for q in transport._SWEEP_ORDER:
                 for d in range(q * nb, (q + 1) * nb):
@@ -302,12 +306,9 @@ def test_planned_sweep_matches_assembled_system(nx, ny):
                                 quad.omega_y[mirror])[k - 1])
                     swept[d] = assembled(mesh, sig, ox, oy, emission_area,
                                          *inflows)
-                    pairs = list(zip((psi[d], out_x[d], out_y[d]), swept[d]))
-                    if scheme == "step":
-                        pairs.append((sweep_direction(
-                            mesh, sig, (ox, oy), emission, *inflows),
-                            swept[d][0]))
-                    for got, want in pairs:
+                    computed = (psi[d], exit_faces(face_x[d], ox, oy)[0],
+                                exit_faces(face_y[d], ox, oy)[1])
+                    for got, want in zip(computed, swept[d]):
                         assert (np.max(np.abs(got - want))
                                 <= 1e-14 * np.max(np.abs(want)))
 
@@ -411,13 +412,9 @@ def manufactured_error(n, scheme, omega=(0.6, 0.35), a=1.3, b=2.1):
     exact = np.outer(g_bar, f_bar)
     source = (ox * np.outer(g_bar, np.diff(f) / h)
               + oy * np.outer(np.diff(g) / h, f_bar) + exact)
-    block, inflows, _ = transport._sweep_block(n, n, h, h, [ox], [oy],
-                                               scheme)
-    rhs = np.append(source.ravel() * h * h, 0.0)[block.src]
-    for (pos, weight), inflow in zip(inflows, (f[0] * g_bar, f_bar * g[0])):
-        rhs[pos] += weight * inflow
-    lu = block.factorize(np.ones((n, n)), h * h)
-    psi = lu.solve(rhs)[block.rank[0]]
+    mesh = build_mesh(uniform_config(n, n, lx=1.0, ly=1.0))
+    psi = one_direction_flux(mesh, np.ones((n, n)), omega, source,
+                             f[0] * g_bar, f_bar * g[0], scheme)
     return np.sqrt(np.mean((psi - exact) ** 2))
 
 
@@ -973,9 +970,3 @@ class TestErrors:
                            match="_MAX_INNER = 1") as err:
             solve_transport(fuel_xs(), mesh, build_quadrature(2))
         assert err.value.last_solution.k_eff > 0
-
-    def test_axis_aligned_sweep_rejected(self):
-        mesh = build_mesh(uniform_config(4, 4))
-        with pytest.raises(ValueError, match="nonzero"):
-            sweep_direction(mesh, np.ones((4, 4)), (1.0, 0.0),
-                            np.zeros((4, 4)))
