@@ -19,12 +19,14 @@ live in a separate run_info JSON, outside the determinism contract.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import os
 import time
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from multiprocessing import Pool
@@ -153,6 +155,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict, base_dir: Path = Path(".")) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(
+                f"experiment config: the top level must be an object, got "
+                f"{d!r}")
         geometry = (GeometryConfig.from_dict(d["geometry"])
                     if "geometry" in d else _default_bench_geometry())
         # A null or empty `cross_sections` selects the default set.
@@ -223,8 +229,7 @@ def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
         sol = solve_diffusion(xs, mesh, tol, start=start)
     else:
         sol = solve_transport(xs, mesh, build_quadrature(sn_order), tol,
-                              scheme=scheme, retain_angular=keep_solution,
-                              start=start)
+                              scheme=scheme, start=start)
     if keep_solution:
         return sol.k_eff, _power_map(model, sol, xs), sol
     return sol.k_eff, _power_map(model, sol, xs)
@@ -248,8 +253,7 @@ def _solve_parent(cfg: ExperimentConfig, model: str, mesh: Mesh):
         if model == "diffusion":
             return solve_diffusion(xs, mesh, cfg.tolerances), True
         return solve_transport(xs, mesh, build_quadrature(cfg.sn_order),
-                               cfg.tolerances, scheme=cfg.scheme,
-                               retain_angular=True), True
+                               cfg.tolerances, scheme=cfg.scheme), True
     except IterationLimitError as exc:  # always carries the last iterate
         warnings.warn(
             f"{model} parent solve at alpha = {PARENT_ALPHA} did not "
@@ -349,35 +353,49 @@ _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
                      "openblas_set_num_threads")
 
 
-def _one_blas_thread() -> list:
-    """Set one thread on every OpenBLAS library mapped into this process
-    and return (setter, previous count) per library, for restoring.
-
-    A forked pool worker inherits the parent's multi-threaded BLAS, so
-    two workers on two cores run four busy BLAS threads: default
-    transport/training snapshots took 25-106 s on 2 workers against
-    8.8 s on one (2-vCPU machine), and 4.1-5.0 s with this.  Libraries
-    other than OpenBLAS, and systems without /proc, are left alone."""
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(set, get) of the thread count of every OpenBLAS library mapped
+    into this process, none without /proc.  Looked up once: numpy's and
+    scipy's copies are both loaded once this module is, and reading the
+    process maps took ~0.8 ms a call."""
     import ctypes
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps
                      if "openblas" in line}
     except OSError:
-        return []
-    previous = []
+        return ()
+    controls = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:  # e.g. a library file replaced since it loaded
             continue
-        for name in _OPENBLAS_SETTERS:
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                previous.append((set_threads, getattr(
-                    lib, name.replace("_set_", "_get_"))()))
-                set_threads(1)
-    return previous
+        controls += [(getattr(lib, name),
+                      getattr(lib, name.replace("_set_", "_get_")))
+                     for name in _OPENBLAS_SETTERS if hasattr(lib, name)]
+    return tuple(controls)
+
+
+def _one_blas_thread() -> ExitStack:
+    """Set one thread on every OpenBLAS library mapped into this process
+    (`_openblas_controls`); the returned stack restores each previous
+    count on exit, so `with _one_blas_thread():` pins a block and a
+    plain call (the pool initializer) pins the process.
+
+    A forked pool worker inherits the parent's multi-threaded BLAS, so
+    two workers on two cores run four busy BLAS threads: default
+    transport/training snapshots took 25-106 s on 2 workers against
+    8.8 s on one (2-vCPU machine), and 4.1-5.0 s with this.  The
+    reports are pinned too, since a multi-threaded BLAS rounds their
+    products differently.  Libraries other than OpenBLAS, and systems
+    without /proc, are left alone."""
+    restore = ExitStack()
+    for set_threads, get_threads in _openblas_controls():
+        restore.callback(set_threads, get_threads())
+        set_threads(1)
+    return restore
 
 
 def _solve_order(points):
@@ -484,8 +502,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     failures = {}
     # The solves made here, like those of the pool workers, run BLAS on
     # one thread: the caller's count is restored afterwards.
-    previous = _one_blas_thread()
-    try:
+    with _one_blas_thread():
         parent, converged = _solve_parent(cfg, model, mesh)
         points = []
         for index, alpha in enumerate(alphas):
@@ -520,9 +537,6 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                 else:
                     matrix[index] = values
                     keffs[index] = k_eff
-    finally:
-        for set_threads, count in previous:
-            set_threads(count)
     if failures:
         index = min(failures)
         raise RuntimeError(f"{model} solve failed at alpha = "
@@ -579,7 +593,7 @@ def prepare_case(cfg: ExperimentConfig, case: int,
     n_hi = min(cfg.n_range[1], len(train))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rank truncation recorded below
-        basis = pod(train, n_max=n_hi, lattice_tag="training")
+        basis = pod(train, n_max=n_hi)
     sensors = build_sensors(mesh, cfg.sensor_grid)
     delta_wc, delta_ms = delta_curves(basis, test)
     y_psi = np.stack([
@@ -704,32 +718,36 @@ def run_case(cfg: ExperimentConfig, case: int,
     Per reduced dimension n the report records the stability constant,
     the manifold approximation errors, the measured worst-case relative
     reconstruction error over the test set, the a priori bound, and the
-    mean norm of the observation-space correction component.
+    mean norm of the observation-space correction component.  Its
+    numerics run BLAS on one thread (`_one_blas_thread`), so the report
+    does not depend on the caller's thread count.
     """
     t_start = time.perf_counter()
-    ctx = prepare_case(cfg, case, force=force)
-    t_setup = time.perf_counter()
+    with _one_blas_thread():
+        ctx = prepare_case(cfg, case, force=force)
+        t_setup = time.perf_counter()
 
-    psi_t = ctx.sensors.psi_matrix.T * ctx.mesh.cell_area
-    rows = []
-    flags = []
-    interp_max = 0.0
-    for op, errs in _reconstruct(cfg, ctx, ctx.y_psi[None], flags):
-        # The fields, formed here only, check the interpolation property.
-        estimates, _, eta = reconstruct_batch(op, ctx.y_psi)
-        obs_back = estimates @ psi_t
-        interp_max = max(interp_max, float(
-            np.max(np.linalg.norm(obs_back - ctx.y_psi, axis=1))))
-        n, b = op.n, op.beta
-        rows.append({
-            "n": n,
-            "beta": b,
-            "delta_wc": float(ctx.delta_wc[n - 1]),
-            "delta_ms": float(ctx.delta_ms[n - 1]),
-            "err_wc": float(errs.max()),
-            "bound": error_bound(b, float(ctx.delta_wc[n - 1])),
-            "eta_norm_mean": float(np.mean(np.linalg.norm(eta, axis=1))),
-        })
+        psi_t = ctx.sensors.psi_matrix.T * ctx.mesh.cell_area
+        rows = []
+        flags = []
+        interp_max = 0.0
+        for op, errs in _reconstruct(cfg, ctx, ctx.y_psi[None], flags):
+            # The fields, formed here only, check the interpolation
+            # property.
+            estimates, _, eta = reconstruct_batch(op, ctx.y_psi)
+            obs_back = estimates @ psi_t
+            interp_max = max(interp_max, float(
+                np.max(np.linalg.norm(obs_back - ctx.y_psi, axis=1))))
+            n, b = op.n, op.beta
+            rows.append({
+                "n": n,
+                "beta": b,
+                "delta_wc": float(ctx.delta_wc[n - 1]),
+                "delta_ms": float(ctx.delta_ms[n - 1]),
+                "err_wc": float(errs.max()),
+                "bound": error_bound(b, float(ctx.delta_wc[n - 1])),
+                "eta_norm_mean": float(np.mean(np.linalg.norm(eta, axis=1))),
+            })
 
     run_info = {
         "case": case,
@@ -769,7 +787,8 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     they are stacked after the noiseless matrix, which serves every
     eps = 0 seed, and the stack is reconstructed in one pass per n.
     An empty `eps_list`, a negative or non-finite level or `n_seeds`
-    below 1 raises `ValueError` before any snapshot set is read.
+    below 1 raises `ValueError` before any snapshot set is read.  BLAS
+    runs on one thread, as in `run_case`.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -779,38 +798,39 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     t_start = time.perf_counter()
-    ctx = prepare_case(cfg, 2, force=force)
-    t_setup = time.perf_counter()
+    with _one_blas_thread():
+        ctx = prepare_case(cfg, 2, force=force)
+        t_setup = time.perf_counter()
 
-    # Matrix 0 is ctx.y_psi, every eps = 0 sample; each nonzero level
-    # appends its n_seeds matrices, drawn in one call.
-    stack = [ctx.y_psi[None]]
-    samples = []   # (eps, seed, index of its observation matrix)
-    for eps_idx, eps in enumerate(eps_list):
-        first = 1 + n_seeds * (len(stack) - 1)
-        if eps != 0.0:
-            stack.append(perturb_observations(
-                np.broadcast_to(ctx.y_psi, (n_seeds,) + ctx.y_psi.shape),
-                eps, (cfg.seed, eps_idx)))
-        samples += [(eps, s, first + s if eps else 0)
-                    for s in range(n_seeds)]
-    observations = np.concatenate(stack)
-    t_draws = time.perf_counter()
+        # Matrix 0 is ctx.y_psi, every eps = 0 sample; each nonzero level
+        # appends its n_seeds matrices, drawn in one call.
+        stack = [ctx.y_psi[None]]
+        samples = []   # (eps, seed, index of its observation matrix)
+        for eps_idx, eps in enumerate(eps_list):
+            first = 1 + n_seeds * (len(stack) - 1)
+            if eps != 0.0:
+                stack.append(perturb_observations(
+                    np.broadcast_to(ctx.y_psi, (n_seeds,) + ctx.y_psi.shape),
+                    eps, (cfg.seed, eps_idx)))
+            samples += [(eps, s, first + s if eps else 0)
+                        for s in range(n_seeds)]
+        observations = np.concatenate(stack)
+        t_draws = time.perf_counter()
 
-    rows = []
-    flags = []
-    for op, errs in _reconstruct(cfg, ctx, observations, flags):
-        # Each matrix's worst error, given to every sample of it.
-        worst = errs.max(axis=1).tolist()
-        n, b = op.n, op.beta
-        for eps, seed_idx, index in samples:
-            rows.append({
-                "n": n, "eps": eps, "seed": seed_idx, "beta": b,
-                "err_wc": worst[index],
-                "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
-                                     eps_noise=eps,
-                                     eps_model=ctx.eps_model),
-            })
+        rows = []
+        flags = []
+        for op, errs in _reconstruct(cfg, ctx, observations, flags):
+            # Each matrix's worst error, given to every sample of it.
+            worst = errs.max(axis=1).tolist()
+            n, b = op.n, op.beta
+            for eps, seed_idx, index in samples:
+                rows.append({
+                    "n": n, "eps": eps, "seed": seed_idx, "beta": b,
+                    "err_wc": worst[index],
+                    "bound": error_bound(b, float(ctx.delta_wc[n - 1]),
+                                         eps_noise=eps,
+                                         eps_model=ctx.eps_model),
+                })
 
     run_info = {
         "eps_list": eps_list, "n_seeds": n_seeds,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .eigen import (ToleranceConfig, cached_factors, certificate,
-                    power_iteration, save_solution)
+                    power_iteration)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -35,18 +35,13 @@ VACUUM_MODELS = ("robin", "zero_flux")
 
 @dataclass(frozen=True)
 class DiffusionSolution:
-    """A diffusion eigenpair: `residual` is the last outer |dk|, and
-    `vacuum_model` that of the solve, which `eigen_residual` reads."""
+    """A diffusion eigenpair; `vacuum_model` is that of the solve, which
+    `eigen_residual` reads."""
 
     k_eff: float
     phi: tuple[Field, Field]
     iterations: int
-    residual: float
     vacuum_model: str
-
-    def save(self, directory):
-        """Persist group fluxes as CSV plus a JSON manifest."""
-        save_solution(directory, self.phi, self.k_eff, self.iterations)
 
 
 def _band_view(mesh: Mesh, a: np.ndarray) -> np.ndarray:
@@ -171,10 +166,10 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
     (nusf, chi, inscatter), solve_group = _group_solves(xs, mesh,
                                                         vacuum_model)
 
-    def solution(k, phi, iterations, residual):
+    def solution(k, phi, iterations):
         return DiffusionSolution(k, tuple(
             Field(mesh, _band_view(mesh, p).ravel()) for p in phi),
-            iterations, residual, vacuum_model)
+            iterations, vacuum_model)
 
     return power_iteration(
         solve_group, nusf, chi, inscatter, tol, "diffusion", solution,

@@ -58,10 +58,8 @@ production start from the Rayleigh-Ritz pair of each other's solutions
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,20 +107,6 @@ class ToleranceConfig:
     def to_dict(self) -> dict:
         return {"k_tol": self.k_tol, "flux_tol": self.flux_tol,
                 "max_outer": self.max_outer}
-
-
-def save_solution(directory, fluxes, k_eff, iterations):
-    """Write group fluxes as CSV plus a JSON manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for g, flux in enumerate(fluxes, start=1):
-        flux.save(directory / f"flux_g{g}.csv")
-    mesh = fluxes[0].mesh
-    manifest = {"k_eff": k_eff, "iterations": iterations,
-                "nx": mesh.nx, "ny": mesh.ny,
-                "extent_x": mesh.extent_x, "extent_y": mesh.extent_y}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 #: The factor set last built per (kind, group), with its key.  It is
@@ -207,9 +191,9 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
                     inscatter: Sequence[np.ndarray], tol: ToleranceConfig,
                     label: str, make_solution: Callable, volume: float = 1.0,
                     rescale: Callable | None = None, start=None):
-    """Return `make_solution(k_eff, phi, iterations, residual)` of the
-    converged iterate, `residual` being the last |dk|; an
-    `IterationLimitError` carries the same for the last iterate.
+    """Return `make_solution(k_eff, phi, iterations)` of the converged
+    iterate; an `IterationLimitError` carries the same for the last
+    iterate.
 
     `solve_group(g, q, phi_g, inner_tol)` returns group g's flux for the
     frozen source `q` (fission plus in-scatter), starting from its
@@ -269,7 +253,7 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
     fission, q, scatter = np.empty(n), np.empty(n), np.empty(n)
     q_view = q.reshape(shape)
     mix = _Anderson(2 * n)
-    dk = flux_change = np.inf
+    flux_change = np.inf
     for it in range(1, tol.max_outer + 1):
         np.einsum("gi,gi->i", nusf, x, out=fission)
         fission /= k
@@ -284,7 +268,7 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
                 phi[g][...] = solve_group(g, q_view, phi[g], inner_tol)
             except IterationLimitError as exc:
                 if exc.last_solution is None:
-                    exc.last_solution = make_solution(k, phi, it, dk)
+                    exc.last_solution = make_solution(k, phi, it)
                 raise
 
         fint = normalize(step, "fission source vanished")
@@ -296,12 +280,12 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
         dk = abs(k_new - k)
         k = k_new
         if dk < tol.k_tol and flux_change < tol.flux_tol:
-            return make_solution(k, phi, it, dk)
+            return make_solution(k, phi, it)
         np.copyto(x.reshape(-1), mix(step.reshape(-1), residual.reshape(-1)))
     raise IterationLimitError(
         f"{label} eigensolve: no convergence in {tol.max_outer} "
         f"outer iterations (|dk| = {dk:.3e})",
-        last_solution=make_solution(k, phi, tol.max_outer, dk))
+        last_solution=make_solution(k, phi, tol.max_outer))
 
 
 def certificate(solve_group: Callable, nusf: Sequence[np.ndarray],

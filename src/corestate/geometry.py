@@ -12,9 +12,7 @@ sits at flat index ``j * nx + i``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -222,29 +220,6 @@ class Field:
         if n == 0.0:
             raise DegenerateProblemError("cannot normalize an all-zero field")
         return Field(self.mesh, self.values / n)
-
-    def to_text(self) -> str:
-        """CSV text: one shortest round-trip repr per value and line."""
-        return "\n".join(map(repr, self.values.tolist())) + "\n"
-
-    @staticmethod
-    def from_text(text: str, mesh: Mesh) -> "Field":
-        return Field(mesh, np.array(text.split(), dtype=float))
-
-    def save(self, csv_path: str | Path, manifest_path: str | Path | None = None):
-        """Write values as CSV (one value per line, row-major) plus a JSON
-        manifest describing the grid."""
-        Path(csv_path).write_text(self.to_text())
-        if manifest_path is not None:
-            manifest = {"nx": self.mesh.nx, "ny": self.mesh.ny,
-                        "extent_x": self.mesh.extent_x,
-                        "extent_y": self.mesh.extent_y}
-            Path(manifest_path).write_text(
-                json.dumps(manifest, sort_keys=True) + "\n")
-
-    @staticmethod
-    def load(csv_path: str | Path, mesh: Mesh) -> "Field":
-        return Field.from_text(Path(csv_path).read_text(), mesh)
 
 
 def build_mesh(config: GeometryConfig) -> Mesh:

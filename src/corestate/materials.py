@@ -116,7 +116,11 @@ class CrossSectionSet:
         `GROUP_KEYS` (sigma_t defaults to the balance sigma_a + the
         group's outscatter); a missing or unknown key, or a coefficient
         that is not a finite number, raises `ConfigurationError` naming
-        the region, group and key."""
+        the region, group and key, as does a top level that is not an
+        object."""
+        if not isinstance(d, dict):
+            raise ConfigurationError(
+                f"cross sections: the top level must be an object, got {d!r}")
         if not isinstance(d.get("regions"), dict):
             raise ConfigurationError(
                 f"cross sections need a 'regions' object, got "

@@ -9,11 +9,9 @@ cross-check and is exercised by the test suite.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -65,7 +63,6 @@ class ReducedBasis:
     singular_values: np.ndarray    # (n_max,), nonincreasing
     gram_eigenvalues: np.ndarray   # full spectrum, for energy accounting
     model_tag: str
-    lattice_tag: str = ""
 
     def __post_init__(self):
         self.mode_matrix.setflags(write=False)
@@ -84,43 +81,8 @@ class ReducedBasis:
         """L2 coefficients of `values` (flat or (K, n_cells)) on the modes."""
         return values @ self.mode_matrix.T * self.mesh.cell_area
 
-    def save(self, directory: str | Path):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for k, mode in enumerate(self.modes):
-            mode.save(directory / f"mode_{k:03d}.csv")
-        manifest = {
-            "n_max": self.n_max,
-            "model_tag": self.model_tag,
-            "lattice_tag": self.lattice_tag,
-            "singular_values": [repr(float(s)) for s in self.singular_values],
-            "gram_eigenvalues": [repr(float(s)) for s in self.gram_eigenvalues],
-            "nx": self.mesh.nx, "ny": self.mesh.ny,
-            "extent_x": self.mesh.extent_x, "extent_y": self.mesh.extent_y,
-        }
-        (directory / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    @staticmethod
-    def load(directory: str | Path, mesh: Mesh) -> "ReducedBasis":
-        directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        if (manifest["nx"], manifest["ny"]) != (mesh.nx, mesh.ny):
-            raise ValueError("basis manifest does not match the mesh")
-        modes = np.stack([
-            Field.load(directory / f"mode_{k:03d}.csv", mesh).values
-            for k in range(manifest["n_max"])])
-        return ReducedBasis(
-            mesh=mesh, mode_matrix=modes,
-            singular_values=np.array([float(s) for s in
-                                      manifest["singular_values"]]),
-            gram_eigenvalues=np.array([float(s) for s in
-                                       manifest["gram_eigenvalues"]]),
-            model_tag=manifest["model_tag"],
-            lattice_tag=manifest.get("lattice_tag", ""))
-
-
-def pod(snaps: SnapshotSet, n_max: int, lattice_tag: str = "") -> ReducedBasis:
+def pod(snaps: SnapshotSet, n_max: int) -> ReducedBasis:
     """Method of snapshots.
 
     Eigendecompose the L2 Gram matrix of the snapshots, keep the leading
@@ -169,7 +131,7 @@ def pod(snaps: SnapshotSet, n_max: int, lattice_tag: str = "") -> ReducedBasis:
         mesh=snaps.mesh, mode_matrix=modes,
         singular_values=np.sqrt(eigvals[:n_keep]),
         gram_eigenvalues=eigvals.copy(),
-        model_tag=snaps.model_tag, lattice_tag=lattice_tag)
+        model_tag=snaps.model_tag)
 
 
 def projection_errors(basis: ReducedBasis, values: np.ndarray) -> np.ndarray:

@@ -65,7 +65,7 @@ import scipy.sparse.linalg as spla
 
 from .diffusion import _band_view, group_factor, group_power_map
 from .eigen import (ToleranceConfig, cached_factors, certificate,
-                    power_iteration, save_solution)
+                    power_iteration)
 from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -168,27 +168,21 @@ def build_quadrature(order: int) -> AngularQuadrature:
 
 @dataclass(frozen=True)
 class TransportSolution:
-    """A transport eigenpair.  `residual` is the last outer |dk|;
-    `iterations` counts the outer steps and `sweeps` all sweeps of
-    both groups.  `quadrature_order` and `scheme` are those of the
-    solve, the discretization `eigen_residual` certifies the eigenpair
-    in, and `angular_flux` (with `retain_angular` only) each group's
-    angular flux, shaped (directions, ny, nx).
+    """A transport eigenpair.  `iterations` counts the outer steps and
+    `sweeps` all sweeps of both groups.  `quadrature_order` and `scheme`
+    are those of the solve, the discretization `eigen_residual`
+    certifies the eigenpair in, and `angular_flux` each group's angular
+    flux, shaped (directions, ny, nx), from which another solve can
+    start.
     """
 
     k_eff: float
     scalar_flux: tuple[Field, Field]
     iterations: int
     sweeps: int
-    residual: float
     quadrature_order: int
     scheme: str
-    angular_flux: tuple[np.ndarray, np.ndarray] | None = None
-
-    def save(self, directory):
-        """Persist group scalar fluxes as CSV plus a JSON manifest."""
-        save_solution(directory, self.scalar_flux, self.k_eff,
-                      self.iterations)
+    angular_flux: tuple[np.ndarray, np.ndarray]
 
 
 class _SweepBlock(NamedTuple):
@@ -527,8 +521,7 @@ def _check_start(start: TransportSolution, mesh: Mesh,
     """Raise `ConfigurationError` unless `start` can seed this solve."""
     if start.angular_flux is None:
         raise ConfigurationError(
-            "solve_transport: the start has no angular flux; solve it with "
-            "retain_angular=True")
+            "solve_transport: the start has no angular flux")
     shape = (start.scalar_flux[0].mesh.nx, start.scalar_flux[0].mesh.ny)
     if shape != (mesh.nx, mesh.ny):
         raise ConfigurationError(
@@ -544,7 +537,6 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
                     quad: AngularQuadrature | None = None,
                     tol: ToleranceConfig | None = None,
                     scheme: str = "step",
-                    retain_angular: bool = False,
                     start: TransportSolution | None = None
                     ) -> TransportSolution:
     """Power iteration on the fission source (`corestate.eigen`); see
@@ -557,15 +549,14 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
     stops once its estimated error (see the module docstring) falls
     below `eigen.INNER_TOL_FACTOR` times the last outer flux change, or
     its relative change below 1e-9.  Raises
-    `IterationLimitError` when `tol.max_outer` outer steps or the
-    `_MAX_INNER` = 500 inner sweeps are exhausted;
-    with `retain_angular` its last iterate carries the angular flux.
+    `IterationLimitError`, carrying the last iterate with its angular
+    flux, when `tol.max_outer` outer steps or the `_MAX_INNER` = 500
+    inner sweeps are exhausted.
 
-    `start`, a solution of a nearby problem solved with
-    `retain_angular`, replaces the flat start: its k_eff, scalar fluxes,
-    angular fluxes and, from the exit cells, exit-face fluxes.  It must
-    have this mesh shape, quadrature order and scheme, or
-    `ConfigurationError` is raised.
+    `start`, a solution of a nearby problem, replaces the flat start:
+    its k_eff, scalar fluxes, angular fluxes and, from the exit cells,
+    exit-face fluxes.  It must have this mesh shape, quadrature order
+    and scheme, and an angular flux, or `ConfigurationError` is raised.
     """
     quad = quad or build_quadrature(4)
     tol = tol or ToleranceConfig()
@@ -583,13 +574,12 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
         for sweeper in sweepers:
             sweeper.scale(factor)
 
-    def solution(k_eff, phi, iterations, residual):
+    def solution(k_eff, phi, iterations):
         return TransportSolution(
             k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
-            iterations, sum(s.sweeps for s in sweepers), residual,
+            iterations, sum(s.sweeps for s in sweepers),
             quadrature_order=quad.order, scheme=scheme,
-            angular_flux=tuple(s.psi for s in sweepers)
-            if retain_angular else None)
+            angular_flux=tuple(s.psi for s in sweepers))
 
     return power_iteration(
         source_iteration, nusf, chi, inscatter, tol, "transport", solution,

@@ -17,7 +17,7 @@ from corestate.diffusion import eigen_residual as diffusion_residual
 from corestate.diffusion import power_map_diffusion, solve_diffusion
 from corestate.errors import ConfigurationError, DegenerateProblemError
 from corestate.eigen import FissionSpan
-from corestate.geometry import Field, GeometryConfig, build_mesh
+from corestate.geometry import GeometryConfig, build_mesh
 from corestate.materials import (cell_values, default_cross_sections,
                                  map_alpha_to_mu, training_lattice)
 from corestate.pbdw import reconstruct_batch
@@ -215,8 +215,8 @@ class TestSnapshots:
         directory = Path(tmp_path) / "snapshots" / "diffusion_test"
         (directory / "snapshots.npy").unlink()
         hasher = hashlib.sha256()
-        for i, f in enumerate(snaps.fields):
-            text = f.to_text()
+        for i, row in enumerate(snaps.matrix.tolist()):
+            text = "".join(repr(x) + "\n" for x in row)
             hasher.update(text.encode())
             (directory / f"snapshot_{i:03d}.csv").write_text(text)
         del manifest["signature"]["store"]
@@ -391,15 +391,6 @@ class TestSnapshots:
         assert len(seen) == 1 + len(materials.test_lattice())
         assert seen == [[1] * len(before)] * len(seen)
         assert after == [2] * len(before)
-
-    def test_field_text_matches_per_value_repr(self):
-        values = np.array([-1.5, 5e-324, 2.2250738585072014e-308 / 3, 3.0,
-                           -7.0, 1e-300, -1e-300, 0.1 + 0.2, -0.0, 1e300])
-        mesh = build_mesh(uniform_config(5, 2))
-        text = Field(mesh, values).to_text()
-        assert text == "".join(repr(float(x)) + "\n" for x in values)
-        parsed = Field.from_text(text, mesh).values
-        assert parsed.tobytes() == values.tobytes()
 
     def test_solver_failure_identifies_alpha(self, tmp_path, monkeypatch):
         bad = small_config(
@@ -701,6 +692,37 @@ class TestRunCase:
         err = report.column("err_wc")
         bound = report.column("bound")
         assert np.all(err <= bound * (1 + 1e-9))
+
+    @pytest.mark.parametrize("report", [
+        lambda cfg: run_case(cfg, 2),
+        lambda cfg: sweep_noise(cfg, [0.0, 1e-3], n_seeds=2)],
+        ids=["run_case", "sweep_noise"])
+    def test_reports_run_one_blas_thread(self, case2_config, monkeypatch,
+                                         report):
+        # POD, the delta curves and the reconstruction ran at the caller's
+        # BLAS thread count, and the report bytes depended on it.
+        controls = openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library is loaded")
+        before = [get() for get, _ in controls]
+        seen = []
+        pod = bench.pod
+
+        def recording_pod(*args, **kwargs):
+            seen.append(openblas_threads())
+            return pod(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "pod", recording_pod)
+        for _, set_threads in controls:
+            set_threads(2)
+        try:
+            report(case2_config)
+            after = openblas_threads()
+        finally:
+            for (_, set_threads), n in zip(controls, before):
+                set_threads(n)
+        assert seen == [[1] * len(before)]
+        assert after == [2] * len(before)
 
     def test_beta_and_delta_monotone(self, case2_report):
         _, report = case2_report
@@ -1104,13 +1126,16 @@ class TestConfig:
         ({"sensors": [9, 6]}, "^sensors must be an object"),
         ({"sensors": {"sx": -9, "sy": -6}}, r"^sensors\.sx must be >= 1"),
         ({"sensors": {"sx": 0}}, r"^sensors\.sx must be >= 1, got 0$"),
-        ({"sensors": {"sx": 9, "sy": -1}}, r"^sensors\.sy must be >= 1")])
+        ({"sensors": {"sx": 9, "sy": -1}}, r"^sensors\.sy must be >= 1"),
+        ([1], r"^experiment config: the top level must be an object, "
+              r"got \[1\]$")])
     def test_unknown_keys_rejected(self, config, match):
         # {"ktol": 1e-12} kept k_tol at 1e-8, and a region's "priorty"
         # was dropped.  Sensors: {"sxx": 3} kept the 9 x 6 default,
         # [9, 6] raised a bare AttributeError, {"sx": -9, "sy": -6}
         # loaded with m = 54 and failed only in build_sensors, and
-        # {"sx": 0} was blamed on n_range.
+        # {"sx": 0} was blamed on n_range.  A top level of [1] raised a
+        # bare AttributeError.
         if "geometry" in config:
             config = {"geometry": {**_default_geometry_dict(),
                                    **config["geometry"]}}
@@ -1264,6 +1289,23 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigurationError"
         assert "diamnod" in err["message"]
+
+    @pytest.mark.parametrize("name", ["config.json", "xs.json"])
+    def test_non_object_file_fails_info(self, tmp_path, capsys, name):
+        # A config, or the cross-section file it names, holding [1]
+        # printed {"error": "AttributeError", ...}.
+        path = self._config_file(tmp_path)
+        config = json.loads(path.read_text())
+        path.write_text(json.dumps({**config, "cross_sections": "xs.json"}))
+        (tmp_path / "xs.json").write_text(
+            json.dumps(default_cross_sections().to_dict()))
+        (tmp_path / name).write_text("[1]")
+        assert cli.main(["info", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigurationError"
+        assert "top level must be an object, got [1]" in err["message"]
 
     def test_zero_threads_fails_info(self, capsys):
         assert cli.main(["info", "--threads", "0"]) == 1

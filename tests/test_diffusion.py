@@ -291,19 +291,6 @@ class TestPowerMap:
             power_map_diffusion(sol, xs)
 
 
-class TestPersistence:
-    def test_solution_round_trip(self, tmp_path):
-        mesh, xs = homogeneous_problem(4, 3)
-        sol = solve_diffusion(xs, mesh)
-        sol.save(tmp_path / "sol")
-        import json
-        manifest = json.loads((tmp_path / "sol" / "manifest.json").read_text())
-        assert manifest["k_eff"] == sol.k_eff
-        assert manifest["iterations"] == sol.iterations
-        again = Field.load(tmp_path / "sol" / "flux_g1.csv", mesh)
-        assert np.array_equal(again.values, sol.phi[0].values)
-
-
 class TestErrors:
     def test_no_fissile_cell_rejected(self):
         mesh = build_mesh(uniform_config(4, 4))

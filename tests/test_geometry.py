@@ -223,15 +223,6 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
-    def test_csv_round_trip(self, tmp_path):
-        mesh = build_mesh(uniform_config(5, 3))
-        f = random_field(mesh, np.random.default_rng(11))
-        f.save(tmp_path / "f.csv", tmp_path / "f.json")
-        again = Field.load(tmp_path / "f.csv", mesh)
-        assert np.array_equal(again.values, f.values)
-        manifest = (tmp_path / "f.json").read_text()
-        assert '"nx": 5' in manifest and '"ny": 3' in manifest
-
     def test_normalized(self):
         mesh = build_mesh(uniform_config(4, 4))
         f = Field(mesh, np.full(16, 3.0))

@@ -144,6 +144,14 @@ class TestCrossSectionSet:
         with pytest.raises(ConfigurationError, match="nonnegative"):
             make_region_xs(sigma_a=(-0.01, 0.1))
 
+    @pytest.mark.parametrize("value", [[1], "regions", None])
+    def test_non_object_top_level_rejected(self, value):
+        # [1] raised a bare AttributeError.
+        with pytest.raises(ConfigurationError,
+                           match="^cross sections: the top level must be "
+                                 "an object, got "):
+            CrossSectionSet.from_dict(value)
+
     def test_missing_group_block_rejected(self):
         with pytest.raises(ConfigurationError, match="groups"):
             CrossSectionSet.from_dict(

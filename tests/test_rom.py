@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corestate.geometry import Field, build_mesh, inner_product
-from corestate.rom import (ReducedBasis, SnapshotSet, delta_curves, pod,
+from corestate.rom import (SnapshotSet, delta_curves, pod,
                            projection_errors)
 
 from helpers import orthonormal_fields, snapshot_set, uniform_config
@@ -231,16 +231,3 @@ class TestDeltaCurves:
         dist = projection_errors(basis, gaussian_family(
             mesh, 5, np.random.default_rng(13)).matrix)
         assert np.all(np.diff(dist, axis=0) <= 0)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        mesh = build_mesh(uniform_config(8, 6))
-        basis = pod(gaussian_family(mesh, 12), n_max=5,
-                    lattice_tag="training")
-        basis.save(tmp_path / "basis")
-        again = ReducedBasis.load(tmp_path / "basis", mesh)
-        assert np.array_equal(again.mode_matrix, basis.mode_matrix)
-        assert np.array_equal(again.singular_values, basis.singular_values)
-        assert again.model_tag == basis.model_tag
-        assert again.lattice_tag == "training"

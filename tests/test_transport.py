@@ -101,8 +101,7 @@ class TestInfiniteMedium:
 
     def test_scalar_flux_constant_and_isotropic(self):
         mesh, xs = homogeneous_problem(5, 4)
-        sol = solve_transport(xs, mesh, build_quadrature(4),
-                              retain_angular=True)
+        sol = solve_transport(xs, mesh, build_quadrature(4))
         for g in range(2):
             phi = sol.scalar_flux[g].values
             assert np.max(np.abs(phi - phi.mean())) <= 1e-6 * phi.mean()
@@ -672,7 +671,7 @@ class TestAndersonMixing:
         # 8e-11), before any mixing.
         cfg, mesh, xs = default_lattice_problem(0)
         quad, tol = build_quadrature(cfg.sn_order), cfg.tolerances
-        sol = solve_transport(xs, mesh, quad, tol, retain_angular=True)
+        sol = solve_transport(xs, mesh, quad, tol)
         again = solve_transport(xs, mesh, quad, tol, start=sol)
         assert again.iterations <= 2
         assert np.isfinite(again.k_eff)
@@ -703,8 +702,7 @@ class TestAndersonMixing:
         with pytest.raises(IterationLimitError) as err:
             solve_transport(xs, mesh, quad,
                             ToleranceConfig(k_tol=1e-14, flux_tol=1e-14,
-                                            max_outer=5),
-                            retain_angular=True)
+                                            max_outer=5))
         last = err.value.last_solution
         assert last.iterations == 5 and last.k_eff > 0
         for phi, psi in zip(last.scalar_flux, last.angular_flux):
@@ -928,15 +926,14 @@ class TestErrors:
                             scheme="characteristics")
 
     def test_iteration_limit_carries_last_iterate(self):
-        # With retain_angular the last iterate carries the angular flux,
-        # so it can start another solve.
+        # The last iterate carries the angular flux, so it can start
+        # another solve.
         mesh = build_mesh(uniform_config(5, 5))
         quad = build_quadrature(2)
         with pytest.raises(IterationLimitError) as err:
             solve_transport(fuel_xs(), mesh, quad,
                             ToleranceConfig(k_tol=1e-14, flux_tol=1e-14,
-                                            max_outer=2),
-                            retain_angular=True)
+                                            max_outer=2))
         last = err.value.last_solution
         assert last.k_eff > 0
         sol = solve_transport(fuel_xs(), mesh, quad, start=last)
@@ -945,10 +942,10 @@ class TestErrors:
     def test_unusable_start_rejected(self):
         mesh = build_mesh(uniform_config(5, 4))
         xs, quad = fuel_xs(), build_quadrature(2)
-        start = solve_transport(xs, mesh, quad, retain_angular=True)
+        start = solve_transport(xs, mesh, quad)
         with pytest.raises(ConfigurationError, match="angular"):
             solve_transport(xs, mesh, quad,
-                            start=solve_transport(xs, mesh, quad))
+                            start=replace(start, angular_flux=None))
         with pytest.raises(ConfigurationError, match="5 x 4 mesh"):
             solve_transport(xs, build_mesh(uniform_config(4, 5)), quad,
                             start=start)
