@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import power_map_diffusion, solve_diffusion
+from .diffusion import power_map_diffusion, prepare_diffusion, solve_diffusion
 from .eigen import FissionSpan, ToleranceConfig
 from .errors import (ConfigurationError, IterationLimitError, config_int,
                      config_object)
@@ -48,7 +48,7 @@ from .rom import ReducedBasis, SnapshotSet, delta_curves, pod
 from .sensing import (build_sensors, observe, perturb_observations,
                       save_observations)
 from .transport import (SCHEMES, build_quadrature, power_map_transport,
-                        solve_transport)
+                        prepare_transport, solve_transport)
 
 REPORT_COLUMNS = ("n", "beta", "delta_wc", "delta_ms", "err_wc", "bound",
                   "eta_norm_mean")
@@ -90,12 +90,9 @@ SOLVER_REVISION = {"transport": 13, "diffusion": 7}
 SNAPSHOT_STORE = "npy-matrix"
 SNAPSHOT_FILE = "snapshots.npy"
 
-#: The lattice centre, solved once per snapshot set.  A lattice point
-#: starts from it until its (a1, a2, a3) block has a solution, and then
-#: from the Ritz pair of the block's solutions (`_solve_points`), the
-#: parent among them in its own block.  Starts that depend only on the
-#: block, rather than on a chain of neighbours, keep each result
-#: independent of the worker count.
+#: The lattice centre, solved once per snapshot set.  Starts made only
+#: from it and from a point's own block (`_solve_points`), not from a
+#: chain of neighbours, keep each result independent of the worker count.
 PARENT_ALPHA = (0.9,) * 5
 
 
@@ -219,20 +216,21 @@ class ExperimentConfig:
 def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
                     tol: ToleranceConfig, sn_order: int = 4,
                     scheme: str = "step", start=None,
-                    keep_solution: bool = False):
+                    keep_solution: bool = False, operators=None):
     """Solve one criticality problem and return (k_eff, unit-norm power),
     starting from the solution `start` of a nearby problem when given
     (see `solve_transport` and `solve_diffusion`).  With `keep_solution`
     return (k_eff, power, solution), the solution able to start another
-    solve (a transport one carries its angular flux)."""
+    solve (a transport one carries its angular flux).  Given, `operators`
+    replace `xs` in the solve; `xs` may differ from them in nuSf only."""
     if model == "diffusion":
-        sol = solve_diffusion(xs, mesh, tol, start=start)
+        sol = solve_diffusion(operators or xs, mesh, tol, start=start)
     else:
-        sol = solve_transport(xs, mesh, build_quadrature(sn_order), tol,
-                              scheme=scheme, start=start)
-    if keep_solution:
-        return sol.k_eff, _power_map(model, sol, xs), sol
-    return sol.k_eff, _power_map(model, sol, xs)
+        sol = solve_transport(operators or xs, mesh,
+                              build_quadrature(sn_order), tol, scheme=scheme,
+                              start=start)
+    power = _power_map(model, sol, xs)
+    return (sol.k_eff, power, sol) if keep_solution else (sol.k_eff, power)
 
 
 def _power_map(model: str, sol, xs: CrossSectionSet) -> Field:
@@ -272,22 +270,20 @@ def _solve_points(problem, points):
     parent, converged), `converged` telling whether the parent solve
     converged.
 
-    a4 and a5 only scale nuSf1 and nuSf2, so the points of one (a1, a2,
-    a3) block differ only in nuSf, and each starts from the
-    Rayleigh-Ritz pair (`eigen.FissionSpan`) of the block's solutions
-    solved so far: those that span the block's fission sources within
-    10 flux_tol, the parent among them when it converged and lies in the
-    block.  A point on the ray (a1, a2, a3, a5 / a4) of a solved point
-    gets that point's eigenvector back, within the span's cut, a start
-    the solver's own test passes after one outer.  A point with no
-    spanning solution yet, or whose Ritz pair is not a usable start,
-    starts from the parent.  Only the current block's solutions are
-    held.  `start` lists the
-    sorted lattice indices of the solutions a point's start is made
-    from, [-1] for the parent (which is also its index when it spans).
-    A failed point adds nothing to its block's span and yields the
-    failure's text as `error`, which the caller raises with the alpha of
-    the lowest failing index."""
+    a4 and a5 only scale nuSf1 and nuSf2, so the points of an (a1, a2,
+    a3) block share the operators prepared once from its cross sections
+    at a4 = a5 = 1, the previous block's released first, and each point
+    solves at its own `fission_scale`; kappaSf, which the power map
+    reads, is the block's.  A point starts from the Rayleigh-Ritz pair
+    (`eigen.FissionSpan`) of the block's solutions so far that span its
+    fission sources within 10 flux_tol, the parent among them when it
+    converged and lies in the block, or, with no usable pair, from the
+    parent; a point on the ray (a1, a2, a3, a5 / a4) of a solved one
+    gets its eigenvector back and passes after one outer.  `start`
+    lists the sorted lattice indices of the solutions a start is made
+    from, [-1] for the parent.  A failed point adds nothing to the span
+    and yields the failure's text as `error`, which the caller raises
+    with the alpha of the lowest failing index."""
     model, cfg, mesh, parent, converged = problem
     # The base set's fission production, whose groups a4 and a5 scale.
     nusf = cell_values(cfg.cross_sections, mesh, "nu_sigma_f")[0].reshape(
@@ -295,14 +291,18 @@ def _solve_points(problem, points):
     block = None
     for index, alpha in points:
         if alpha[:3] != block:
-            block, span, spanning = alpha[:3], FissionSpan(
+            block, operators, span, spanning = alpha[:3], None, FissionSpan(
                 nusf, 10 * cfg.tolerances.flux_tol), []
             if converged and block == PARENT_ALPHA[:3] and span.add(
                     parent.k_eff, _fluxes(model, parent), PARENT_ALPHA[3:]):
                 spanning.append((-1, parent))
         origin = [-1]
         try:
-            xs = map_alpha_to_mu(alpha, cfg.cross_sections)
+            if operators is None:  # the block's first point, or a retry
+                xs = map_alpha_to_mu(block + (1.0, 1.0), cfg.cross_sections)
+                operators = prepare_diffusion(xs, mesh) if model == \
+                    "diffusion" else prepare_transport(
+                        xs, mesh, build_quadrature(cfg.sn_order), cfg.scheme)
             ritz = span.ritz(alpha[3:])
             start = parent
             if ritz is not None:
@@ -310,7 +310,8 @@ def _solve_points(problem, points):
                 origin = sorted(i for i, _ in spanning)
             k_eff, power, sol = solve_power_map(
                 model, xs, mesh, cfg.tolerances, cfg.sn_order, cfg.scheme,
-                start=start, keep_solution=True)
+                start=start, keep_solution=True,
+                operators=operators._replace(fission_scale=alpha[3:]))
             if span.add(k_eff, _fluxes(model, sol), alpha[3:]):
                 spanning.append((index, sol))
             result = index, origin, k_eff, power.values, None
@@ -445,16 +446,13 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     """Solve the chosen model over a parameter lattice and persist the
     power maps with a manifest; reuse an existing set when its manifest
     matches the current configuration.  The `PARENT_ALPHA` solution
-    (`_solve_parent`) is solved first; the point at `PARENT_ALPHA`
-    itself takes that solution when it converged.  The other points are
-    solved in `_solve_order` by `_solve_points`, each from the parent
-    or from the Rayleigh-Ritz pair of the solutions solved before it in
-    its (a1, a2, a3) block: on one worker here, as one run; on
-    `cfg.threads` workers cut into at most that many contiguous runs of
-    whole blocks and of about equal length, one pool task and one
-    worker each.  A start depends only on its block, so a point's
-    start, and its values, do not depend on the worker count; the order
-    only decides which cached factors are reused.
+    (`_solve_parent`) is solved first, and is its own point's when it
+    converged.  The other points are solved in `_solve_order` by
+    `_solve_points`: on one worker here, as one run; on `cfg.threads`
+    workers cut into at most that many contiguous runs of whole blocks
+    and of about equal length, one pool task and one worker each.  A
+    start depends only on its block, so the values do not depend on the
+    worker count; the order only decides which cached factors are reused.
 
     A set lives in `snapshots/<model>_<lattice>/` under the output
     directory: `snapshots.npy`, the C-order float64 (count, n_cells)
@@ -491,7 +489,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
                                   mesh.n_cells)
             log.info("[snapshots] reusing %s/%s (%d snapshots)", model,
                      lattice, manifest["count"])
-            return SnapshotSet(mesh, matrix, tuple(alphas), model), manifest
+            return SnapshotSet(mesh, matrix, tuple(alphas)), manifest
 
     log.info("[snapshots] solving %s/%s: %d problems on %d worker(s)",
              model, lattice, len(alphas), cfg.threads)
@@ -541,7 +539,7 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
         index = min(failures)
         raise RuntimeError(f"{model} solve failed at alpha = "
                            f"{alphas[index]}: {failures[index]}")
-    snaps = SnapshotSet(mesh, matrix, tuple(alphas), model)
+    snaps = SnapshotSet(mesh, matrix, tuple(alphas))
 
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / SNAPSHOT_FILE, matrix)

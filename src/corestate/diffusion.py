@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .eigen import (ToleranceConfig, cached_factors, certificate,
-                    power_iteration)
+from .eigen import (Operators, ToleranceConfig, cached_factors,
+                    certificate, power_iteration)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -45,10 +45,10 @@ class DiffusionSolution:
 
 
 def _band_view(mesh: Mesh, a: np.ndarray) -> np.ndarray:
-    """The (ny, nx) cell array `a` seen in `GroupOperator`'s cell order,
-    as an (nx, ny) transposed view when nx > ny, else `a` itself; applied
-    to such a view it gives the (ny, nx) array back."""
-    return a.T if mesh.nx > mesh.ny else a
+    """The (..., ny, nx) cell array `a` in `GroupOperator`'s cell order:
+    its last two axes swapped when nx > ny, else `a` itself; applied to
+    such a view it gives the (..., ny, nx) array back."""
+    return a.swapaxes(-1, -2) if mesh.nx > mesh.ny else a
 
 
 class GroupOperator:
@@ -114,13 +114,13 @@ def group_factor(kind: str, group: int, mesh: Mesh, d2d: np.ndarray,
         mesh, d2d, sigma_a2d, vacuum_model).factorize(group))
 
 
-def _group_solves(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
-    """The area-scaled fission, spectrum and in-scatter cell arrays
-    (nusf, chi, inscatter), a pair each, and `solve_group(g, q, phi_g,
-    inner_tol)` that `power_iteration` calls, all in band cell order
-    (`_band_view`).  Each group is solved directly by band Cholesky of
-    its `GroupOperator` (`group_factor`), factorized once for a run of
-    solves with equal matrices and assembled only when factorized."""
+def prepare_diffusion(xs: CrossSectionSet, mesh: Mesh,
+                      vacuum_model: str = "robin") -> Operators:
+    """The `eigen.Operators` of `xs` on `mesh` in band cell order
+    (`_band_view`), the in-scatter area-scaled; `solver` is
+    (vacuum_model, solve_group), `solve_group(g, q, phi_g, inner_tol)`
+    solving group g by band Cholesky of its `GroupOperator`
+    (`group_factor`), factorized once per run of equal matrices."""
     if vacuum_model not in VACUUM_MODELS:
         raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
     d, sigma_a, sigma_s, nu_sigma_f, chi = cell_values(
@@ -134,21 +134,22 @@ def _group_solves(xs: CrossSectionSet, mesh: Mesh, vacuum_model: str):
     def solve_group(g, q, _phi, _tol):
         return solves[g](q.ravel()).reshape(q.shape)
 
-    area = mesh.cell_area
-    pairs = ((nu_sigma_f[0] * area, nu_sigma_f[1] * area), (chi[0], chi[1]),
-             (sigma_s[1, 0] * area, sigma_s[0, 1] * area))
-    return [[_band_view(mesh, a) for a in pair] for pair in pairs], solve_group
+    inscatter = sigma_s[[1, 0], [0, 1]] * mesh.cell_area
+    return Operators(*(np.ascontiguousarray(_band_view(mesh, a)) for a in (
+        nu_sigma_f, chi, inscatter)), (vacuum_model, solve_group))
 
 
-def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
+def solve_diffusion(xs: CrossSectionSet | Operators, mesh: Mesh,
                     tol: ToleranceConfig | None = None,
                     vacuum_model: str = "robin",
                     start: DiffusionSolution | None = None
                     ) -> DiffusionSolution:
     """Power iteration on the fission source (`corestate.eigen`), each
-    group solved directly (`_group_solves`).  The iteration's vectors
-    are laid out in the operators' band order, so the cells are
-    permuted once per solve, not in every group solve.
+    group solved directly, on the operators of `xs` (`prepare_diffusion`)
+    or on `xs` itself, operators prepared on `mesh` that then also set
+    the vacuum model.  The iteration's vectors are laid out in the
+    operators' band order, so the cells are permuted once per solve,
+    not in every group solve.
     `start`, the solution of a nearby problem on a mesh of the same
     shape (else `ConfigurationError`), replaces the flat start.
 
@@ -163,8 +164,9 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             raise ConfigurationError(
                 f"solve_diffusion: a start on a {shape[0]} x {shape[1]} "
                 f"mesh given for a {mesh.nx} x {mesh.ny} one")
-    (nusf, chi, inscatter), solve_group = _group_solves(xs, mesh,
-                                                        vacuum_model)
+    ops = xs if isinstance(xs, Operators) else prepare_diffusion(
+        xs, mesh, vacuum_model)
+    vacuum_model, solve_group = ops.solver
 
     def solution(k, phi, iterations):
         return DiffusionSolution(k, tuple(
@@ -172,8 +174,8 @@ def solve_diffusion(xs: CrossSectionSet, mesh: Mesh,
             iterations, vacuum_model)
 
     return power_iteration(
-        solve_group, nusf, chi, inscatter, tol, "diffusion", solution,
-        start=None if start is None else (
+        solve_group, ops.nusf() * mesh.cell_area, ops.chi, ops.inscatter,
+        tol, "diffusion", solution, start=None if start is None else (
             start.k_eff, [_band_view(mesh, f.values2d) for f in start.phi]))
 
 
@@ -183,9 +185,9 @@ def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet) -> float:
     frozen, under `sol`'s vacuum model, on the group factors its solve
     left in `eigen.cached_factors`."""
     mesh = sol.phi[0].mesh
-    (nusf, chi, inscatter), solve_group = _group_solves(xs, mesh,
-                                                        sol.vacuum_model)
-    return certificate(solve_group, nusf, chi, inscatter, sol.k_eff,
+    ops = prepare_diffusion(xs, mesh, sol.vacuum_model)
+    return certificate(ops.solver[1], ops.nu_sigma_f * mesh.cell_area,
+                       ops.chi, ops.inscatter, sol.k_eff,
                        [_band_view(mesh, f.values2d) for f in sol.phi])
 
 

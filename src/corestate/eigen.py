@@ -26,24 +26,13 @@ unconverged outer is Anderson-mixed (type II of depth 2, Walker & Ni
 2011): the two groups' normalized fluxes, stacked into one vector x,
 are mapped to G(x) by the outer step, and the next iterate is G(x)
 corrected by the least-squares fit of the last two differences of the
-residual f = G(x) - x.  The mixer keeps those differences, the matching
-differences of G and their squared norms across outers, so each outer
-forms only the new difference and its dot products and solves the
-2 x 2 normal equations in closed form (the plain step G(x) when they
-are singular or give a non-finite fit).  Depth 2 takes default cold
+residual f = G(x) - x (`_Anderson`).  Depth 2 takes default cold
 solves from 11-14 to 8-11 outers; depth 1 left some diffusion
 certificates near 2e-8 and depth 3 saved no more outers.  Each G(x)
 has fission integral one, so the mixed iterate keeps it.  The
 convergence test, |dk|, the inner tolerance and every returned
 solution use the unmixed G(x), so a solution's scalar flux is the one
 its group solvers left (transport's angular flux is not mixed).
-The iterate, the step and its residual are each one stacked (2, n)
-array: sources are built in place, the fission integral is one dot
-product and both groups' flux changes come from one max-abs pass.
-Exhausting the outer budget or a group solver's own cap raises
-`IterationLimitError` carrying the last iterate.
-Both solvers keep their group factorizations across solves in
-`cached_factors`.
 
 Both solvers certify an eigenpair the same way (`certificate`): one
 more outer step from it with k frozen, each group solved through the
@@ -51,16 +40,17 @@ solver's own group solve at its tightest inner tolerance.  The
 certificate is of the order of the outer changes a solve still had to
 make, so one stopped early scores well above its tolerances.
 
-Problems that differ only in a per-group scaling of their fission
-production start from the Rayleigh-Ritz pair of each other's solutions
-(`FissionSpan`).
+Both solvers keep their group factorizations across solves in
+`cached_factors`.  Problems that differ only in a per-group scaling of
+their fission production share their `Operators` and start from the
+Rayleigh-Ritz pair of each other's solutions (`FissionSpan`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeev
@@ -121,9 +111,9 @@ def cached_factors(kind: str, group: int, key, build: Callable):
     built for an equal `key`, which must hold the exact bytes of
     everything `build` reads, so a hit is bit-identical to a rebuild.
     One set per (kind, group) catches the reuse of the lattice order, in
-    which runs of consecutive points share their cross sections.  On a
-    miss the old set is dropped before `build` runs, so no more factors
-    are alive than one solve needs."""
+    which consecutive blocks share one group's operators.  On a miss the
+    old set is dropped before `build` runs, so no more factors are alive
+    than one problem needs."""
     slot = (kind, group)
     if slot in _FACTOR_SETS:
         if _FACTOR_SETS[slot][0] == key:
@@ -132,6 +122,22 @@ def cached_factors(kind: str, group: int, key, build: Callable):
     value = build()
     _FACTOR_SETS[slot] = (key, value)
     return value
+
+
+class Operators(NamedTuple):
+    """A problem's unscaled fission production, spectrum and in-scatter,
+    C-ordered (2, ...) cell arrays as `power_iteration` takes them, and
+    what its solver reads besides.  Problems that differ only in a
+    per-group scaling of nuSf share them, each at its `fission_scale`."""
+
+    nu_sigma_f: np.ndarray
+    chi: np.ndarray
+    inscatter: np.ndarray
+    solver: tuple
+    fission_scale: tuple = (1.0, 1.0)
+
+    def nusf(self) -> np.ndarray:
+        return self.nu_sigma_f * np.reshape(self.fission_scale, (2, 1, 1))
 
 
 class _Anderson:
@@ -186,10 +192,10 @@ class _Anderson:
         return g - np.array(gamma) @ self.dg
 
 
-def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
-                    chi: Sequence[np.ndarray],
-                    inscatter: Sequence[np.ndarray], tol: ToleranceConfig,
-                    label: str, make_solution: Callable, volume: float = 1.0,
+def power_iteration(solve_group: Callable, nusf: np.ndarray,
+                    chi: np.ndarray, inscatter: np.ndarray,
+                    tol: ToleranceConfig, label: str,
+                    make_solution: Callable, volume: float = 1.0,
                     rescale: Callable | None = None, start=None):
     """Return `make_solution(k_eff, phi, iterations)` of the converged
     iterate; an `IterationLimitError` carries the same for the last
@@ -200,29 +206,25 @@ def power_iteration(solve_group: Callable, nusf: Sequence[np.ndarray],
     current flux `phi_g`; an iterative solver may stop once its error
     relative to the flux falls below `inner_tol` (infinite on the first
     outer step).  `q` and `phi_g` are the driver's buffers, valid only
-    during the call.
-    An `IterationLimitError` it raises without a last iterate leaves
-    here with the current one attached.  `nusf`, `chi` and `inscatter`
-    are per-cell arrays of one shape, which the C-ordered fluxes and
-    sources handed around take too; `inscatter[g]` is the scatter into
-    g from the other group.  The fission integral is the cell sum times
-    `volume`.  `rescale(factor)` runs whenever the fluxes are scaled, so
-    a solver can scale state of its own along with them.  `start = (k,
-    phi)` replaces the flat start with the eigenpair of a nearby
-    problem; phi is renormalized first.
+    during the call.  An `IterationLimitError` it raises without a last
+    iterate leaves here with the current one attached.  `nusf`, `chi`
+    and `inscatter` are C-ordered (2, ...) cell arrays (`Operators`),
+    whose cell shape the fluxes and sources handed around take too;
+    `inscatter[g]` is the scatter into g from the other group.  The
+    fission integral is the cell sum times `volume`.  `rescale(factor)`
+    runs whenever the fluxes are scaled, so a solver can scale state of
+    its own along with them.  `start = (k, phi)` replaces the flat start
+    with the eigenpair of a nearby problem; phi is renormalized first.
 
-    Every unconverged outer hands the next one the Anderson mix of its
-    step G(x) with the last ones, not G(x) itself; see the module
-    docstring.  Only the scalar fluxes are mixed, and nothing this
-    returns or raises carries a mixed iterate except the current one of
-    a failing group solve.
+    Unconverged outers are Anderson-mixed (see the module docstring);
+    nothing this returns or raises carries a mixed iterate except the
+    current one of a failing group solve.
     """
-    if not any((f > 0).any() for f in nusf):
+    if not (nusf > 0).any():
         raise DegenerateProblemError("no fissile cell: not an eigenproblem")
     upscatter = bool((inscatter[0] > 0).any())
-    shape = nusf[0].shape
-    nusf, chi, inscatter = (np.stack(a).reshape(2, -1)
-                            for a in (nusf, chi, inscatter))
+    shape = nusf.shape[1:]
+    nusf, chi, inscatter = (a.reshape(2, -1) for a in (nusf, chi, inscatter))
     n = nusf.shape[1]
     nusf_all = nusf.ravel()
 

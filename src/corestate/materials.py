@@ -16,10 +16,10 @@ k_eff by c and leaves the eigenvector, and with it the power map (made
 with the unscaled kappaSf), unchanged: the power map depends on
 (a4, a5) only through a5 / a4.  More generally, the problems of one
 (a1, a2, a3) block share every operator but the fission production
-(a4 nuSf1, a5 nuSf2) of one base pair, so a solved point of the block
-tells the fission operator of every other one on its fission source;
-`bench` starts each lattice point from the Rayleigh-Ritz pair of its
-block's solved points (`eigen.FissionSpan`).
+(a4 nuSf1, a5 nuSf2) of one base pair: `bench` prepares them once per
+block (`eigen.Operators`), each point forming only its own production,
+and starts each point from the Rayleigh-Ritz pair of its block's solved
+points (`eigen.FissionSpan`).
 
 Training and test parameter grids are full tensor lattices over the
 alpha components, enumerated in lexicographic order.

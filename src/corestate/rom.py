@@ -28,7 +28,6 @@ class SnapshotSet:
     mesh: Mesh
     matrix: np.ndarray             # (K, n_cells)
     alphas: tuple[tuple[float, ...], ...]
-    model_tag: str
 
     def __post_init__(self):
         matrix = self.matrix
@@ -56,13 +55,12 @@ class SnapshotSet:
 
 @dataclass(frozen=True, eq=False)
 class ReducedBasis:
-    """L2-orthonormal modes with their singular values and provenance."""
+    """L2-orthonormal modes with their singular values."""
 
     mesh: Mesh
     mode_matrix: np.ndarray        # (n_max, n_cells)
     singular_values: np.ndarray    # (n_max,), nonincreasing
     gram_eigenvalues: np.ndarray   # full spectrum, for energy accounting
-    model_tag: str
 
     def __post_init__(self):
         self.mode_matrix.setflags(write=False)
@@ -130,8 +128,7 @@ def pod(snaps: SnapshotSet, n_max: int) -> ReducedBasis:
     return ReducedBasis(
         mesh=snaps.mesh, mode_matrix=modes,
         singular_values=np.sqrt(eigvals[:n_keep]),
-        gram_eigenvalues=eigvals.copy(),
-        model_tag=snaps.model_tag)
+        gram_eigenvalues=eigvals.copy())
 
 
 def projection_errors(basis: ReducedBasis, values: np.ndarray) -> np.ndarray:

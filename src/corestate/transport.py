@@ -16,10 +16,10 @@ a group's sweep is one triangular solve, and its solve vector, holding
 the angular flux and the exit-face fluxes, is the sweeper's state.
 The system depends only on the mesh, its side conditions, the
 quadrature and the scheme; a problem writes its diagonal and
-factorizes.  The factor of each group is kept across solves
-(`eigen.cached_factors`, keyed by the bytes of the group's totals), so
-consecutive lattice points that share it, and `eigen_residual` after
-its solve, factorize nothing.
+factorizes, once per lattice block (`prepare_transport`).  The factor
+of each group is kept across solves (`eigen.cached_factors`, keyed by
+the bytes of the group's totals), so blocks that share it, and
+`eigen_residual` after its solve, factorize nothing.
 
 The eigenpair is found by power iteration on the fission source with a
 source iteration per group inside each outer step.  The inner stops on
@@ -30,9 +30,7 @@ inner tolerance follows the outer flux change (`eigen.INNER_TOL_FACTOR`)
 down to 1e-9, and a change below 1e-9 always stops.  Accelerated groups
 (rho ~ 0.2) then take one sweep per outer, while slowly contracting
 ones iterate until their error, not just their last change, is small.
-`eigen_residual` certifies a returned eigenpair by one more outer step
-with its inners at 1e-9 (`eigen.certificate`); it is the solver's one
-convergence report.
+`eigen_residual` is the solver's one convergence report.
 
 The source iteration is diffusion-synthetic accelerated (Adams & Larsen,
 Prog. Nucl. Energy 40, 2002): after each sweep the diffusion equation
@@ -54,6 +52,7 @@ on xmax and ymax that of the previous sweep (a lagged inflow).
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 from dataclasses import dataclass
@@ -64,8 +63,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .diffusion import _band_view, group_factor, group_power_map
-from .eigen import (ToleranceConfig, cached_factors, certificate,
-                    power_iteration)
+from .eigen import (Operators, ToleranceConfig, cached_factors,
+                    certificate, power_iteration)
 from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -379,7 +378,8 @@ class _GroupSweeper:
     """Per-group sweep: the whole-sweep system (`_sweep_system`) factorized
     with the group's totals (from `eigen.cached_factors`), and its solve
     vector `x`, the angular flux and exit-face fluxes of the last sweep
-    or of the start.  `sweeps` counts the calls of `sweep`."""
+    or of the start.  `sweeps` counts the calls of `sweep`.  `x` is only
+    ever replaced, so a copy of an unswept sweeper is a fresh one."""
 
     def __init__(self, mesh: Mesh, quad: AngularQuadrature,
                  sigt2d: np.ndarray, scheme: str, group: int):
@@ -390,7 +390,8 @@ class _GroupSweeper:
         self._lu = cached_factors(
             "sweep", group, (plan, mesh.cell_area, sigt2d.tobytes()),
             lambda: self._system.factorize(sigt2d, mesh.cell_area))
-        self.x = np.full(self._system.diag_pos.size, 1.0 / FOUR_PI)
+        # The flat start, a read-only view that holds no memory.
+        self.x = np.broadcast_to(1.0 / FOUR_PI, self._system.diag_pos.shape)
         # What `scale` owes `x`; the DSA share of the next lagged inflows.
         self._factor, self._lag_fix = 1.0, 0.0
 
@@ -460,17 +461,17 @@ def _dsa_factor(mesh: Mesh, sigt2d: np.ndarray, sigs2d: np.ndarray,
     return dsa
 
 
-def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
-                   quad: AngularQuadrature, scheme: str):
-    """The validated cell cross sections that transport reads (sigma_t,
-    sigma_s, nu_sigma_f, chi; `materials.cell_values`), one sweeper per
-    group, and the within-group source iteration `solve(g, q, phi_g,
-    inner_tol)` that `power_iteration` calls, with each group's DSA
-    factorization (`_dsa_factor`) bound in."""
+def prepare_transport(xs: CrossSectionSet, mesh: Mesh,
+                      quad: AngularQuadrature, scheme: str = "step"
+                      ) -> Operators:
+    """The `eigen.Operators` of `xs` on `mesh` from its validated cells
+    (`materials.cell_values`); `solver` is (quad, scheme, sigma_s,
+    sweepers, dsa): an unswept sweeper per group, which a solve copies,
+    and each group's DSA solve (`_dsa_factor`)."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-    cells = cell_values(xs, mesh, "sigma_t", "sigma_s", "nu_sigma_f", "chi")
-    sigma_t, sigma_s = cells[:2]
+    sigma_t, sigma_s, nu_sigma_f, chi = cell_values(
+        xs, mesh, "sigma_t", "sigma_s", "nu_sigma_f", "chi")
     if (sigma_t < MIN_SIGMA_T).any():
         raise ConfigurationError(
             f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
@@ -479,7 +480,17 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
                 for g in range(2)]
     dsa = [_dsa_factor(mesh, sigma_t[g], sigma_s[g, g], g + 1)
            for g in range(2)]
-    area = mesh.cell_area
+    return Operators(nu_sigma_f, chi, sigma_s[[1, 0], [0, 1]],
+                     (quad, scheme, sigma_s, sweepers, dsa))
+
+
+def _group_solvers(ops: Operators):
+    """Fresh copies of `ops`' sweepers, and the within-group source
+    iteration `solve(g, q, phi_g, inner_tol)` that `power_iteration`
+    calls on them, with each group's DSA solve and own contraction."""
+    _, _, sigma_s, sweepers, dsa = ops.solver
+    sweepers = [copy.copy(sweeper) for sweeper in sweepers]
+    area = sweepers[0].mesh.cell_area
     # Each group's measured contraction per sweep, kept across calls.
     rho = [None, None]
 
@@ -513,62 +524,49 @@ def _group_solvers(xs: CrossSectionSet, mesh: Mesh,
             f"transport source iteration: group {g + 1} reached "
             f"_MAX_INNER = {_MAX_INNER} sweeps (change = {change:.3e})")
 
-    return cells, sweepers, source_iteration
+    return sweepers, source_iteration
 
 
-def _check_start(start: TransportSolution, mesh: Mesh,
-                 quad: AngularQuadrature, scheme: str):
-    """Raise `ConfigurationError` unless `start` can seed this solve."""
-    if start.angular_flux is None:
-        raise ConfigurationError(
-            "solve_transport: the start has no angular flux")
-    shape = (start.scalar_flux[0].mesh.nx, start.scalar_flux[0].mesh.ny)
-    if shape != (mesh.nx, mesh.ny):
-        raise ConfigurationError(
-            f"solve_transport: a start on a {shape[0]} x {shape[1]} mesh "
-            f"given for a {mesh.nx} x {mesh.ny} one")
-    if (start.quadrature_order, start.scheme) != (quad.order, scheme):
-        raise ConfigurationError(
-            f"solve_transport start: an S{start.quadrature_order} "
-            f"{start.scheme!r} solution used with S{quad.order} {scheme!r}")
-
-
-def solve_transport(xs: CrossSectionSet, mesh: Mesh,
+def solve_transport(xs: CrossSectionSet | Operators, mesh: Mesh,
                     quad: AngularQuadrature | None = None,
                     tol: ToleranceConfig | None = None,
                     scheme: str = "step",
                     start: TransportSolution | None = None
                     ) -> TransportSolution:
-    """Power iteration on the fission source (`corestate.eigen`); see
-    the module docstring.
-
-    Each group is solved by a source iteration on the within-group
-    scattering source, with the freshly updated group-1 flux feeding the
-    group-2 downscatter source, and diffusion-accelerated unless the
-    group has a cell thicker than `_DSA_MAX_MFP`.  The source iteration
-    stops once its estimated error (see the module docstring) falls
-    below `eigen.INNER_TOL_FACTOR` times the last outer flux change, or
-    its relative change below 1e-9.  Raises
-    `IterationLimitError`, carrying the last iterate with its angular
-    flux, when `tol.max_outer` outer steps or the `_MAX_INNER` = 500
-    inner sweeps are exhausted.
+    """Power iteration on the fission source (`corestate.eigen`), each
+    group solved by its source iteration (see the module docstring), on
+    the operators of `xs` (`prepare_transport`) or on `xs` itself,
+    operators prepared on `mesh` that then also set the quadrature and
+    scheme.  Raises `IterationLimitError`, carrying the last iterate
+    with its angular flux, when `tol.max_outer` outer steps or the
+    `_MAX_INNER` = 500 inner sweeps are exhausted.
 
     `start`, a solution of a nearby problem, replaces the flat start:
     its k_eff, scalar fluxes, angular fluxes and, from the exit cells,
     exit-face fluxes.  It must have this mesh shape, quadrature order
     and scheme, and an angular flux, or `ConfigurationError` is raised.
     """
-    quad = quad or build_quadrature(4)
     tol = tol or ToleranceConfig()
-    (_, sigma_s, nusf, chi), sweepers, source_iteration = _group_solvers(
-        xs, mesh, quad, scheme)
+    ops = xs if isinstance(xs, Operators) else prepare_transport(
+        xs, mesh, quad or build_quadrature(4), scheme)
+    quad, scheme = ops.solver[:2]
+    sweepers, source_iteration = _group_solvers(ops)
     if start is not None:
-        _check_start(start, mesh, quad, scheme)
+        shape = (start.scalar_flux[0].mesh.nx, start.scalar_flux[0].mesh.ny)
+        if start.angular_flux is None:
+            raise ConfigurationError(
+                "solve_transport: the start has no angular flux")
+        if shape != (mesh.nx, mesh.ny):
+            raise ConfigurationError(
+                f"solve_transport: a start on a {shape[0]} x {shape[1]} "
+                f"mesh given for a {mesh.nx} x {mesh.ny} one")
+        if (start.quadrature_order, start.scheme) != (quad.order, scheme):
+            raise ConfigurationError(
+                f"solve_transport start: an S{start.quadrature_order} "
+                f"{start.scheme!r} solution used with S{quad.order} "
+                f"{scheme!r}")
         for sweeper, psi in zip(sweepers, start.angular_flux):
             sweeper.seed(psi)
-
-    area = mesh.cell_area
-    inscatter = [sigma_s[1, 0], sigma_s[0, 1]]
 
     def rescale(factor: float):
         for sweeper in sweepers:
@@ -582,8 +580,9 @@ def solve_transport(xs: CrossSectionSet, mesh: Mesh,
             angular_flux=tuple(s.psi for s in sweepers))
 
     return power_iteration(
-        source_iteration, nusf, chi, inscatter, tol, "transport", solution,
-        volume=area, rescale=rescale, start=None if start is None else (
+        source_iteration, ops.nusf(), ops.chi, ops.inscatter, tol,
+        "transport", solution, volume=mesh.cell_area, rescale=rescale,
+        start=None if start is None else (
             start.k_eff, [f.values.reshape(mesh.ny, mesh.nx)
                           for f in start.scalar_flux]))
 
@@ -601,15 +600,16 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet) -> float:
     must be rebuilt (2-vCPU machine, BLAS on one thread).
     """
     mesh = sol.scalar_flux[0].mesh
-    (_, sigma_s, nusf, chi), sweepers, source_iteration = _group_solvers(
-        xs, mesh, build_quadrature(sol.quadrature_order), sol.scheme)
+    ops = prepare_transport(xs, mesh, build_quadrature(sol.quadrature_order),
+                            sol.scheme)
+    sweepers, source_iteration = _group_solvers(ops)
     phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
     # Lagged reflective inflows start from the isotropic estimate
     # phi / 4 pi of the exit-side cells rather than the flat guess.
     for sweeper, p in zip(sweepers, phi):
         sweeper.seed(p / FOUR_PI)
-    return certificate(source_iteration, nusf, chi,
-                       (sigma_s[1, 0], sigma_s[0, 1]), sol.k_eff, phi)
+    return certificate(source_iteration, ops.nu_sigma_f, ops.chi,
+                       ops.inscatter, sol.k_eff, phi)
 
 
 def power_map_transport(sol: TransportSolution,

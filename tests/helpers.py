@@ -140,13 +140,13 @@ def orthonormal_fields(mesh, count, rng):
 
 
 def snapshot_set(fields, alphas=None) -> SnapshotSet:
-    """A "synthetic" snapshot set of the given unit-norm fields, at the
-    lattice origin unless `alphas` are given."""
+    """A snapshot set of the given unit-norm fields, at the lattice
+    origin unless `alphas` are given."""
     fields = tuple(fields)
     if alphas is None:
         alphas = ((0.0,) * 5,) * len(fields)
     return SnapshotSet(fields[0].mesh, np.stack([f.values for f in fields]),
-                       tuple(alphas), "synthetic")
+                       tuple(alphas))
 
 
 class SharedCounts(Mapping):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import shutil
+import weakref
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from corestate.sensing import build_sensors, observe, perturb_observations
 from corestate.transport import eigen_residual as transport_residual
 from corestate.transport import (build_quadrature, power_map_transport,
                                  solve_transport)
-from corestate import bench, cli, eigen, materials
+from corestate import bench, cli, eigen, materials, transport
 from helpers import (orthonormal_fields, random_field, snapshot_set,
                      uniform_config)
 
@@ -43,6 +44,28 @@ PINNED_TEST_SET_HASHES = {
 
 def _default_geometry_dict() -> dict:
     return ExperimentConfig.default().geometry.to_dict()
+
+
+def fail_solves_at(monkeypatch, failing):
+    """Make `bench.solve_power_map` raise `DegenerateProblemError` at each
+    lattice point of `failing`, known by its fission scale and by the
+    block of the cross sections it is handed, which `bench.map_alpha_to_mu`
+    builds once per (a1, a2, a3) block."""
+    blocks, scale, solve = {}, bench.map_alpha_to_mu, bench.solve_power_map
+
+    def recording_scale(alpha, base):
+        xs = scale(alpha, base)
+        blocks[id(xs)] = tuple(alpha[:3])
+        return xs
+
+    def failing_solve(model, xs, *args, operators, **kwargs):
+        alpha = blocks[id(xs)] + tuple(operators.fission_scale)
+        if alpha in failing:
+            raise DegenerateProblemError(f"no solve at {alpha}")
+        return solve(model, xs, *args, operators=operators, **kwargs)
+
+    monkeypatch.setattr(bench, "map_alpha_to_mu", recording_scale)
+    monkeypatch.setattr(bench, "solve_power_map", failing_solve)
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -404,14 +427,7 @@ class TestSnapshots:
         # different workers: on one worker or two the error names
         # point 6.
         failing = [materials.test_lattice()[i] for i in (26, 6)]
-        scale = bench.map_alpha_to_mu
-
-        def failing_scale(alpha, base):
-            if alpha in failing:
-                raise DegenerateProblemError(f"no solve at {alpha}")
-            return scale(alpha, base)
-
-        monkeypatch.setattr(bench, "map_alpha_to_mu", failing_scale)
+        fail_solves_at(monkeypatch, failing)
         for threads in (1, 2):
             cfg = small_config(tmp_path / f"w{threads}", threads=threads)
             with pytest.raises(RuntimeError) as info:
@@ -428,14 +444,7 @@ class TestSnapshots:
         mesh = build_mesh(cfg.geometry)
         parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
         lattice = materials.test_lattice()
-        scale = bench.map_alpha_to_mu
-
-        def failing_scale(alpha, base):
-            if alpha == lattice[0]:
-                raise DegenerateProblemError("no solve")
-            return scale(alpha, base)
-
-        monkeypatch.setattr(bench, "map_alpha_to_mu", failing_scale)
+        fail_solves_at(monkeypatch, [lattice[0]])
         points = [(i, lattice[i]) for i in (0, 1, 2, 3)]
         results = list(bench._solve_points(
             ("diffusion", cfg, mesh, parent, converged), points))
@@ -609,6 +618,99 @@ def test_unusable_ritz_value_falls_back_to_the_parent(tmp_path, monkeypatch,
                                    start=parent)
         assert error is None and k_eff == expected[0]
         assert values.tobytes() == expected[1].values.tobytes()
+
+
+@pytest.mark.parametrize("model, lattice", [("transport", "test"),
+                                            ("diffusion", "training")])
+def test_block_points_match_per_point_solves(tmp_path, monkeypatch, model,
+                                             lattice):
+    # The points of an (a1, a2, a3) block share the operators prepared
+    # once from its cross sections at a4 = a5 = 1, and each forms only
+    # its own fission production; solved from its own cross sections
+    # and the same start, each point gives the same bits.  The transport
+    # block is the first of the solve order, the diffusion block the
+    # parent's, which the parent spans.
+    cfg = small_config(tmp_path)
+    mesh = build_mesh(cfg.geometry)
+    parent, converged = bench._solve_parent(cfg, model, mesh)
+    alphas = (training_lattice() if lattice == "training"
+              else materials.test_lattice())
+    order = bench._solve_order([(i, alpha) for i, alpha in enumerate(alphas)
+                                if alpha != bench.PARENT_ALPHA])
+    block = order[0][1][:3] if model == "transport" else bench.PARENT_ALPHA[:3]
+    points = [point for point in order if point[1][:3] == block]
+    calls, solve = [], bench.solve_power_map
+
+    def recording(*args, start, **kwargs):
+        result = solve(*args, start=start, **kwargs)
+        calls.append((start, result[2]))
+        return result
+
+    monkeypatch.setattr(bench, "solve_power_map", recording)
+    results = list(bench._solve_points(
+        (model, cfg, mesh, parent, converged), points))
+    assert len(calls) == len(points) in (4, 8)
+    assert sum(start is not parent for start, _ in calls) >= len(points) - 1
+    # Each solve starts its own state afresh, so its outer and sweep
+    # counts match too.
+    for (index, alpha), (start, sol), result in zip(points, calls, results):
+        k_eff, power, alone = solve(
+            model, map_alpha_to_mu(alpha, cfg.cross_sections), mesh,
+            cfg.tolerances, cfg.sn_order, cfg.scheme, start=start,
+            keep_solution=True)
+        assert result[0] == index and result[4] is None
+        assert result[2].hex() == k_eff.hex()
+        assert result[3].tobytes() == power.values.tobytes()
+        assert sol.iterations == alone.iterations
+        assert getattr(sol, "sweeps", 0) == getattr(alone, "sweeps", 0)
+
+
+def test_previous_block_released_before_the_next_factorizes(tmp_path,
+                                                            monkeypatch):
+    # Each sweep factor is tracked while alive.  When a block's sweep
+    # system is factorized, the previous block's operators are gone and
+    # the factor cache has dropped that group's old factor, so only the
+    # other group's factor is alive: never two blocks' at once.
+    class Tracked:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    live, peak = weakref.WeakSet(), []
+    factorize = transport._SweepBlock.factorize
+
+    def tracking(block, *args):
+        peak.append(len(live))
+        lu = Tracked(factorize(block, *args))
+        live.add(lu)
+        return lu
+
+    cfg = small_config(tmp_path)
+    mesh = build_mesh(cfg.geometry)
+    parent, converged = bench._solve_parent(cfg, "transport", mesh)
+    monkeypatch.setattr(transport._SweepBlock, "factorize", tracking)
+    order = bench._solve_order(list(enumerate(materials.test_lattice())))
+    results = list(bench._solve_points(
+        ("transport", cfg, mesh, parent, converged), order))
+    assert all(error is None for *_, error in results)
+    assert len(peak) > 4 and max(peak) == 1
+
+
+def test_block_cross_sections_built_once_per_block(tmp_path, monkeypatch):
+    # One worker builds cross sections for the parent, for the parent's
+    # own lattice point, and once per (a1, a2, a3) block at a4 = a5 = 1,
+    # whose operators all the block's points share: not once per point.
+    calls, scale = [], bench.map_alpha_to_mu
+
+    def counting(alpha, base):
+        calls.append(tuple(alpha))
+        return scale(alpha, base)
+
+    monkeypatch.setattr(bench, "map_alpha_to_mu", counting)
+    generate_snapshots(small_config(tmp_path), "diffusion", "training")
+    blocks = {alpha[:3] for alpha in training_lattice()}
+    assert len(calls) == 2 + len(blocks) == 29
+    assert calls[:2] == [bench.PARENT_ALPHA] * 2
+    assert sorted(calls[2:]) == sorted(b + (1.0, 1.0) for b in blocks)
 
 
 def test_snapshot_work_budget(tmp_path, monkeypatch):
@@ -925,7 +1027,7 @@ def synthetic_context(mesh, mode_values, truths, grid):
     n = len(mode_values)
     basis = ReducedBasis(mesh=mesh, mode_matrix=np.stack(mode_values),
                          singular_values=np.ones(n),
-                         gram_eigenvalues=np.ones(n), model_tag="synthetic")
+                         gram_eigenvalues=np.ones(n))
     sensors = build_sensors(mesh, grid)
     testset = snapshot_set(truths)
     y_psi = testset.matrix @ sensors.psi_matrix.T * mesh.cell_area

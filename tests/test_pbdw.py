@@ -15,12 +15,12 @@ from helpers import (orthonormal_fields, random_field, snapshot_set,
                      uniform_config)
 
 
-def make_basis(mesh, mode_rows, tag="synthetic"):
+def make_basis(mesh, mode_rows):
     modes = np.stack(mode_rows)
     n = modes.shape[0]
     return ReducedBasis(mesh=mesh, mode_matrix=modes,
                         singular_values=np.ones(n),
-                        gram_eigenvalues=np.ones(n), model_tag=tag)
+                        gram_eigenvalues=np.ones(n))
 
 
 def beta_sphere_oracle(basis, sensors, n, samples=200_000):

@@ -146,7 +146,7 @@ class TestPod:
     def test_bad_inputs(self):
         mesh = build_mesh(uniform_config(4, 3))
         with pytest.raises(ValueError, match="empty"):
-            SnapshotSet(mesh, np.empty((0, 12)), (), "synthetic")
+            SnapshotSet(mesh, np.empty((0, 12)), ())
         snaps = gaussian_family(mesh, 5)
         with pytest.raises(ValueError, match="n_max"):
             pod(snaps, n_max=6)
@@ -156,8 +156,7 @@ class TestPod:
     def test_snapshots_must_be_unit_norm(self):
         mesh = build_mesh(uniform_config(4, 3))
         with pytest.raises(ValueError, match="unit"):
-            SnapshotSet(mesh, np.full((1, 12), 2.0), ((0.0,) * 5,),
-                        "synthetic")
+            SnapshotSet(mesh, np.full((1, 12), 2.0), ((0.0,) * 5,))
 
     @pytest.mark.parametrize("defect, message", [
         ("NaN row", "finite"),
@@ -176,7 +175,7 @@ class TestPod:
         else:
             alphas = alphas[:2]
         with pytest.raises(ValueError, match=message):
-            SnapshotSet(mesh, matrix, alphas, "synthetic")
+            SnapshotSet(mesh, matrix, alphas)
 
     def test_snapshot_set_is_its_matrix(self):
         mesh = build_mesh(uniform_config(4, 3))

@@ -529,8 +529,8 @@ def inner_spectral_radius(monkeypatch, xs, mesh, quad, group, sweeps=40):
     until the sweep cap stops it; the rate is taken over the second
     half of the sweeps from the max norm of the scattering source each
     sweep is handed."""
-    _, sweepers, source_iteration = transport._group_solvers(
-        xs, mesh, quad, "step")
+    sweepers, source_iteration = transport._group_solvers(
+        transport.prepare_transport(xs, mesh, quad))
     sweeper, norms = sweepers[group], []
     sweep = sweeper.sweep
 
@@ -590,12 +590,13 @@ class TestInnerStoppingRule:
                      sigma_s_12=0.006, nu_sigma_f=(0.006, 0.08))
         quad = build_quadrature(2)
         q, zero = np.ones((mesh.ny, mesh.nx)), np.zeros((mesh.ny, mesh.nx))
-        _, _, source_iteration = transport._group_solvers(xs, mesh, quad,
-                                                          "step")
+        _, source_iteration = transport._group_solvers(
+            transport.prepare_transport(xs, mesh, quad))
         inner_tol = 1e-6
         phi = source_iteration(0, q, zero, inner_tol)
         monkeypatch.setattr(transport, "_INNER_TOL", 1e-13)
-        _, _, converge = transport._group_solvers(xs, mesh, quad, "step")
+        _, converge = transport._group_solvers(
+            transport.prepare_transport(xs, mesh, quad))
         exact = converge(0, q, zero, 1e-13)
         error = np.max(np.abs(phi - exact)) / np.max(exact)
         assert error <= 2 * inner_tol
