@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import power_map_diffusion, prepare_diffusion, solve_diffusion
-from .eigen import FissionSpan, ToleranceConfig
+from .eigen import FissionSpan, Operators, ToleranceConfig
 from .errors import (ConfigurationError, IterationLimitError, config_int,
                      config_object)
 from .geometry import Field, GeometryConfig, Mesh, build_mesh
@@ -129,7 +129,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"n_range {self.n_range} must lie inside [1, m = {m}]")
         if self.model_for_truth not in MODELS:
-            raise ConfigurationError(f"models must be one of {MODELS}")
+            raise ConfigurationError(
+                f"model_for_truth {self.model_for_truth!r} must be one of "
+                f"{MODELS}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(
                 f"scheme {self.scheme!r} must be one of {SCHEMES}")
@@ -221,19 +223,21 @@ def solve_power_map(model: str, xs: CrossSectionSet, mesh: Mesh,
     starting from the solution `start` of a nearby problem when given
     (see `solve_transport` and `solve_diffusion`).  With `keep_solution`
     return (k_eff, power, solution), the solution able to start another
-    solve (a transport one carries its angular flux).  Given, `operators`
-    replace `xs` in the solve; `xs` may differ from them in nuSf only."""
+    solve (a transport one carries its angular flux).  Given, the
+    prepared `operators` (at their `fission_scale`) are solved and give
+    the power map its kappaSf; `xs` is read only when no operators are
+    given."""
+    problem = operators or xs
     if model == "diffusion":
-        sol = solve_diffusion(operators or xs, mesh, tol, start=start)
+        sol = solve_diffusion(problem, mesh, tol, start=start)
     else:
-        sol = solve_transport(operators or xs, mesh,
-                              build_quadrature(sn_order), tol, scheme=scheme,
-                              start=start)
-    power = _power_map(model, sol, xs)
+        sol = solve_transport(problem, mesh, build_quadrature(sn_order), tol,
+                              scheme=scheme, start=start)
+    power = _power_map(model, sol, problem)
     return (sol.k_eff, power, sol) if keep_solution else (sol.k_eff, power)
 
 
-def _power_map(model: str, sol, xs: CrossSectionSet) -> Field:
+def _power_map(model: str, sol, xs: CrossSectionSet | Operators) -> Field:
     if model == "diffusion":
         return power_map_diffusion(sol, xs)
     return power_map_transport(sol, xs)
@@ -273,8 +277,8 @@ def _solve_points(problem, points):
     a4 and a5 only scale nuSf1 and nuSf2, so the points of an (a1, a2,
     a3) block share the operators prepared once from its cross sections
     at a4 = a5 = 1, the previous block's released first, and each point
-    solves at its own `fission_scale`; kappaSf, which the power map
-    reads, is the block's.  A point starts from the Rayleigh-Ritz pair
+    solves at its own `fission_scale` and takes its power map's kappaSf
+    from them.  A point starts from the Rayleigh-Ritz pair
     (`eigen.FissionSpan`) of the block's solutions so far that span its
     fission sources within 10 flux_tol, the parent among them when it
     converged and lies in the block, or, with no usable pair, from the

@@ -19,13 +19,14 @@ group 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .eigen import (Operators, ToleranceConfig, cached_factors,
-                    certificate, power_iteration)
+                    certificate, check_production, power_iteration)
 from .errors import ConfigurationError, DegenerateProblemError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -35,13 +36,14 @@ VACUUM_MODELS = ("robin", "zero_flux")
 
 @dataclass(frozen=True)
 class DiffusionSolution:
-    """A diffusion eigenpair; `vacuum_model` is that of the solve, which
-    `eigen_residual` reads."""
+    """A diffusion eigenpair; `vacuum_model` and `fission_scale` are
+    those of the solve, which `eigen_residual` reads."""
 
     k_eff: float
     phi: tuple[Field, Field]
     iterations: int
     vacuum_model: str
+    fission_scale: tuple = (1.0, 1.0)
 
 
 def _band_view(mesh: Mesh, a: np.ndarray) -> np.ndarray:
@@ -117,14 +119,16 @@ def group_factor(kind: str, group: int, mesh: Mesh, d2d: np.ndarray,
 def prepare_diffusion(xs: CrossSectionSet, mesh: Mesh,
                       vacuum_model: str = "robin") -> Operators:
     """The `eigen.Operators` of `xs` on `mesh` in band cell order
-    (`_band_view`), the in-scatter area-scaled; `solver` is
-    (vacuum_model, solve_group), `solve_group(g, q, phi_g, inner_tol)`
-    solving group g by band Cholesky of its `GroupOperator`
-    (`group_factor`), factorized once per run of equal matrices."""
+    (`_band_view`), the in-scatter area-scaled, kappaSf in natural cell
+    order; `solver` is (vacuum_model, solve_group), `solve_group(g, q,
+    phi_g, inner_tol)` solving group g by band Cholesky of its
+    `GroupOperator` (`group_factor`), factorized once per run of equal
+    matrices."""
     if vacuum_model not in VACUUM_MODELS:
         raise ConfigurationError(f"vacuum_model must be one of {VACUUM_MODELS}")
-    d, sigma_a, sigma_s, nu_sigma_f, chi = cell_values(
-        xs, mesh, "d", "sigma_a", "sigma_s", "nu_sigma_f", "chi")
+    d, sigma_a, sigma_s, nu_sigma_f, chi, kappa = cell_values(
+        xs, mesh, "d", "sigma_a", "sigma_s", "nu_sigma_f", "chi",
+        "kappa_sigma_f")
     if (d <= 0).any():
         raise ConfigurationError("diffusion needs D > 0 in every region")
 
@@ -135,8 +139,9 @@ def prepare_diffusion(xs: CrossSectionSet, mesh: Mesh,
         return solves[g](q.ravel()).reshape(q.shape)
 
     inscatter = sigma_s[[1, 0], [0, 1]] * mesh.cell_area
-    return Operators(*(np.ascontiguousarray(_band_view(mesh, a)) for a in (
-        nu_sigma_f, chi, inscatter)), (vacuum_model, solve_group))
+    return Operators.of(*(np.ascontiguousarray(_band_view(mesh, a)) for a in (
+        nu_sigma_f, chi, inscatter)), kappa.reshape(2, -1),
+        (vacuum_model, solve_group))
 
 
 def solve_diffusion(xs: CrossSectionSet | Operators, mesh: Mesh,
@@ -171,11 +176,11 @@ def solve_diffusion(xs: CrossSectionSet | Operators, mesh: Mesh,
     def solution(k, phi, iterations):
         return DiffusionSolution(k, tuple(
             Field(mesh, _band_view(mesh, p).ravel()) for p in phi),
-            iterations, vacuum_model)
+            iterations, vacuum_model, ops.fission_scale)
 
     return power_iteration(
-        solve_group, ops.nusf() * mesh.cell_area, ops.chi, ops.inscatter,
-        tol, "diffusion", solution, start=None if start is None else (
+        solve_group, ops, ops.nusf() * mesh.cell_area, tol, "diffusion",
+        solution, start=None if start is None else (
             start.k_eff, [_band_view(mesh, f.values2d) for f in start.phi]))
 
 
@@ -183,28 +188,39 @@ def eigen_residual(sol: DiffusionSolution, xs: CrossSectionSet) -> float:
     """Convergence certificate of a diffusion eigenpair
     (`eigen.certificate`): one more outer step from `sol` with k_eff
     frozen, under `sol`'s vacuum model, on the group factors its solve
-    left in `eigen.cached_factors`."""
+    left in `eigen.cached_factors`, and on `xs`'s nuSf at `sol`'s
+    `fission_scale`, the production its solve used when `xs` are the
+    cross sections its operators were prepared from.  Raises
+    `ConfigurationError` when they cannot be (`eigen.check_production`),
+    such as a block point's own cross sections, already scaled."""
     mesh = sol.phi[0].mesh
     ops = prepare_diffusion(xs, mesh, sol.vacuum_model)
-    return certificate(ops.solver[1], ops.nu_sigma_f * mesh.cell_area,
-                       ops.chi, ops.inscatter, sol.k_eff,
-                       [_band_view(mesh, f.values2d) for f in sol.phi])
+    nusf = ops._replace(
+        fission_scale=sol.fission_scale).nusf() * mesh.cell_area
+    phi = [_band_view(mesh, f.values2d) for f in sol.phi]
+    check_production(nusf, phi, 1.0, sol.fission_scale)
+    return certificate(ops.solver[1], nusf, ops.chi, ops.inscatter,
+                       sol.k_eff, phi)
 
 
 def group_power_map(flux: tuple[Field, Field],
-                    xs: CrossSectionSet) -> Field:
+                    xs: CrossSectionSet | Operators) -> Field:
     """Energy-production map kappaSf1 phi1 + kappaSf2 phi2 of two group
-    fluxes, unit L2 norm."""
+    fluxes, unit L2 norm, kappaSf read from prepared operators or
+    gathered from `xs`.  The values are scaled as `Field.normalized`
+    scales them, so the map has its bytes, in one `Field`."""
     mesh = flux[0].mesh
-    (kappa,) = cell_values(xs, mesh, "kappa_sigma_f")
-    values = (kappa[0].ravel() * flux[0].values
-              + kappa[1].ravel() * flux[1].values)
-    if not (values != 0).any():
+    kappa = xs.kappa_sigma_f if isinstance(xs, Operators) else cell_values(
+        xs, mesh, "kappa_sigma_f")[0].reshape(2, -1)
+    values = kappa[0] * flux[0].values + kappa[1] * flux[1].values
+    norm = math.sqrt(float(np.dot(values, values) * mesh.cell_area))
+    if norm == 0.0:
         raise DegenerateProblemError("power map is identically zero")
-    return Field(mesh, values).normalized()
+    return Field(mesh, values / norm)
 
 
 def power_map_diffusion(sol: DiffusionSolution,
-                        xs: CrossSectionSet) -> Field:
-    """Energy-production map of the group fluxes, unit L2 norm."""
+                        xs: CrossSectionSet | Operators) -> Field:
+    """Energy-production map of the group fluxes, unit L2 norm, with
+    the kappaSf of `xs` or of the operators of its solve."""
     return group_power_map(sol.phi, xs)

@@ -126,15 +126,30 @@ def cached_factors(kind: str, group: int, key, build: Callable):
 
 class Operators(NamedTuple):
     """A problem's unscaled fission production, spectrum and in-scatter,
-    C-ordered (2, ...) cell arrays as `power_iteration` takes them, and
-    what its solver reads besides.  Problems that differ only in a
-    per-group scaling of nuSf share them, each at its `fission_scale`."""
+    C-ordered (2, ...) cell arrays as `power_iteration` takes them, its
+    kappaSf as (2, n_cells) in natural cell order, as the power map reads
+    it, and what its solver reads besides.  Problems that differ only in
+    a per-group scaling of nuSf share them, each at its `fission_scale`,
+    and share the facts `power_iteration` checks, found once by `of`:
+    per group, whether any cell is fissile, and whether group 1 has any
+    upscatter."""
 
     nu_sigma_f: np.ndarray
     chi: np.ndarray
     inscatter: np.ndarray
+    kappa_sigma_f: np.ndarray
     solver: tuple
+    fissile: tuple
+    upscatter: bool
     fission_scale: tuple = (1.0, 1.0)
+
+    @classmethod
+    def of(cls, nu_sigma_f, chi, inscatter, kappa_sigma_f, solver
+           ) -> "Operators":
+        """The operators of these arrays, with their facts."""
+        return cls(nu_sigma_f, chi, inscatter, kappa_sigma_f, solver,
+                   tuple(bool((nu > 0).any()) for nu in nu_sigma_f),
+                   bool((inscatter[0] > 0).any()))
 
     def nusf(self) -> np.ndarray:
         return self.nu_sigma_f * np.reshape(self.fission_scale, (2, 1, 1))
@@ -146,12 +161,14 @@ class _Anderson:
     residual, the last two differences of each, and the residual
     differences' squared norms, so a call forms only the new
     differences and their dot products, and solves the 2 x 2 normal
-    equations of the fit in closed form."""
+    equations of the fit in closed form.  The differences are allocated
+    at the first mixing step, so a solve that passes its first outer
+    allocates none."""
 
     def __init__(self, size: int):
+        self.size = size
         self.last = None  # copies of the previous (G(x), f)
-        self.dg = np.zeros((2, size))
-        self.df = np.zeros((2, size))
+        self.dg = self.df = None  # (2, size) each, from the first mix
         self.norms = [0.0, 0.0]  # df[i] @ df[i]
         self.held = 0  # differences held
         self.slot = 0  # the row the next difference overwrites
@@ -165,6 +182,8 @@ class _Anderson:
         if self.last is None:
             self.last = (g.copy(), f.copy())
             return g
+        if self.dg is None:
+            self.dg, self.df = np.zeros((2, 2, self.size))
         j, o = self.slot, 1 - self.slot
         g_old, f_old = self.last
         np.subtract(g, g_old, out=self.dg[j])
@@ -192,9 +211,8 @@ class _Anderson:
         return g - np.array(gamma) @ self.dg
 
 
-def power_iteration(solve_group: Callable, nusf: np.ndarray,
-                    chi: np.ndarray, inscatter: np.ndarray,
-                    tol: ToleranceConfig, label: str,
+def power_iteration(solve_group: Callable, ops: Operators,
+                    nusf: np.ndarray, tol: ToleranceConfig, label: str,
                     make_solution: Callable, volume: float = 1.0,
                     rescale: Callable | None = None, start=None):
     """Return `make_solution(k_eff, phi, iterations)` of the converged
@@ -207,22 +225,28 @@ def power_iteration(solve_group: Callable, nusf: np.ndarray,
     relative to the flux falls below `inner_tol` (infinite on the first
     outer step).  `q` and `phi_g` are the driver's buffers, valid only
     during the call.  An `IterationLimitError` it raises without a last
-    iterate leaves here with the current one attached.  `nusf`, `chi`
-    and `inscatter` are C-ordered (2, ...) cell arrays (`Operators`),
-    whose cell shape the fluxes and sources handed around take too;
-    `inscatter[g]` is the scatter into g from the other group.  The
-    fission integral is the cell sum times `volume`.  `rescale(factor)`
-    runs whenever the fluxes are scaled, so a solver can scale state of
-    its own along with them.  `start = (k, phi)` replaces the flat start
-    with the eigenpair of a nearby problem; phi is renormalized first.
+    iterate leaves here with the current one attached.  `nusf` is the
+    fission production the solve multiplies the fluxes by, `ops.nusf()`
+    or a multiple of it; `ops` gives the spectrum and the in-scatter,
+    C-ordered (2, ...) cell arrays whose cell shape `nusf`, the fluxes
+    and the sources handed around take too (`inscatter[g]` is the
+    scatter into g from the other group), and the facts prepared with
+    them: `DegenerateProblemError` is raised when no cell is fissile at
+    `ops.fission_scale`, and group 1 gets an in-scatter source only
+    when there is upscatter.  The fission integral is the cell sum
+    times `volume`.  `rescale(factor)` runs whenever the fluxes are
+    scaled, so a solver can scale state of its own along with them.
+    `start = (k, phi)` replaces the flat start with the eigenpair of a
+    nearby problem; phi is renormalized first.
 
     Unconverged outers are Anderson-mixed (see the module docstring);
     nothing this returns or raises carries a mixed iterate except the
     current one of a failing group solve.
     """
-    if not (nusf > 0).any():
+    if not any(fissile and scale > 0 for fissile, scale in zip(
+            ops.fissile, ops.fission_scale)):  # nuSf is never negative
         raise DegenerateProblemError("no fissile cell: not an eigenproblem")
-    upscatter = bool((inscatter[0] > 0).any())
+    upscatter, chi, inscatter = ops.upscatter, ops.chi, ops.inscatter
     shape = nusf.shape[1:]
     nusf, chi, inscatter = (a.reshape(2, -1) for a in (nusf, chi, inscatter))
     n = nusf.shape[1]
@@ -311,6 +335,28 @@ def certificate(solve_group: Callable, nusf: Sequence[np.ndarray],
     source_change = float(np.max(np.abs(new / ratio - fission))
                           / np.max(np.abs(fission)))
     return max(source_change, abs(ratio - 1.0))
+
+
+def check_production(nusf: np.ndarray, phi: Sequence[np.ndarray],
+                     volume: float, fission_scale):
+    """Raise `ConfigurationError` unless `nusf`, formed from the cross
+    sections a certificate was handed at `fission_scale`, can be the
+    production of the solve that left the fluxes `phi`: every iterate
+    `power_iteration` returns has fission integral one under its own.
+    A solution at scale (1, 1) is certified on the cross sections
+    given, as always.  One at another scale was solved on shared
+    `Operators`; handed a point's own cross sections, already scaled,
+    in place of those the operators were prepared from, it is refused,
+    as is the unnormalized current iterate of a failing group solve."""
+    if tuple(fission_scale) == (1.0, 1.0):
+        return
+    fint = float(sum((p * f).sum() for p, f in zip(nusf, phi))) * volume
+    if not abs(fint - 1.0) <= 1e-9:
+        raise ConfigurationError(
+            "eigen_residual: the cross sections given are not those of a "
+            f"solve at fission_scale {tuple(fission_scale)}: its fluxes "
+            f"have fission integral {fint:.9g} under them, not 1 (give the "
+            "cross sections its operators were prepared from)")
 
 
 class FissionSpan:

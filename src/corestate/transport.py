@@ -64,7 +64,7 @@ import scipy.sparse.linalg as spla
 
 from .diffusion import _band_view, group_factor, group_power_map
 from .eigen import (Operators, ToleranceConfig, cached_factors,
-                    certificate, power_iteration)
+                    certificate, check_production, power_iteration)
 from .errors import ConfigurationError, IterationLimitError
 from .geometry import Field, Mesh
 from .materials import CrossSectionSet, cell_values
@@ -170,9 +170,10 @@ class TransportSolution:
     """A transport eigenpair.  `iterations` counts the outer steps and
     `sweeps` all sweeps of both groups.  `quadrature_order` and `scheme`
     are those of the solve, the discretization `eigen_residual`
-    certifies the eigenpair in, and `angular_flux` each group's angular
+    certifies the eigenpair in, `angular_flux` each group's angular
     flux, shaped (directions, ny, nx), from which another solve can
-    start.
+    start, and `fission_scale` that of the solve's operators, which
+    `eigen_residual` reads.
     """
 
     k_eff: float
@@ -182,6 +183,7 @@ class TransportSolution:
     quadrature_order: int
     scheme: str
     angular_flux: tuple[np.ndarray, np.ndarray]
+    fission_scale: tuple = (1.0, 1.0)
 
 
 class _SweepBlock(NamedTuple):
@@ -465,13 +467,13 @@ def prepare_transport(xs: CrossSectionSet, mesh: Mesh,
                       quad: AngularQuadrature, scheme: str = "step"
                       ) -> Operators:
     """The `eigen.Operators` of `xs` on `mesh` from its validated cells
-    (`materials.cell_values`); `solver` is (quad, scheme, sigma_s,
-    sweepers, dsa): an unswept sweeper per group, which a solve copies,
-    and each group's DSA solve (`_dsa_factor`)."""
+    (`materials.cell_values`), kappaSf flattened; `solver` is (quad,
+    scheme, sigma_s, sweepers, dsa): an unswept sweeper per group, which
+    a solve copies, and each group's DSA solve (`_dsa_factor`)."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-    sigma_t, sigma_s, nu_sigma_f, chi = cell_values(
-        xs, mesh, "sigma_t", "sigma_s", "nu_sigma_f", "chi")
+    sigma_t, sigma_s, nu_sigma_f, chi, kappa = cell_values(
+        xs, mesh, "sigma_t", "sigma_s", "nu_sigma_f", "chi", "kappa_sigma_f")
     if (sigma_t < MIN_SIGMA_T).any():
         raise ConfigurationError(
             f"transport requires sigma_t >= {MIN_SIGMA_T} /cm everywhere; "
@@ -480,8 +482,9 @@ def prepare_transport(xs: CrossSectionSet, mesh: Mesh,
                 for g in range(2)]
     dsa = [_dsa_factor(mesh, sigma_t[g], sigma_s[g, g], g + 1)
            for g in range(2)]
-    return Operators(nu_sigma_f, chi, sigma_s[[1, 0], [0, 1]],
-                     (quad, scheme, sigma_s, sweepers, dsa))
+    return Operators.of(nu_sigma_f, chi, sigma_s[[1, 0], [0, 1]],
+                        kappa.reshape(2, -1),
+                        (quad, scheme, sigma_s, sweepers, dsa))
 
 
 def _group_solvers(ops: Operators):
@@ -577,11 +580,12 @@ def solve_transport(xs: CrossSectionSet | Operators, mesh: Mesh,
             k_eff, (Field(mesh, phi[0].ravel()), Field(mesh, phi[1].ravel())),
             iterations, sum(s.sweeps for s in sweepers),
             quadrature_order=quad.order, scheme=scheme,
-            angular_flux=tuple(s.psi for s in sweepers))
+            angular_flux=tuple(s.psi for s in sweepers),
+            fission_scale=ops.fission_scale)
 
     return power_iteration(
-        source_iteration, ops.nusf(), ops.chi, ops.inscatter, tol,
-        "transport", solution, volume=mesh.cell_area, rescale=rescale,
+        source_iteration, ops, ops.nusf(), tol, "transport", solution,
+        volume=mesh.cell_area, rescale=rescale,
         start=None if start is None else (
             start.k_eff, [f.values.reshape(mesh.ny, mesh.nx)
                           for f in start.scalar_flux]))
@@ -591,7 +595,11 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet) -> float:
     """Convergence certificate of a transport eigenpair
     (`eigen.certificate`): one more outer step from `sol`'s scalar
     fluxes with k_eff frozen, in `sol`'s quadrature order and scheme,
-    each group's source iteration run to an estimated error of 1e-9.
+    on `xs`'s nuSf at `sol`'s `fission_scale`, each group's source
+    iteration run to an estimated error of 1e-9.  Raises
+    `ConfigurationError` when `xs` cannot be the cross sections the
+    solve's operators were prepared from (`eigen.check_production`),
+    such as a block point's own cross sections, already scaled.
 
     It builds its own sweepers on the factors its solve left in
     `eigen.cached_factors` (two sweeps per group on converged default
@@ -602,17 +610,20 @@ def eigen_residual(sol: TransportSolution, xs: CrossSectionSet) -> float:
     mesh = sol.scalar_flux[0].mesh
     ops = prepare_transport(xs, mesh, build_quadrature(sol.quadrature_order),
                             sol.scheme)
-    sweepers, source_iteration = _group_solvers(ops)
     phi = [f.values.reshape(mesh.ny, mesh.nx) for f in sol.scalar_flux]
+    nusf = ops._replace(fission_scale=sol.fission_scale).nusf()
+    check_production(nusf, phi, mesh.cell_area, sol.fission_scale)
+    sweepers, source_iteration = _group_solvers(ops)
     # Lagged reflective inflows start from the isotropic estimate
     # phi / 4 pi of the exit-side cells rather than the flat guess.
     for sweeper, p in zip(sweepers, phi):
         sweeper.seed(p / FOUR_PI)
-    return certificate(source_iteration, ops.nu_sigma_f, ops.chi,
-                       ops.inscatter, sol.k_eff, phi)
+    return certificate(source_iteration, nusf, ops.chi, ops.inscatter,
+                       sol.k_eff, phi)
 
 
 def power_map_transport(sol: TransportSolution,
-                        xs: CrossSectionSet) -> Field:
-    """Energy-production map from the group scalar fluxes, unit L2 norm."""
+                        xs: CrossSectionSet | Operators) -> Field:
+    """Energy-production map from the group scalar fluxes, unit L2 norm,
+    with the kappaSf of `xs` or of the operators of its solve."""
     return group_power_map(sol.scalar_flux, xs)

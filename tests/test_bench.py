@@ -27,7 +27,7 @@ from corestate.sensing import build_sensors, observe, perturb_observations
 from corestate.transport import eigen_residual as transport_residual
 from corestate.transport import (build_quadrature, power_map_transport,
                                  solve_transport)
-from corestate import bench, cli, eigen, materials, transport
+from corestate import bench, cli, diffusion, eigen, materials, transport
 from helpers import (orthonormal_fields, random_field, snapshot_set,
                      uniform_config)
 
@@ -665,6 +665,99 @@ def test_block_points_match_per_point_solves(tmp_path, monkeypatch, model,
         assert getattr(sol, "sweeps", 0) == getattr(alone, "sweeps", 0)
 
 
+def block_point_solves(cfg, model, lattice, monkeypatch):
+    """(block, calls) of the first block in the solve order of `lattice`,
+    each call (the cross sections `solve_power_map` was handed, its
+    operators, the solution)."""
+    mesh = build_mesh(cfg.geometry)
+    parent, converged = bench._solve_parent(cfg, model, mesh)
+    alphas = (training_lattice() if lattice == "training"
+              else materials.test_lattice())
+    order = bench._solve_order(list(enumerate(alphas)))
+    block = order[0][1][:3]
+    calls, solve = [], bench.solve_power_map
+
+    def recording(model, xs, *args, operators, **kwargs):
+        result = solve(model, xs, *args, operators=operators, **kwargs)
+        calls.append((xs, operators, result[2]))
+        return result
+
+    monkeypatch.setattr(bench, "solve_power_map", recording)
+    results = list(bench._solve_points(
+        (model, cfg, mesh, parent, converged),
+        [point for point in order if point[1][:3] == block]))
+    assert all(error is None for *_, error in results)
+    return block, calls
+
+
+@pytest.mark.parametrize("model, lattice", [("diffusion", "training"),
+                                            ("transport", "test")])
+def test_block_points_certify_with_the_cross_sections_handed(
+        tmp_path, monkeypatch, model, lattice):
+    # A block point solves on operators prepared from the block's cross
+    # sections at a4 = a5 = 1, which `solve_power_map` is handed, at its
+    # own fission scale (a4, a5).  Its solution records that scale, so
+    # it certifies on the nuSf it was solved with; certified on the
+    # block's nuSf unscaled, these points would read up to 0.25
+    # (training) and 0.18 (test).  A point's own cross sections, already
+    # scaled, cannot be the solve's, and are refused.
+    cfg = small_config(tmp_path)
+    residual = transport_residual if model == "transport" \
+        else diffusion_residual
+    block, calls = block_point_solves(cfg, model, lattice, monkeypatch)
+    assert len(calls) == (9 if lattice == "training" else 4)
+    for xs, ops, sol in calls:
+        assert sol.fission_scale == ops.fission_scale
+        certified = residual(sol, xs)
+        assert certified <= 10 * cfg.tolerances.flux_tol
+        own = map_alpha_to_mu(block + sol.fission_scale, cfg.cross_sections)
+        if sol.fission_scale == (1.0, 1.0):
+            assert residual(sol, own) == certified
+        else:
+            with pytest.raises(ConfigurationError, match="fission_scale"):
+                residual(sol, own)
+
+
+@pytest.mark.parametrize("model, lattice", [("diffusion", "training"),
+                                            ("transport", "test")])
+def test_block_power_maps_read_the_operators_kappa(tmp_path, monkeypatch,
+                                                   model, lattice):
+    # The operators carry the block's kappaSf, gathered once, and a
+    # point's map from them has the bytes of its map from its own cross
+    # sections.
+    cfg = small_config(tmp_path)
+    power = power_map_transport if model == "transport" \
+        else power_map_diffusion
+    block, calls = block_point_solves(cfg, model, lattice, monkeypatch)
+    for _, ops, sol in calls:
+        own = map_alpha_to_mu(block + ops.fission_scale, cfg.cross_sections)
+        assert (power(sol, ops).values.tobytes()
+                == power(sol, own).values.tobytes())
+
+
+def test_kappa_gathered_once_per_block(tmp_path, monkeypatch):
+    # One worker gathers kappaSf onto the cells for the parent's
+    # operators, for the parent's own lattice point, and once per
+    # (a1, a2, a3) block with the block's operators: not once per point.
+    gathers = []
+
+    def counting(module):
+        gather = module.cell_values
+
+        def counted(xs, mesh, *names):
+            if "kappa_sigma_f" in names:
+                gathers.append(names)
+            return gather(xs, mesh, *names)
+
+        monkeypatch.setattr(module, "cell_values", counted)
+
+    for module in (bench, diffusion, transport, materials):
+        counting(module)
+    generate_snapshots(small_config(tmp_path), "diffusion", "training")
+    blocks = {alpha[:3] for alpha in training_lattice()}
+    assert len(gathers) <= 2 + len(blocks) == 29
+
+
 def test_previous_block_released_before_the_next_factorizes(tmp_path,
                                                             monkeypatch):
     # Each sweep factor is tracked while alive.  When a block's sweep
@@ -1168,7 +1261,8 @@ class TestConfig:
         ("scheme", "diamnod", "scheme 'diamnod'"),
         ("sn_order", 3, "sn_order"), ("sn_order", 0, "sn_order"),
         ("threads", 0, "threads"), ("threads", -4, "threads"),
-        ("seed", -1, "seed")])
+        ("seed", -1, "seed"),
+        ("model_for_truth", "difusion", "^model_for_truth 'difusion'")])
     def test_scheme_and_order_validated(self, key, value, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig.from_dict({key: value})

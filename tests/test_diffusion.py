@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corestate import bench, eigen, materials
+from corestate import bench, diffusion, eigen, materials
 from corestate.diffusion import (GroupOperator, ToleranceConfig,
                                  eigen_residual, power_map_diffusion,
                                  solve_diffusion)
@@ -297,6 +297,21 @@ class TestErrors:
         xs = fuel_xs(nu_sigma_f=(0.0, 0.0))
         with pytest.raises(DegenerateProblemError, match="fissile"):
             solve_diffusion(xs, mesh)
+
+    def test_fissile_groups_checked_at_the_fission_scale(self):
+        # Prepared operators know, per group, whether a cell is fissile,
+        # so the check needs no scan of the scaled nuSf.  This problem
+        # is fissile in group 2 only.
+        mesh = build_mesh(uniform_config(4, 4))
+        fuel = diffusion.prepare_diffusion(fuel_xs(), mesh)
+        thermal = diffusion.prepare_diffusion(
+            fuel_xs(nu_sigma_f=(0.0, 0.18)), mesh)
+        for ops, scale in ((fuel, (0.0, 0.0)), (thermal, (1.0, 0.0))):
+            with pytest.raises(DegenerateProblemError, match="fissile"):
+                solve_diffusion(ops._replace(fission_scale=scale), mesh)
+        sol = solve_diffusion(thermal._replace(fission_scale=(0.0, 1.0)),
+                              mesh)
+        assert sol.k_eff > 0 and sol.fission_scale == (0.0, 1.0)
 
     def test_nonpositive_d_rejected(self):
         mesh = build_mesh(uniform_config(4, 4))

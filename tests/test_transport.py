@@ -911,6 +911,21 @@ class TestErrors:
             solve_transport(fuel_xs(nu_sigma_f=(0.0, 0.0)), mesh,
                             build_quadrature(2))
 
+    def test_fissile_groups_checked_at_the_fission_scale(self):
+        # As in diffusion: the prepared operators' per-group facts, read
+        # at the solve's fission scale.  Fissile in group 2 only.
+        mesh = build_mesh(uniform_config(4, 4))
+        quad = build_quadrature(2)
+        fuel = transport.prepare_transport(fuel_xs(), mesh, quad)
+        thermal = transport.prepare_transport(
+            fuel_xs(nu_sigma_f=(0.0, 0.18)), mesh, quad)
+        for ops, scale in ((fuel, (0.0, 0.0)), (thermal, (1.0, 0.0))):
+            with pytest.raises(DegenerateProblemError, match="fissile"):
+                solve_transport(ops._replace(fission_scale=scale), mesh)
+        sol = solve_transport(thermal._replace(fission_scale=(0.0, 1.0)),
+                              mesh)
+        assert sol.k_eff > 0 and sol.fission_scale == (0.0, 1.0)
+
     @pytest.mark.parametrize("nx, ny", [(6, 4), (5, 5)])
     def test_zero_dsa_removal_on_closed_domain_rejected(self, nx, ny):
         # Group 2 neither absorbs nor scatters out and nothing leaks:
