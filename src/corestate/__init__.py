@@ -17,8 +17,8 @@ from .transport import (AngularQuadrature, TransportSolution,
 from .rom import ReducedBasis, SnapshotSet, delta_curves, pod
 from .sensing import (MeasurementSystem, build_sensors, observe,
                       observe_psi, perturb_observations)
-from .pbdw import (PbdwOperator, Reconstruction, assemble, beta,
-                   error_bound, reconstruct)
+from .pbdw import (PbdwOperator, Reconstruction, assemble, error_bound,
+                   reconstruct)
 from .bench import ExperimentConfig, generate_snapshots, run_case, sweep_noise
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "ReducedBasis", "SnapshotSet", "delta_curves", "pod",
     "MeasurementSystem", "build_sensors", "observe", "observe_psi",
     "perturb_observations",
-    "PbdwOperator", "Reconstruction", "assemble", "beta", "error_bound",
+    "PbdwOperator", "Reconstruction", "assemble", "error_bound",
     "reconstruct",
     "ExperimentConfig", "generate_snapshots", "run_case", "sweep_noise",
 ]

@@ -582,15 +582,13 @@ class CaseContext:
     test_manifest: dict
 
 
-def prepare_case(cfg: ExperimentConfig, case: int,
-                 force: bool = False) -> CaseContext:
+def prepare_case(cfg: ExperimentConfig, case: int) -> CaseContext:
     if case not in (1, 2):
         raise ValueError("case must be 1 or 2")
     rom_model = "transport" if case == 1 else "diffusion"
-    train, train_manifest = generate_snapshots(cfg, rom_model, "training",
-                                               force=force)
+    train, train_manifest = generate_snapshots(cfg, rom_model, "training")
     test, test_manifest = generate_snapshots(cfg, cfg.model_for_truth,
-                                             "test", force=force)
+                                             "test")
     mesh = train.mesh
     n_hi = min(cfg.n_range[1], len(train))
     with warnings.catch_warnings():
@@ -713,8 +711,7 @@ def _reconstruct(cfg: ExperimentConfig, ctx: CaseContext,
         yield op, np.sqrt(np.sum(diff**2, axis=2) + out_of_span) / test_norms
 
 
-def run_case(cfg: ExperimentConfig, case: int,
-             force: bool = False) -> ExperimentReport:
+def run_case(cfg: ExperimentConfig, case: int) -> ExperimentReport:
     """Run one reconstruction study and write its CSV report.
 
     Per reduced dimension n the report records the stability constant,
@@ -726,7 +723,7 @@ def run_case(cfg: ExperimentConfig, case: int,
     """
     t_start = time.perf_counter()
     with _one_blas_thread():
-        ctx = prepare_case(cfg, case, force=force)
+        ctx = prepare_case(cfg, case)
         t_setup = time.perf_counter()
 
         psi_t = ctx.sensors.psi_matrix.T * ctx.mesh.cell_area
@@ -776,8 +773,8 @@ def run_case(cfg: ExperimentConfig, case: int,
     return report
 
 
-def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
-                force: bool = False) -> ExperimentReport:
+def sweep_noise(cfg: ExperimentConfig, eps_list,
+                n_seeds: int = 10) -> ExperimentReport:
     """Repeat the Case-2 reconstruction with perturbed observations.
 
     For every (n, eps, seed) the measured worst-case error is reported
@@ -801,7 +798,7 @@ def sweep_noise(cfg: ExperimentConfig, eps_list, n_seeds: int = 10,
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     t_start = time.perf_counter()
     with _one_blas_thread():
-        ctx = prepare_case(cfg, 2, force=force)
+        ctx = prepare_case(cfg, 2)
         t_setup = time.perf_counter()
 
         # Matrix 0 is ctx.y_psi, every eps = 0 sample; each nonzero level

@@ -81,9 +81,14 @@ class ToleranceConfig:
     max_outer: int = 2000
 
     def __post_init__(self):
-        if not (0 < self.k_tol < math.inf and 0 < self.flux_tol < math.inf
-                and self.max_outer >= 1):
-            raise ConfigurationError("tolerances must be finite and positive")
+        for name in ("k_tol", "flux_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"tolerances.{name} must be finite and > 0, got {value}")
+        if self.max_outer < 1:
+            raise ConfigurationError(
+                f"tolerances.max_outer must be >= 1, got {self.max_outer}")
 
     @staticmethod
     def from_dict(d: dict) -> "ToleranceConfig":
@@ -92,7 +97,8 @@ class ToleranceConfig:
             k_tol=config_number(d.get("k_tol", 1e-8), "tolerances.k_tol"),
             flux_tol=config_number(d.get("flux_tol", 1e-7),
                                    "tolerances.flux_tol"),
-            max_outer=config_int(d.get("max_outer", 2000), "max_outer"))
+            max_outer=config_int(d.get("max_outer", 2000),
+                                 "tolerances.max_outer"))
 
     def to_dict(self) -> dict:
         return {"k_tol": self.k_tol, "flux_tol": self.flux_tol,

@@ -225,10 +225,14 @@ class Field:
 def build_mesh(config: GeometryConfig) -> Mesh:
     """Build the structured mesh, assigning each cell the region whose box
     contains the cell center (priority resolves overlaps)."""
-    if config.extent_x <= 0 or config.extent_y <= 0:
-        raise ConfigurationError("domain extents must be positive")
-    if config.nx < 2 or config.ny < 2:
-        raise ConfigurationError("need at least 2 cells per direction")
+    for name in ("extent_x", "extent_y"):
+        if getattr(config, name) <= 0:
+            raise ConfigurationError(f"geometry {name} must be > 0, "
+                                     f"got {getattr(config, name)}")
+    for name in ("nx", "ny"):
+        if getattr(config, name) < 2:
+            raise ConfigurationError(f"geometry {name} must be >= 2, "
+                                     f"got {getattr(config, name)}")
     if not config.regions:
         raise ConfigurationError("at least one region box is required")
 

@@ -70,10 +70,6 @@ def assemble(basis: ReducedBasis, n: int,
                         cross_gramian=a, _svd=svd)
 
 
-def beta(op: PbdwOperator) -> float:
-    return op.beta
-
-
 @dataclass(frozen=True, eq=False)
 class Reconstruction:
     estimate: Field

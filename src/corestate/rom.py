@@ -71,10 +71,6 @@ class ReducedBasis:
     def n_max(self) -> int:
         return self.mode_matrix.shape[0]
 
-    @cached_property
-    def modes(self) -> tuple[Field, ...]:
-        return tuple(Field(self.mesh, row) for row in self.mode_matrix)
-
     def project_coefficients(self, values: np.ndarray) -> np.ndarray:
         """L2 coefficients of `values` (flat or (K, n_cells)) on the modes."""
         return values @ self.mode_matrix.T * self.mesh.cell_area

@@ -74,11 +74,11 @@ def default_lattice_problem(index):
     return cfg, mesh, xs
 
 
-def finite_volume_oracle(mesh, d, sigma_a, vacuum_model):
+def finite_volume_oracle(mesh, d, sigma_a):
     """Dense 5-point matrix in natural cell order, built cell by cell:
     each face conducts face_length / (series resistance), where a half
     cell contributes h / (2 D), and a vacuum face adds the Marshak
-    resistance 2 (Robin, J = phi_b / 2) or nothing (phi_b = 0)."""
+    resistance 2 (Robin, J = phi_b / 2)."""
     nx, ny, dx, dy = mesh.nx, mesh.ny, mesh.dx, mesh.dy
     a = np.zeros((mesh.n_cells, mesh.n_cells))
     faces = ((1, 0, "xmax", dx, dy), (-1, 0, "xmin", dx, dy),
@@ -94,8 +94,7 @@ def finite_volume_oracle(mesh, d, sigma_a, vacuum_model):
                     a[c, c] += t
                     a[c, jj * nx + ii] -= t
                 elif getattr(mesh.bc, side) == "vacuum":
-                    marshak = 2.0 if vacuum_model == "robin" else 0.0
-                    a[c, c] += face / (h / (2 * d[j, i]) + marshak)
+                    a[c, c] += face / (h / (2 * d[j, i]) + 2.0)
     return a
 
 

@@ -435,6 +435,35 @@ class TestSnapshots:
             assert str(info.value).startswith(
                 f"diffusion solve failed at alpha = {failing[1]}: ")
 
+    def test_failed_block_preparation_identifies_alpha(self, tmp_path,
+                                                       monkeypatch):
+        # Block (0.95, 0.85, 0.85) is test points 16-23.  Each of its
+        # points retries the preparation and fails with it, so on one
+        # worker or two the error names point 16 and no file is written.
+        base = small_config(tmp_path).cross_sections
+        failing = map_alpha_to_mu((0.95, 0.85, 0.85, 1.0, 1.0),
+                                  base).to_dict()
+        prepare = bench.prepare_diffusion
+
+        def failing_prepare(xs, mesh):
+            if xs.to_dict() == failing:
+                raise DegenerateProblemError("no operators for the block")
+            return prepare(xs, mesh)
+
+        monkeypatch.setattr(bench, "prepare_diffusion", failing_prepare)
+        alpha = materials.test_lattice()[16]
+        assert alpha == (0.95, 0.85, 0.85, 0.85, 0.85)
+        for threads in (1, 2):
+            cfg = small_config(tmp_path / f"w{threads}", threads=threads)
+            with pytest.raises(RuntimeError) as info:
+                generate_snapshots(cfg, "diffusion", "test")
+            assert str(info.value) == (
+                f"diffusion solve failed at alpha = {alpha}: "
+                "DegenerateProblemError: no operators for the block")
+            directory = cfg.output_dir / "snapshots" / "diffusion_test"
+            assert not (directory / "manifest.json").exists()
+            assert not (directory / "snapshots.npy").exists()
+
     def test_failed_first_of_a_ray_leaves_its_next_point_to_the_parent(
             self, tmp_path, monkeypatch):
         # Test points 0-3 are one block, solved in this order.  Point 0
@@ -1284,6 +1313,8 @@ class TestConfig:
         # Each integer field used to go through int(): 2.7 threads ran 2
         # workers, True one, and "1e3" failed with a bare ValueError.  A
         # region priority was taken as given.
+        if "tolerances" in config:
+            field = f"tolerances.{field}"
         if "geometry" in config:
             config = {"geometry": {**_default_geometry_dict(),
                                    **config["geometry"]}}
@@ -1308,6 +1339,32 @@ class TestConfig:
                            match=rf"^{field} must be a number, finite and "
                                  "real, got "):
             ExperimentConfig.from_dict(config)
+
+    @pytest.mark.parametrize("tolerances, match", [
+        ({"k_tol": -1}, r"^tolerances\.k_tol must be finite and > 0, got "
+                        r"-1(\.0)?$"),
+        ({"flux_tol": 0}, r"^tolerances\.flux_tol must be finite and > 0, "
+                          r"got 0(\.0)?$"),
+        ({"max_outer": 0}, r"^tolerances\.max_outer must be >= 1, got 0$")])
+    def test_out_of_range_tolerances_named(self, tolerances, match):
+        # Each raised only "tolerances must be finite and positive", from
+        # a config and from ToleranceConfig alike.
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig.from_dict({"tolerances": tolerances})
+        with pytest.raises(ConfigurationError, match=match):
+            ToleranceConfig(**tolerances)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("nx", 1, r"^geometry nx must be >= 2, got 1$"),
+        ("ny", 0, r"^geometry ny must be >= 2, got 0$"),
+        ("extent_x", -5, r"^geometry extent_x must be > 0, got -5\.0$")])
+    def test_out_of_range_geometry_named(self, key, value, match):
+        # These raised "need at least 2 cells per direction" and "domain
+        # extents must be positive".
+        geometry = GeometryConfig.from_dict(
+            {**_default_geometry_dict(), key: value})
+        with pytest.raises(ConfigurationError, match=match):
+            build_mesh(geometry)
 
     @pytest.mark.parametrize("config, match", [
         ({"tolerances": {"ktol": 1e-12}},
@@ -1502,6 +1559,22 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigurationError"
         assert "top level must be an object, got [1]" in err["message"]
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("tolerances", "k_tol", -1,
+         "tolerances.k_tol must be finite and > 0, got -1.0"),
+        ("geometry", "nx", 1, "geometry nx must be >= 2, got 1")])
+    def test_out_of_range_field_fails_info(self, tmp_path, capsys, section,
+                                           key, value, message):
+        path = self._config_file(tmp_path)
+        config = json.loads(path.read_text())
+        config.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(config))
+        assert cli.main(["info", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ConfigurationError",
+                                            "message": message}
 
     def test_zero_threads_fails_info(self, capsys):
         assert cli.main(["info", "--threads", "0"]) == 1

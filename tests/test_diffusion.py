@@ -103,19 +103,22 @@ def band_to_dense(op, mesh):
 
 class TestGroupOperator:
     @pytest.mark.parametrize("nx, ny", [(3, 2), (2, 3)])
-    @pytest.mark.parametrize("vacuum_model", ["robin", "zero_flux"])
+    # The ids name the Robin vacuum sides, as they did when the vacuum
+    # model was a parameter, so the cases keep their names.
     @pytest.mark.parametrize("bc", [
-        BoundaryTags(xmin="vacuum", xmax="reflective",
-                     ymin="reflective", ymax="vacuum"),
-        BoundaryTags(xmin="reflective", xmax="vacuum",
-                     ymin="vacuum", ymax="reflective")])
-    def test_band_matches_dense_oracle(self, nx, ny, vacuum_model, bc):
+        pytest.param(BoundaryTags(xmin="vacuum", xmax="reflective",
+                                  ymin="reflective", ymax="vacuum"),
+                     id="bc0-robin"),
+        pytest.param(BoundaryTags(xmin="reflective", xmax="vacuum",
+                                  ymin="vacuum", ymax="reflective"),
+                     id="bc1-robin")])
+    def test_band_matches_dense_oracle(self, nx, ny, bc):
         mesh = build_mesh(uniform_config(nx, ny, lx=3.0, ly=5.0, bc=bc))
         rng = np.random.default_rng(nx * 10 + ny)
         d = rng.uniform(0.3, 2.0, (ny, nx))
         sigma_a = rng.uniform(0.01, 0.2, (ny, nx))
-        op = GroupOperator(mesh, d, sigma_a, vacuum_model)
-        oracle = finite_volume_oracle(mesh, d, sigma_a, vacuum_model)
+        op = GroupOperator(mesh, d, sigma_a)
+        oracle = finite_volume_oracle(mesh, d, sigma_a)
         assert op.band.shape == (min(nx, ny) + 1, nx * ny)
         np.testing.assert_allclose(band_to_dense(op, mesh), oracle,
                                    rtol=1e-14, atol=1e-15)
@@ -132,7 +135,7 @@ class TestGroupOperator:
         mesh = build_mesh(uniform_config(nx, ny))
         rng = np.random.default_rng(nx * 10 + ny)
         op = GroupOperator(mesh, rng.uniform(0.3, 2.0, (ny, nx)),
-                           rng.uniform(0.01, 0.2, (ny, nx)), "robin")
+                           rng.uniform(0.01, 0.2, (ny, nx)))
         solve = op.factorize(1)
         q = rng.standard_normal(nx * ny)
         before = solve(q)
@@ -209,22 +212,6 @@ class TestConvergedState:
             solve_diffusion(xs, build_mesh(cfg.geometry), tol)
         assert eigen_residual(err.value.last_solution, xs) > tol.flux_tol
 
-    def test_certifies_in_the_solve_vacuum_model(self):
-        # Certified under the Robin condition, this converged zero-flux
-        # solve scored 0.106; in its own model it scores 2.2e-10.
-        cfg = bench.ExperimentConfig.default()
-        xs = map_alpha_to_mu(bench.PARENT_ALPHA, cfg.cross_sections)
-        mesh = build_mesh(cfg.geometry)
-        sol = solve_diffusion(xs, mesh, cfg.tolerances,
-                              vacuum_model="zero_flux")
-        assert sol.vacuum_model == "zero_flux"
-        assert eigen_residual(sol, xs) < cfg.tolerances.flux_tol
-        tol = replace(cfg.tolerances, max_outer=3)
-        with pytest.raises(IterationLimitError) as err:
-            solve_diffusion(xs, mesh, tol, vacuum_model="zero_flux")
-        assert err.value.last_solution.vacuum_model == "zero_flux"
-        assert eigen_residual(err.value.last_solution, xs) > tol.flux_tol
-
     def test_flux_nonnegative(self):
         mesh = build_mesh(GeometryConfig.default())
         sol = solve_diffusion(default_cross_sections(), mesh)
@@ -246,14 +233,6 @@ class TestConvergedState:
         mesh_vac = build_mesh(uniform_config(6, 6))
         assert solve_diffusion(xs, mesh_vac).k_eff \
             < solve_diffusion(xs, mesh_refl).k_eff
-
-    def test_dirichlet_variant_leaks_more(self):
-        mesh = build_mesh(uniform_config(8, 8))
-        xs = fuel_xs()
-        k_robin = solve_diffusion(xs, mesh, vacuum_model="robin").k_eff
-        k_dirichlet = solve_diffusion(xs, mesh,
-                                      vacuum_model="zero_flux").k_eff
-        assert k_dirichlet < k_robin
 
 
 class TestPowerMap:
@@ -338,8 +317,7 @@ class TestErrors:
 
     def test_indefinite_group_operator_rejected(self):
         mesh = build_mesh(uniform_config(4, 3))
-        op = GroupOperator(mesh, np.ones((3, 4)), np.full((3, 4), -1.0),
-                           "robin")
+        op = GroupOperator(mesh, np.ones((3, 4)), np.full((3, 4), -1.0))
         with pytest.raises(DegenerateProblemError,
                            match="group 1 .* not positive definite"):
             op.factorize(1)
@@ -357,11 +335,6 @@ class TestErrors:
                            match=r"^tolerances\.(k|flux)_tol must be a "
                                  "number, finite and real, got '(inf|nan)'"):
             ToleranceConfig.from_dict(tolerances)
-
-    def test_bad_vacuum_model_rejected(self):
-        mesh = build_mesh(uniform_config(4, 4))
-        with pytest.raises(ConfigurationError, match="vacuum_model"):
-            solve_diffusion(fuel_xs(), mesh, vacuum_model="albedo")
 
     def test_start_on_another_mesh_rejected(self):
         start = solve_diffusion(fuel_xs(), build_mesh(uniform_config(5, 4)))
@@ -432,7 +405,7 @@ class TestFactorCache:
         assert set(eigen._FACTOR_SETS) == {("diffusion", 1),
                                            ("diffusion", 2)}
 
-    def test_changed_region_or_vacuum_model_misses(self, monkeypatch):
+    def test_changed_region_misses(self, monkeypatch):
         mesh, (a, _) = self.problems()
         solve_diffusion(a, mesh)
         calls = self.count_factorizations(monkeypatch)
@@ -446,8 +419,6 @@ class TestFactorCache:
                                          region.sigma_a + [1.0, 0.0]))})
         solve_diffusion(nudged, mesh)
         assert calls == [1]
-        solve_diffusion(nudged, mesh, vacuum_model="zero_flux")
-        assert calls == [1, 1, 2]
 
     def test_lattice_order_shares_factors(self, monkeypatch, tmp_path):
         # Group 1's operator follows a1 and group 2's a2.  After the

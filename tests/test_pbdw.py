@@ -5,7 +5,7 @@ import pytest
 
 from corestate.errors import SingularOperatorError
 from corestate.geometry import Field, build_mesh, inner_product
-from corestate.pbdw import (assemble, beta, error_bound, reconstruct,
+from corestate.pbdw import (assemble, error_bound, reconstruct,
                             reconstruct_batch)
 from corestate.rom import ReducedBasis, pod
 from corestate.sensing import (build_sensors, observe, observe_psi,
@@ -49,7 +49,7 @@ class TestAssembleAndBeta:
         expected = np.zeros((sensors.m, 1))
         expected[0, 0] = 1.0
         assert np.allclose(op.cross_gramian, expected, atol=1e-12)
-        assert beta(op) == pytest.approx(1.0, abs=1e-12)
+        assert op.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_mode_orthogonal_to_observation_space(self):
         # field with zero mean on every sensor block is invisible
@@ -60,7 +60,7 @@ class TestAssembleAndBeta:
         mode = Field(mesh, values.ravel()).normalized()
         basis = make_basis(mesh, [mode.values])
         op = assemble(basis, 1, sensors)
-        assert beta(op) == pytest.approx(0.0, abs=1e-12)
+        assert op.beta == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(SingularOperatorError):
             reconstruct(op, np.zeros(sensors.m))
 
@@ -72,7 +72,7 @@ class TestAssembleAndBeta:
         fields = orthonormal_fields(mesh, 2, rng)
         basis = make_basis(mesh, [f.values for f in fields])
         op = assemble(basis, 2, sensors)
-        assert beta(op) == pytest.approx(
+        assert op.beta == pytest.approx(
             beta_sphere_oracle(basis, sensors, 2), abs=1e-6)
 
     def test_subspace_of_observation_space_gives_one(self):
@@ -81,7 +81,7 @@ class TestAssembleAndBeta:
         combo = (sensors.psi_matrix[0] + sensors.psi_matrix[3]) / np.sqrt(2)
         basis = make_basis(mesh, [sensors.psi_matrix[1], combo])
         op = assemble(basis, 2, sensors)
-        assert beta(op) == pytest.approx(1.0, abs=1e-12)
+        assert op.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_beta_nonincreasing_in_n(self):
         mesh = build_mesh(uniform_config(8, 6))
@@ -89,7 +89,7 @@ class TestAssembleAndBeta:
         fields = orthonormal_fields(mesh, 6, rng)
         basis = make_basis(mesh, [f.values for f in fields])
         sensors = build_sensors(mesh, (4, 3))
-        betas = [beta(assemble(basis, n, sensors)) for n in range(1, 7)]
+        betas = [assemble(basis, n, sensors).beta for n in range(1, 7)]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(betas, betas[1:]))
 
     def test_preconditions(self):
@@ -165,7 +165,7 @@ class TestReconstruct:
         mesh, sensors, basis, rng = self._setup(seed=41 + seed)
         n = 4
         op = assemble(basis, n, sensors)
-        b = beta(op)
+        b = op.beta
         u = random_field(mesh, rng)
         rec = reconstruct(op, observe_psi(u, sensors))
         err = Field(mesh, u.values - rec.estimate.values).norm()
@@ -187,7 +187,7 @@ class TestReconstruct:
         mesh, sensors, basis, rng = self._setup(seed=53)
         n = 4
         op = assemble(basis, n, sensors)
-        b = beta(op)
+        b = op.beta
         for trial in range(5):
             u = random_field(mesh, rng)
             y = observe_psi(u, sensors)

@@ -846,8 +846,7 @@ class TestDSAFactor:
         mesh, sigt, sigs, rng = self.thin_group(nx, ny, nx * 10 + ny)
         thickest = float(sigt.max()) * max(mesh.dx, mesh.dy)
         assert thickest <= transport._DSA_MAX_MFP
-        oracle = finite_volume_oracle(mesh, 1.0 / (3.0 * sigt), sigt - sigs,
-                                      "robin")
+        oracle = finite_volume_oracle(mesh, 1.0 / (3.0 * sigt), sigt - sigs)
         r = rng.standard_normal((ny, nx))
         delta = transport._dsa_factor(mesh, sigt, sigs, 1)(r)
         assert delta.shape == (ny, nx)
