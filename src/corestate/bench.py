@@ -23,6 +23,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 import warnings
@@ -80,7 +81,7 @@ LATTICES = ("training", "test")
 #: 12 (diffusion 6): the later points of a fission-scaling ray start
 #: from its first solution; 13 (diffusion 7): every point starts from the
 #: Rayleigh-Ritz pair of its (a1, a2, a3) block's solutions
-#: (`_solve_points`).
+#: (`_solve_block`).
 SOLVER_REVISION = {"transport": 13, "diffusion": 7}
 
 #: Layout of a stored snapshot set, part of every snapshot signature:
@@ -91,7 +92,7 @@ SNAPSHOT_STORE = "npy-matrix"
 SNAPSHOT_FILE = "snapshots.npy"
 
 #: The lattice centre, solved once per snapshot set.  Starts made only
-#: from it and from a point's own block (`_solve_points`), not from a
+#: from it and from a point's own block (`_solve_block`), not from a
 #: chain of neighbours, keep each result independent of the worker count.
 PARENT_ALPHA = (0.9,) * 5
 
@@ -119,6 +120,15 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # Integer fields are read here, built directly or by `from_dict`.
+        for name in ("sn_order", "seed", "threads"):
+            object.__setattr__(self, name, config_int(getattr(self, name),
+                                                      name))
+        object.__setattr__(self, "sensor_grid", tuple(
+            config_int(count, f"sensors.{name}")
+            for name, count in zip(("sx", "sy"), self.sensor_grid)))
+        object.__setattr__(self, "n_range", tuple(
+            config_int(n, "n_range") for n in self.n_range))
         for name, count in zip(("sx", "sy"), self.sensor_grid):
             if count < 1:
                 raise ConfigurationError(
@@ -181,15 +191,14 @@ class ExperimentConfig:
             geometry=geometry,
             cross_sections=xs,
             tolerances=ToleranceConfig.from_dict(d.get("tolerances", {})),
-            sn_order=config_int(d.get("sn_order", 4), "sn_order"),
+            sn_order=d.get("sn_order", 4),
             scheme=d.get("scheme", "step"),
-            sensor_grid=(config_int(sensors.get("sx", 9), "sensors.sx"),
-                         config_int(sensors.get("sy", 6), "sensors.sy")),
-            n_range=tuple(config_int(v, "n_range") for v in n_range),
+            sensor_grid=(sensors.get("sx", 9), sensors.get("sy", 6)),
+            n_range=tuple(n_range),
             model_for_truth=d.get("model_for_truth", "transport"),
             output_dir=Path(output_dir),
-            seed=config_int(d.get("seed", 0), "seed"),
-            threads=config_int(d.get("threads", 1), "threads"),
+            seed=d.get("seed", 0),
+            threads=d.get("threads", 1),
         )
 
     @staticmethod
@@ -268,60 +277,65 @@ def _solve_parent(cfg: ExperimentConfig, model: str, mesh: Mesh):
             f"{type(exc).__name__}: {exc}") from exc
 
 
-def _solve_points(problem, points):
-    """Yield (index, start, k_eff, power values, error) of each (index,
-    alpha) in `points`, in order, for `problem` = (model, cfg, mesh,
-    parent, converged), `converged` telling whether the parent solve
-    converged.
+def _solve_block(problem, points) -> list:
+    """The (index, start, k_eff, power values, error) of each (index,
+    alpha) of one (a1, a2, a3) block's `points`, in `_solve_order`, for
+    `problem` = (model, cfg, mesh, parent, converged, nusf): whether the
+    parent solve converged, and the base set's (2, n_cells) nuSf.
 
-    a4 and a5 only scale nuSf1 and nuSf2, so the points of an (a1, a2,
-    a3) block share the operators prepared once from its cross sections
-    at a4 = a5 = 1, the previous block's released first, and each point
-    solves at its own `fission_scale` and takes its power map's kappaSf
-    from them.  A point starts from the Rayleigh-Ritz pair
-    (`eigen.FissionSpan`) of the block's solutions so far that span its
-    fission sources within 10 flux_tol, the parent among them when it
-    converged and lies in the block, or, with no usable pair, from the
-    parent; a point on the ray (a1, a2, a3, a5 / a4) of a solved one
-    gets its eigenvector back and passes after one outer.  `start`
-    lists the sorted lattice indices of the solutions a start is made
-    from, [-1] for the parent.  A failed point adds nothing to the span
-    and yields the failure's text as `error`, which the caller raises
+    a4 and a5 only scale nuSf1 and nuSf2, so the block's points share
+    the operators prepared once from its cross sections at a4 = a5 = 1,
+    released when this call returns, and each point solves at its own
+    `fission_scale` and takes its power map's kappaSf from them.  A
+    point starts from the Rayleigh-Ritz pair (`eigen.FissionSpan`) of
+    the block's solutions so far that span its fission sources within
+    10 flux_tol, the parent among them when it converged and lies in the
+    block, or, with no usable pair, from the parent; a point on the ray
+    (a1, a2, a3, a5 / a4) of a solved one gets its eigenvector back and
+    passes after one outer.  A converged parent is its own point's
+    solution.  `start` lists the sorted lattice indices of the solutions
+    a start is made from, [-1] for the parent.  A failed point adds
+    nothing to the span and gives the failure's text as `error`, and a
+    failed preparation gives its text to every point; the caller raises
     with the alpha of the lowest failing index."""
-    model, cfg, mesh, parent, converged = problem
-    # The base set's fission production, whose groups a4 and a5 scale.
-    nusf = cell_values(cfg.cross_sections, mesh, "nu_sigma_f")[0].reshape(
-        2, -1)
-    block = None
+    model, cfg, mesh, parent, converged, nusf = problem
+    block = points[0][1][:3]
+    try:
+        xs = map_alpha_to_mu(block + (1.0, 1.0), cfg.cross_sections)
+        operators = prepare_diffusion(xs, mesh) if model == "diffusion" \
+            else prepare_transport(xs, mesh, build_quadrature(cfg.sn_order),
+                                   cfg.scheme)
+    except Exception as exc:  # fails every point of the block
+        return [(index, [-1], None, None, f"{type(exc).__name__}: {exc}")
+                for index, _ in points]
+    span, spanning = FissionSpan(nusf, 10 * cfg.tolerances.flux_tol), []
+    if converged and block == PARENT_ALPHA[:3] and span.add(
+            parent.k_eff, _fluxes(model, parent), PARENT_ALPHA[3:]):
+        spanning.append((-1, parent))
+    results = []
     for index, alpha in points:
-        if alpha[:3] != block:
-            block, operators, span, spanning = alpha[:3], None, FissionSpan(
-                nusf, 10 * cfg.tolerances.flux_tol), []
-            if converged and block == PARENT_ALPHA[:3] and span.add(
-                    parent.k_eff, _fluxes(model, parent), PARENT_ALPHA[3:]):
-                spanning.append((-1, parent))
         origin = [-1]
         try:
-            if operators is None:  # the block's first point, or a retry
-                xs = map_alpha_to_mu(block + (1.0, 1.0), cfg.cross_sections)
-                operators = prepare_diffusion(xs, mesh) if model == \
-                    "diffusion" else prepare_transport(
-                        xs, mesh, build_quadrature(cfg.sn_order), cfg.scheme)
-            ritz = span.ritz(alpha[3:])
-            start = parent
-            if ritz is not None:
-                start = _combine(model, mesh, span, spanning, *ritz)
-                origin = sorted(i for i, _ in spanning)
-            k_eff, power, sol = solve_power_map(
-                model, xs, mesh, cfg.tolerances, cfg.sn_order, cfg.scheme,
-                start=start, keep_solution=True,
-                operators=operators._replace(fission_scale=alpha[3:]))
-            if span.add(k_eff, _fluxes(model, sol), alpha[3:]):
-                spanning.append((index, sol))
-            result = index, origin, k_eff, power.values, None
+            if converged and alpha == PARENT_ALPHA:
+                k_eff = parent.k_eff
+                power = _power_map(model, parent, operators)
+            else:
+                ritz = span.ritz(alpha[3:])
+                start = parent
+                if ritz is not None:
+                    start = _combine(model, mesh, span, spanning, *ritz)
+                    origin = sorted(i for i, _ in spanning)
+                k_eff, power, sol = solve_power_map(
+                    model, xs, mesh, cfg.tolerances, cfg.sn_order, cfg.scheme,
+                    start=start, keep_solution=True,
+                    operators=operators._replace(fission_scale=alpha[3:]))
+                if span.add(k_eff, _fluxes(model, sol), alpha[3:]):
+                    spanning.append((index, sol))
+            results.append((index, origin, k_eff, power.values, None))
         except Exception as exc:
-            result = index, origin, None, None, f"{type(exc).__name__}: {exc}"
-        yield result
+            results.append((index, origin, None, None,
+                            f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def _fluxes(model: str, sol) -> np.ndarray:
@@ -343,11 +357,6 @@ def _combine(model: str, mesh: Mesh, span: FissionSpan, spanning, k_eff,
     return replace(first, k_eff=k_eff, scalar_flux=phi, angular_flux=tuple(
         sum(w * sol.angular_flux[g] for w, (_, sol) in zip(weights, spanning))
         for g in range(2)))
-
-
-def _solve_run(task) -> list:
-    """The `_solve_points(*task)` results of one pool task."""
-    return list(_solve_points(*task))
 
 
 #: Thread-count setters of the OpenBLAS copies numpy (64-bit integer
@@ -410,7 +419,7 @@ def _solve_order(points):
     that a level starts on the pair the previous one ended on; then by
     a4 and a5, which scale only fission, so each (a1, a2, a3) block is
     contiguous.  A contiguous run of the order shares factors the same
-    way, so the pool hands out runs of whole blocks, not points."""
+    way, so the pool hands out contiguous chunks of whole blocks."""
     levels = sorted({alpha[1] for _, alpha in points})
 
     def key(point):
@@ -450,13 +459,14 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     """Solve the chosen model over a parameter lattice and persist the
     power maps with a manifest; reuse an existing set when its manifest
     matches the current configuration.  The `PARENT_ALPHA` solution
-    (`_solve_parent`) is solved first, and is its own point's when it
-    converged.  The other points are solved in `_solve_order` by
-    `_solve_points`: on one worker here, as one run; on `cfg.threads`
-    workers cut into at most that many contiguous runs of whole blocks
-    and of about equal length, one pool task and one worker each.  A
-    start depends only on its block, so the values do not depend on the
-    worker count; the order only decides which cached factors are reused.
+    (`_solve_parent`) is solved first.  Then the points, the parent's
+    own among them, are cut in `_solve_order` into their (a1, a2, a3)
+    blocks, each solved by one `_solve_block` call: on one worker here,
+    one block after another; on `cfg.threads` workers by a pool, which
+    hands each worker one contiguous chunk of about equally many whole
+    blocks.  A start depends only on its block, so the values do not
+    depend on the worker count; the order only decides which cached
+    factors are reused.
 
     A set lives in `snapshots/<model>_<lattice>/` under the output
     directory: `snapshots.npy`, the C-order float64 (count, n_cells)
@@ -464,10 +474,11 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     `content_hash` is the sha256 of that matrix's bytes; its `starts`
     holds per point the sorted lattice indices of the block solutions
     that span its start, [-1] for the parent (and for the parent's own
-    point).  On one worker each row is copied into the matrix as it is
-    solved, so no second copy of the set is made; pool workers return
-    each run's rows as one list.  A reused matrix is checked against the
-    manifest and read-only, and is the returned set's `matrix`.
+    point).  On one worker each block's rows are copied into the matrix
+    as the block is solved, so no second copy of the set is made; pool
+    workers return each block's rows as one list.  A reused matrix is
+    checked against the manifest and read-only, and is the returned
+    set's `matrix`.
 
     Returns (snapshots, manifest).
     """
@@ -500,39 +511,26 @@ def generate_snapshots(cfg: ExperimentConfig, model: str, lattice: str,
     t0 = time.perf_counter()
     matrix = np.empty((len(alphas), mesh.n_cells))
     keffs = [0.0] * len(alphas)
-    starts = [[-1] for _ in alphas]
+    starts = [None] * len(alphas)
     failures = {}
     # The solves made here, like those of the pool workers, run BLAS on
     # one thread: the caller's count is restored afterwards.
     with _one_blas_thread():
         parent, converged = _solve_parent(cfg, model, mesh)
-        points = []
-        for index, alpha in enumerate(alphas):
-            if converged and alpha == PARENT_ALPHA:
-                xs = map_alpha_to_mu(alpha, cfg.cross_sections)
-                matrix[index] = _power_map(model, parent, xs).values
-                keffs[index] = parent.k_eff
-            else:
-                points.append((index, alpha))
-        order = _solve_order(points)
-        blocks = [list(block) for _, block in
-                  groupby(order, key=lambda point: point[1][:3])]
-        workers = min(cfg.threads, len(blocks))
-        runs = [[] for _ in range(workers)]
-        cut = 0  # points before the block
-        for block in blocks:  # to the run its middle falls in
-            runs[(2 * cut + len(block)) * workers // (2 * len(order))] += block
-            cut += len(block)
-        runs = [run for run in runs if run]
-        problem = (model, cfg, mesh, parent, converged)
-        if len(runs) > 1:
-            with Pool(len(runs), initializer=_one_blas_thread) as pool:
-                solved = pool.map(_solve_run,
-                                  [(problem, run) for run in runs])
+        nusf = cell_values(cfg.cross_sections, mesh, "nu_sigma_f")[0]
+        solve = functools.partial(_solve_block, (
+            model, cfg, mesh, parent, converged, nusf.reshape(2, -1)))
+        blocks = [list(block) for _, block in groupby(
+            _solve_order(list(enumerate(alphas))), key=lambda p: p[1][:3])]
+        chunksize = math.ceil(len(blocks) / cfg.threads)
+        workers = math.ceil(len(blocks) / chunksize)
+        if workers > 1:
+            with Pool(workers, initializer=_one_blas_thread) as pool:
+                solved = pool.map(solve, blocks, chunksize=chunksize)
         else:
-            solved = [_solve_points(problem, run) for run in runs]
-        for run in solved:
-            for index, start, k_eff, values, error in run:
+            solved = map(solve, blocks)
+        for block in solved:
+            for index, start, k_eff, values, error in block:
                 starts[index] = start
                 if error is not None:
                     failures[index] = error

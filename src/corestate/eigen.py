@@ -81,6 +81,8 @@ class ToleranceConfig:
     max_outer: int = 2000
 
     def __post_init__(self):
+        object.__setattr__(self, "max_outer", config_int(
+            self.max_outer, "tolerances.max_outer"))
         for name in ("k_tol", "flux_tol"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -97,8 +99,7 @@ class ToleranceConfig:
             k_tol=config_number(d.get("k_tol", 1e-8), "tolerances.k_tol"),
             flux_tol=config_number(d.get("flux_tol", 1e-7),
                                    "tolerances.flux_tol"),
-            max_outer=config_int(d.get("max_outer", 2000),
-                                 "tolerances.max_outer"))
+            max_outer=d.get("max_outer", 2000))
 
     def to_dict(self) -> dict:
         return {"k_tol": self.k_tol, "flux_tol": self.flux_tol,

@@ -226,7 +226,7 @@ def build_mesh(config: GeometryConfig) -> Mesh:
     """Build the structured mesh, assigning each cell the region whose box
     contains the cell center (priority resolves overlaps)."""
     for name in ("extent_x", "extent_y"):
-        if getattr(config, name) <= 0:
+        if not getattr(config, name) > 0:  # NaN included
             raise ConfigurationError(f"geometry {name} must be > 0, "
                                      f"got {getattr(config, name)}")
     for name in ("nx", "ny"):

@@ -4,6 +4,7 @@ import json
 import logging
 import shutil
 import weakref
+from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -28,8 +29,8 @@ from corestate.transport import eigen_residual as transport_residual
 from corestate.transport import (build_quadrature, power_map_transport,
                                  solve_transport)
 from corestate import bench, cli, diffusion, eigen, materials, transport
-from helpers import (orthonormal_fields, random_field, snapshot_set,
-                     uniform_config)
+from helpers import (SharedCounts, orthonormal_fields, random_field,
+                     snapshot_set, uniform_config)
 
 
 #: content_hash of `small_config`'s test-lattice set per (model,
@@ -40,6 +41,16 @@ PINNED_TEST_SET_HASHES = {
     ("transport", 13):
         "91f7e56a4aa97be20913d4fe70a315b8279a3f30fd1dcb100eb3d20c53a5cf19",
 }
+
+
+def block_problem(cfg, model):
+    """(mesh, parent solution, the `problem` `bench._solve_block` takes)
+    of `cfg`'s `model` lattices."""
+    mesh = build_mesh(cfg.geometry)
+    parent, converged = bench._solve_parent(cfg, model, mesh)
+    nusf = cell_values(cfg.cross_sections, mesh, "nu_sigma_f")[0]
+    return mesh, parent, (model, cfg, mesh, parent, converged,
+                          nusf.reshape(2, -1))
 
 
 def _default_geometry_dict() -> dict:
@@ -266,20 +277,20 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("model", ["diffusion", "transport"])
     def test_threads_do_not_change_results(self, tmp_path, model):
-        # One, two and three workers write the same bytes and record the
-        # same starts.  A start is the parent's, or is made from
-        # solutions of the point's own (a1, a2, a3) block solved before
-        # it in `_solve_order`: all but the first point of each of the
-        # 8 blocks of 4 start from their block.
+        # One, two and three workers write the same bytes, matrix and
+        # manifest (k_eff and starts included).  A start is the
+        # parent's, or is made from solutions of the point's own (a1,
+        # a2, a3) block solved before it in `_solve_order`: all but the
+        # first point of each of the 8 blocks of 4 start from their block.
         manifests = [generate_snapshots(
             small_config(tmp_path / f"w{threads}", threads=threads), model,
             "test")[1] for threads in (1, 2, 3)]
-        matrices = [np.load(tmp_path / f"w{threads}" / "snapshots"
-                            / f"{model}_test" / "snapshots.npy").tobytes()
-                    for threads in (1, 2, 3)]
-        assert matrices[1:] == matrices[:1] * 2
+        stored = [[(tmp_path / f"w{threads}" / "snapshots" / f"{model}_test"
+                    / name).read_bytes()
+                   for name in ("snapshots.npy", "manifest.json")]
+                  for threads in (1, 2, 3)]
+        assert stored[1:] == stored[:1] * 2
         starts = manifests[0]["starts"]
-        assert [m["starts"] for m in manifests[1:]] == [starts] * 2
         lattice = materials.test_lattice()
         rank = {index: position for position, (index, _) in enumerate(
             bench._solve_order(list(enumerate(lattice))))}
@@ -362,9 +373,11 @@ class TestSnapshots:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, func, tasks):
-                runs.extend([index for index, _ in run] for _, run in tasks)
-                return [func(task) for task in tasks]
+            def map(self, func, blocks, chunksize):
+                runs.extend([index for block in blocks[i:i + chunksize]
+                             for index, _ in block]
+                            for i in range(0, len(blocks), chunksize))
+                return [func(block) for block in blocks]
 
         _, serial = generate_snapshots(small_config(tmp_path / "serial"),
                                        "diffusion", "test")
@@ -437,16 +450,19 @@ class TestSnapshots:
 
     def test_failed_block_preparation_identifies_alpha(self, tmp_path,
                                                        monkeypatch):
-        # Block (0.95, 0.85, 0.85) is test points 16-23.  Each of its
-        # points retries the preparation and fails with it, so on one
-        # worker or two the error names point 16 and no file is written.
+        # Block (0.95, 0.85, 0.85) is test points 16-23.  Its operators
+        # are prepared once, and every point of the block fails with
+        # the preparation, so on one worker or two the error names point
+        # 16 and no file is written.
         base = small_config(tmp_path).cross_sections
         failing = map_alpha_to_mu((0.95, 0.85, 0.85, 1.0, 1.0),
                                   base).to_dict()
         prepare = bench.prepare_diffusion
+        calls = SharedCounts(("failing",))
 
         def failing_prepare(xs, mesh):
             if xs.to_dict() == failing:
+                calls.add("failing")
                 raise DegenerateProblemError("no operators for the block")
             return prepare(xs, mesh)
 
@@ -463,20 +479,18 @@ class TestSnapshots:
             directory = cfg.output_dir / "snapshots" / "diffusion_test"
             assert not (directory / "manifest.json").exists()
             assert not (directory / "snapshots.npy").exists()
+        assert calls == {"failing": 2}
 
     def test_failed_first_of_a_ray_leaves_its_next_point_to_the_parent(
             self, tmp_path, monkeypatch):
         # Test points 0-3 are one block, solved in this order.  Point 0
         # fails and adds nothing to the block's span, so point 1 starts
         # from the parent and the later ones from point 1 and on.
-        cfg = small_config(tmp_path)
-        mesh = build_mesh(cfg.geometry)
-        parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
+        _, _, problem = block_problem(small_config(tmp_path), "diffusion")
         lattice = materials.test_lattice()
         fail_solves_at(monkeypatch, [lattice[0]])
         points = [(i, lattice[i]) for i in (0, 1, 2, 3)]
-        results = list(bench._solve_points(
-            ("diffusion", cfg, mesh, parent, converged), points))
+        results = bench._solve_block(problem, points)
         assert [(index, start) for index, start, *_ in results] \
             == [(0, [-1]), (1, [-1]), (2, [1]), (3, [1, 2])]
         assert results[0][4].startswith("DegenerateProblemError")
@@ -634,12 +648,10 @@ def test_unusable_ritz_value_falls_back_to_the_parent(tmp_path, monkeypatch,
 
     monkeypatch.setattr(eigen, "dgeev", eigenpairs)
     cfg = small_config(tmp_path)
-    mesh = build_mesh(cfg.geometry)
-    parent, converged = bench._solve_parent(cfg, "diffusion", mesh)
+    mesh, parent, problem = block_problem(cfg, "diffusion")
     lattice = materials.test_lattice()
-    results = list(bench._solve_points(
-        ("diffusion", cfg, mesh, parent, converged),
-        [(i, lattice[i]) for i in (0, 1, 2, 3)]))
+    results = bench._solve_block(problem,
+                                 [(i, lattice[i]) for i in (0, 1, 2, 3)])
     assert [start for _, start, *_ in results] == [[-1]] * 4
     for index, _, k_eff, values, error in results:
         xs = map_alpha_to_mu(lattice[index], cfg.cross_sections)
@@ -660,8 +672,7 @@ def test_block_points_match_per_point_solves(tmp_path, monkeypatch, model,
     # block is the first of the solve order, the diffusion block the
     # parent's, which the parent spans.
     cfg = small_config(tmp_path)
-    mesh = build_mesh(cfg.geometry)
-    parent, converged = bench._solve_parent(cfg, model, mesh)
+    mesh, parent, problem = block_problem(cfg, model)
     alphas = (training_lattice() if lattice == "training"
               else materials.test_lattice())
     order = bench._solve_order([(i, alpha) for i, alpha in enumerate(alphas)
@@ -676,8 +687,7 @@ def test_block_points_match_per_point_solves(tmp_path, monkeypatch, model,
         return result
 
     monkeypatch.setattr(bench, "solve_power_map", recording)
-    results = list(bench._solve_points(
-        (model, cfg, mesh, parent, converged), points))
+    results = bench._solve_block(problem, points)
     assert len(calls) == len(points) in (4, 8)
     assert sum(start is not parent for start, _ in calls) >= len(points) - 1
     # Each solve starts its own state afresh, so its outer and sweep
@@ -698,8 +708,7 @@ def block_point_solves(cfg, model, lattice, monkeypatch):
     """(block, calls) of the first block in the solve order of `lattice`,
     each call (the cross sections `solve_power_map` was handed, its
     operators, the solution)."""
-    mesh = build_mesh(cfg.geometry)
-    parent, converged = bench._solve_parent(cfg, model, mesh)
+    _, _, problem = block_problem(cfg, model)
     alphas = (training_lattice() if lattice == "training"
               else materials.test_lattice())
     order = bench._solve_order(list(enumerate(alphas)))
@@ -712,9 +721,8 @@ def block_point_solves(cfg, model, lattice, monkeypatch):
         return result
 
     monkeypatch.setattr(bench, "solve_power_map", recording)
-    results = list(bench._solve_points(
-        (model, cfg, mesh, parent, converged),
-        [point for point in order if point[1][:3] == block]))
+    results = bench._solve_block(
+        problem, [point for point in order if point[1][:3] == block])
     assert all(error is None for *_, error in results)
     return block, calls
 
@@ -766,8 +774,9 @@ def test_block_power_maps_read_the_operators_kappa(tmp_path, monkeypatch,
 
 def test_kappa_gathered_once_per_block(tmp_path, monkeypatch):
     # One worker gathers kappaSf onto the cells for the parent's
-    # operators, for the parent's own lattice point, and once per
-    # (a1, a2, a3) block with the block's operators: not once per point.
+    # operators, and once per (a1, a2, a3) block with the block's
+    # operators, whose kappaSf the parent's own lattice point reads too:
+    # not once per point.
     gathers = []
 
     def counting(module):
@@ -784,7 +793,7 @@ def test_kappa_gathered_once_per_block(tmp_path, monkeypatch):
         counting(module)
     generate_snapshots(small_config(tmp_path), "diffusion", "training")
     blocks = {alpha[:3] for alpha in training_lattice()}
-    assert len(gathers) <= 2 + len(blocks) == 29
+    assert len(gathers) <= 1 + len(blocks) == 28
 
 
 def test_previous_block_released_before_the_next_factorizes(tmp_path,
@@ -806,21 +815,15 @@ def test_previous_block_released_before_the_next_factorizes(tmp_path,
         live.add(lu)
         return lu
 
-    cfg = small_config(tmp_path)
-    mesh = build_mesh(cfg.geometry)
-    parent, converged = bench._solve_parent(cfg, "transport", mesh)
     monkeypatch.setattr(transport._SweepBlock, "factorize", tracking)
-    order = bench._solve_order(list(enumerate(materials.test_lattice())))
-    results = list(bench._solve_points(
-        ("transport", cfg, mesh, parent, converged), order))
-    assert all(error is None for *_, error in results)
+    generate_snapshots(small_config(tmp_path), "transport", "test")
     assert len(peak) > 4 and max(peak) == 1
 
 
 def test_block_cross_sections_built_once_per_block(tmp_path, monkeypatch):
-    # One worker builds cross sections for the parent, for the parent's
-    # own lattice point, and once per (a1, a2, a3) block at a4 = a5 = 1,
-    # whose operators all the block's points share: not once per point.
+    # One worker builds cross sections for the parent, and once per
+    # (a1, a2, a3) block at a4 = a5 = 1, whose operators all the block's
+    # points share, the parent's own point included: not once per point.
     calls, scale = [], bench.map_alpha_to_mu
 
     def counting(alpha, base):
@@ -830,9 +833,9 @@ def test_block_cross_sections_built_once_per_block(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "map_alpha_to_mu", counting)
     generate_snapshots(small_config(tmp_path), "diffusion", "training")
     blocks = {alpha[:3] for alpha in training_lattice()}
-    assert len(calls) == 2 + len(blocks) == 29
-    assert calls[:2] == [bench.PARENT_ALPHA] * 2
-    assert sorted(calls[2:]) == sorted(b + (1.0, 1.0) for b in blocks)
+    assert len(calls) == 1 + len(blocks) == 28
+    assert calls[:1] == [bench.PARENT_ALPHA]
+    assert sorted(calls[1:]) == sorted(b + (1.0, 1.0) for b in blocks)
 
 
 def test_snapshot_work_budget(tmp_path, monkeypatch):
@@ -1364,6 +1367,42 @@ class TestConfig:
         geometry = GeometryConfig.from_dict(
             {**_default_geometry_dict(), key: value})
         with pytest.raises(ConfigurationError, match=match):
+            build_mesh(geometry)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ToleranceConfig(max_outer=2.5), "tolerances.max_outer"),
+        (lambda: ExperimentConfig.default(threads=2.5), "threads"),
+        (lambda: replace(ExperimentConfig.default(), seed=1.5), "seed"),
+        (lambda: replace(ExperimentConfig.default(), sn_order=4.5),
+         "sn_order"),
+        (lambda: replace(ExperimentConfig.default(), sensor_grid=(9.5, 6)),
+         r"sensors\.sx"),
+        (lambda: replace(ExperimentConfig.default(), n_range=(1, 2.5)),
+         "n_range")],
+        ids=["max_outer", "threads", "seed", "sn_order", "sx", "n_range"])
+    def test_non_integral_integer_fields_rejected_when_built(self, build,
+                                                             field):
+        # Built directly, not through from_dict, each was accepted: 2.5
+        # threads reached the pool and its chunk size.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be an integer, got "):
+            build()
+
+    def test_integral_float_fields_taken_as_integers(self):
+        # As from_dict takes them, so the snapshot signature is the same.
+        cfg = replace(ExperimentConfig.default(threads=2.0),
+                      sensor_grid=(9.0, 6))
+        tol = ToleranceConfig(max_outer=3.0)
+        assert type(cfg.threads) is int and type(tol.max_outer) is int
+        assert cfg.sensor_grid == (9, 6) and type(cfg.sensor_grid[0]) is int
+        assert json.dumps(tol.to_dict()).endswith('"max_outer": 3}')
+
+    def test_nan_extent_named(self):
+        # `nan <= 0` is False: a NaN extent passed the range check and
+        # failed as "cell center (nan, 0.25) is covered by no region box".
+        geometry = replace(GeometryConfig.default(), extent_x=float("nan"))
+        with pytest.raises(ConfigurationError,
+                           match=r"^geometry extent_x must be > 0, got nan$"):
             build_mesh(geometry)
 
     @pytest.mark.parametrize("config, match", [
